@@ -11,8 +11,7 @@ from .hierarchical_bayes import (HbChain, HbConfig, HyperPrior, default_proposal
                                  histogram_mode, log_conditional_mu_density,
                                  mh_alpha_step, mh_log_acceptance, run_mwg)
 from .sequence_model import (ModelSpec, Observation, TruthSpec, analytic_norm_sq,
-                             default_truncation, kappa, sandwich_constant, simulate,
-                             sobolev_norm_sq, synthesize_function, volterra_forward_check)
+                             default_truncation, simulate, sobolev_norm_sq, synthesize_function)
 from .theory import (BracketReport, bracket, bracket_diagnostic, minimax_rate_analytic,
                      minimax_rate_sobolev, slowly_varying_factor)
 
@@ -22,11 +21,10 @@ __all__ = [
     "HbChain", "HbConfig", "HyperPrior", "InvseqError", "LikelihoodCurve", "ModelSpec",
     "NumericalError", "Observation", "OutOfRangeError", "TruthSpec",
     "analytic_norm_sq", "bracket", "bracket_diagnostic", "default_proposal_sd",
-    "default_truncation", "eb_posterior", "fit", "histogram_mode", "kappa",
+    "default_truncation", "eb_posterior", "fit", "histogram_mode",
     "likelihood_curve", "log_conditional_mu_density", "log_likelihood", "mh_alpha_step",
     "mh_log_acceptance", "minimax_rate_analytic", "minimax_rate_sobolev", "posterior",
     "posterior_mean_function", "posterior_risk", "run_figure1", "run_figure2", "run_mwg",
     "run_rate_sweep", "sample_posterior",
-    "sandwich_constant", "score", "simulate", "slowly_varying_factor", "sobolev_norm_sq",
-    "synthesize_function", "volterra_forward_check",
+    "score", "simulate", "slowly_varying_factor", "sobolev_norm_sq", "synthesize_function",
 ]

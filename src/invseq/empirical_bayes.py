@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import signal_weights, softplus
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import CoordinatePosterior, posterior
-from .sequence_model import Observation
+from .sequence_model import Design, Observation, design, softplus_weight, weight
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
@@ -54,20 +53,16 @@ class EbFit:
     refined: bool
 
 
-def _prepared(obs: Observation):
-    log_i = np.log(np.arange(1, obs.N + 1, dtype=float))
-    kap = obs.model.kappa_vector(obs.N)
-    log_nk2 = math.log(obs.n) + 2.0 * np.log(kap)
+def _prepared(obs: Observation) -> tuple[Design, np.ndarray]:
     with np.errstate(over="ignore"):  # inf here surfaces as NumericalError later
         ny2 = obs.n * obs.y**2
-    return log_i, log_nk2, ny2
+    return design(obs.model, obs.n, obs.N), ny2
 
 
-def _loglik(alpha, log_i, log_nk2, ny2) -> float:
+def _loglik(alpha, d: Design, ny2) -> float:
     # w = n/(i^(1+2a)*kappa^-2 + n); the quadratic term is n*w*y_i^2.
-    s = log_nk2 - (1.0 + 2.0 * alpha) * log_i
-    w = np.exp(s - softplus(s))
-    return -0.5 * float(np.sum(softplus(s) - w * ny2))
+    sp, w = softplus_weight(d.log_odds(alpha))
+    return -0.5 * float(np.sum(sp - w * ny2))
 
 
 def log_likelihood(alpha: float, obs: Observation) -> float:
@@ -85,9 +80,9 @@ def score(alpha: float, obs: Observation) -> float:
     """
     if alpha < 0:
         raise ConfigError("alpha must be >= 0")
-    log_i, log_nk2, ny2 = _prepared(obs)
-    w, one_minus_w = signal_weights(alpha, log_i, log_nk2)
-    return float(np.sum(log_i * w * (1.0 - one_minus_w * ny2)))
+    d, ny2 = _prepared(obs)
+    s = d.log_odds(alpha)
+    return float(np.sum(d.log_i * weight(s) * (1.0 - weight(-s) * ny2)))
 
 
 def likelihood_curve(obs: Observation, grid_size: int = DEFAULT_GRID_SIZE) -> LikelihoodCurve:

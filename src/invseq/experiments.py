@@ -1,11 +1,12 @@
 """Reproducible experiment drivers behind the command line front end.
 
-Each driver simulates a ladder of noise levels, runs the requested
-inference, writes plain CSV/JSON outputs into an output directory and
-finishes with a manifest that pins the configuration hash, the derived
-per-replicate seeds and the headline numbers.  Reruns with the same
-config produce byte-identical files; replicate loops are independent by
-construction (seed = base seed + replicate index) so they could be
+Each driver is a per-replicate body inside one shared rung loop: the
+loop simulates a ladder of noise levels, the body runs the requested
+inference and writes plain CSV/JSON outputs into an output directory,
+and the loop finishes with a manifest that pins the configuration hash,
+the derived per-replicate seeds and the headline numbers.  Reruns with
+the same config produce byte-identical files; replicates are independent
+by construction (seed = base seed + replicate index) so they could be
 farmed out without changing any result.
 """
 
@@ -17,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .sequence_model import (ModelSpec, TruthSpec, default_truncation, simulate,
                              synthesize_function)
 
 GRID_POINTS = 512
+CURVE_GRID = np.linspace(0.0, 1.0, GRID_POINTS)
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,6 @@ class ExperimentConfig:
     seed: int = 0
     N: int | None = None  # None: ceil(n^(1/(1+2p))) per rung, capped
     output_dir: str = "."
-    mode: str = "both"  # eb | hb | both
     hyper: HyperPrior = field(default_factory=lambda: HyperPrior.exponential(1.0))
     hb_iterations: int = 2000
     hb_burn_in: int | None = None
@@ -56,8 +58,6 @@ class ExperimentConfig:
             raise ConfigError("n_ladder must be strictly increasing")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if self.mode not in ("eb", "hb", "both"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.N is not None and self.N < 1:
             raise ConfigError("N must be >= 1")
 
@@ -70,7 +70,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "N": self.N,
             "output_dir": self.output_dir,
-            "mode": self.mode,
             "hyper": self.hyper.to_dict(),
             "hb_iterations": self.hb_iterations,
             "hb_burn_in": self.hb_burn_in,
@@ -89,7 +88,6 @@ class ExperimentConfig:
                 seed=int(d.get("seed", 0)),
                 N=int(d["N"]) if d.get("N") is not None else None,
                 output_dir=str(d.get("output_dir", ".")),
-                mode=str(d.get("mode", "both")),
                 hyper=HyperPrior.from_dict(d["hyper"]) if d.get("hyper") else HyperPrior.exponential(1.0),
                 hb_iterations=int(d.get("hb_iterations", 2000)),
                 hb_burn_in=int(d["hb_burn_in"]) if d.get("hb_burn_in") is not None else None,
@@ -112,18 +110,61 @@ def rung_tag(n: float) -> str:
     return s.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
 
 
-def _write_function_csv(path, t, columns: dict) -> None:
+@dataclass(frozen=True)
+class _Rung:
+    n: float
+    N: int
+    tag: str
+    mu0: np.ndarray
+    true_f: np.ndarray | None  # the truth on CURVE_GRID, for drivers that draw curves
+
+
+class _Ladder:
+    """The rung loop the drivers share, and the files it writes."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.files: list[str] = []
+
+    def run(self, replicate: Callable, curves: bool) -> list[tuple[_Rung, list]]:
+        """Per rung, replicate(rung, r, obs) for every replicate r, simulated at seed + r.
+
+        With curves, the truth is synthesized on CURVE_GRID once per rung,
+        before the rung's first simulation.  Returns each rung with the
+        list of its replicates' results.
+        """
+        cfg = self.cfg
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        out = []
+        for n in cfg.n_ladder:
+            N = cfg.truncation(n)
+            mu0 = cfg.truth.coefficients(N)
+            true_f = synthesize_function(mu0, CURVE_GRID) if curves else None
+            rung = _Rung(n, N, rung_tag(n), mu0, true_f)
+            out.append((rung, [replicate(rung, r, simulate(cfg.truth, cfg.model, n, N, cfg.seed + r))
+                               for r in range(cfg.replicates)]))
+        return out
+
+    def output(self, name: str) -> str:
+        """Path of an output file, listed in the manifest."""
+        self.files.append(name)
+        return os.path.join(self.cfg.output_dir, name)
+
+    def write_manifest(self, prefix: str, **fields) -> dict:
+        manifest = {"config": self.cfg.to_dict(), "config_sha256": self.cfg.config_sha256(),
+                    "version": __version__, "files": self.files, **fields}
+        with open(os.path.join(self.cfg.output_dir, f"{prefix}_manifest.json"), "w") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=1)
+        return manifest
+
+
+def _write_function_csv(path, columns: dict) -> None:
     names = list(columns)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t"] + names)
-        for k in range(t.size):
-            w.writerow([repr(float(t[k]))] + [repr(float(columns[c][k])) for c in names])
-
-
-def _write_manifest(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        for k in range(GRID_POINTS):
+            w.writerow([repr(float(CURVE_GRID[k]))] + [repr(float(columns[c][k])) for c in names])
 
 
 def run_figure1(cfg: ExperimentConfig) -> dict:
@@ -133,39 +174,21 @@ def run_figure1(cfg: ExperimentConfig) -> dict:
     replicate 0) and the normalized likelihood curve; every replicate's
     alpha_hat lands in the manifest.
     """
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    t = np.linspace(0.0, 1.0, GRID_POINTS)
-    rungs = []
-    files = []
-    for n in cfg.n_ladder:
-        N = cfg.truncation(n)
-        mu0 = cfg.truth.coefficients(N)
-        true_f = synthesize_function(mu0, t)
-        seeds = [cfg.seed + r for r in range(cfg.replicates)]
-        alpha_hats = []
-        for r, s in enumerate(seeds):
-            obs = simulate(cfg.truth, cfg.model, n, N, s)
-            eb = fit(obs)
-            alpha_hats.append(eb.alpha_hat)
-            if r == 0:
-                tag = rung_tag(n)
-                mean_f = posterior_mean_function(eb_posterior(obs, eb), t)
-                curve_path = os.path.join(cfg.output_dir, f"fig1_{tag}_curve.csv")
-                _write_function_csv(curve_path, t, {"true_f": true_f, "eb_mean_f": mean_f})
-                lik_path = os.path.join(cfg.output_dir, f"fig1_{tag}_likelihood.csv")
-                eb.curve.write_csv(lik_path)
-                files += [os.path.basename(curve_path), os.path.basename(lik_path)]
-        rungs.append({"n": n, "N": N, "seeds": seeds, "alpha_hat": alpha_hats})
-    manifest = {
-        "config": cfg.to_dict(),
-        "config_sha256": cfg.config_sha256(),
-        "version": __version__,
-        "grid_points": GRID_POINTS,
-        "rungs": rungs,
-        "files": files,
-    }
-    _write_manifest(os.path.join(cfg.output_dir, "fig1_manifest.json"), manifest)
-    return manifest
+    ladder = _Ladder(cfg)
+
+    def replicate(rung, r, obs):
+        eb = fit(obs)
+        if r == 0:
+            mean_f = posterior_mean_function(eb_posterior(obs, eb), CURVE_GRID)
+            _write_function_csv(ladder.output(f"fig1_{rung.tag}_curve.csv"),
+                                {"true_f": rung.true_f, "eb_mean_f": mean_f})
+            eb.curve.write_csv(ladder.output(f"fig1_{rung.tag}_likelihood.csv"))
+        return eb.alpha_hat
+
+    seeds = [cfg.seed + r for r in range(cfg.replicates)]
+    rungs = [{"n": rung.n, "N": rung.N, "seeds": seeds, "alpha_hat": alpha_hats}
+             for rung, alpha_hats in ladder.run(replicate, curves=True)]
+    return ladder.write_manifest("fig1", grid_points=GRID_POINTS, rungs=rungs)
 
 
 def run_figure2(cfg: ExperimentConfig) -> dict:
@@ -176,51 +199,29 @@ def run_figure2(cfg: ExperimentConfig) -> dict:
     at the plug-in estimate of the same observation, which costs one grid
     scan and removes any visible burn-in transient at the larger rungs.
     """
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    t = np.linspace(0.0, 1.0, GRID_POINTS)
-    rungs = []
-    files = []
-    for n in cfg.n_ladder:
-        N = cfg.truncation(n)
-        mu0 = cfg.truth.coefficients(N)
-        true_f = synthesize_function(mu0, t)
-        seeds = [cfg.seed + r for r in range(cfg.replicates)]
-        reps = []
-        for r, s in enumerate(seeds):
-            obs = simulate(cfg.truth, cfg.model, n, N, s)
-            warm = None
-            if cfg.hyper.kind != "fixed":
-                warm = max(fit(obs).alpha_hat, 1e-3)
-            hb_cfg = HbConfig(J=N, iterations=cfg.hb_iterations, burn_in=cfg.hb_burn_in,
-                              proposal_sd=cfg.hb_proposal_sd, seed=s, thin=cfg.hb_thin,
-                              alpha_init=warm)
-            chain = run_mwg(obs, cfg.hyper, hb_cfg)
-            summary = chain.summary()
-            reps.append({"seed": s, "acceptance_rate": summary["acceptance_rate"],
-                         "alpha_mean": summary["alpha_mean"],
-                         "alpha_mode": summary["alpha_mode"]})
-            if r == 0:
-                tag = rung_tag(n)
-                alpha_path = os.path.join(cfg.output_dir, f"fig2_{tag}_alpha.csv")
-                chain.write_alpha_csv(alpha_path)
-                summ_path = os.path.join(cfg.output_dir, f"fig2_{tag}_summary.json")
-                chain.write_summary_json(summ_path)
-                mean_f = synthesize_function(chain.mu_mean, t)
-                curve_path = os.path.join(cfg.output_dir, f"fig2_{tag}_curve.csv")
-                _write_function_csv(curve_path, t, {"true_f": true_f, "hb_mean_f": mean_f})
-                files += [os.path.basename(alpha_path), os.path.basename(summ_path),
-                          os.path.basename(curve_path)]
-        rungs.append({"n": n, "N": N, "replicates": reps})
-    manifest = {
-        "config": cfg.to_dict(),
-        "config_sha256": cfg.config_sha256(),
-        "version": __version__,
-        "grid_points": GRID_POINTS,
-        "rungs": rungs,
-        "files": files,
-    }
-    _write_manifest(os.path.join(cfg.output_dir, "fig2_manifest.json"), manifest)
-    return manifest
+    ladder = _Ladder(cfg)
+
+    def replicate(rung, r, obs):
+        warm = None
+        if cfg.hyper.kind != "fixed":
+            warm = max(fit(obs).alpha_hat, 1e-3)
+        hb_cfg = HbConfig(J=rung.N, iterations=cfg.hb_iterations, burn_in=cfg.hb_burn_in,
+                          proposal_sd=cfg.hb_proposal_sd, seed=obs.seed, thin=cfg.hb_thin,
+                          alpha_init=warm)
+        chain = run_mwg(obs, cfg.hyper, hb_cfg)
+        summary = chain.summary()
+        if r == 0:
+            chain.write_alpha_csv(ladder.output(f"fig2_{rung.tag}_alpha.csv"))
+            chain.write_summary_json(ladder.output(f"fig2_{rung.tag}_summary.json"))
+            mean_f = synthesize_function(chain.mu_mean, CURVE_GRID)
+            _write_function_csv(ladder.output(f"fig2_{rung.tag}_curve.csv"),
+                                {"true_f": rung.true_f, "hb_mean_f": mean_f})
+        return {"seed": obs.seed, "acceptance_rate": summary["acceptance_rate"],
+                "alpha_mean": summary["alpha_mean"], "alpha_mode": summary["alpha_mode"]}
+
+    rungs = [{"n": rung.n, "N": rung.N, "replicates": reps}
+             for rung, reps in ladder.run(replicate, curves=True)]
+    return ladder.write_manifest("fig2", grid_points=GRID_POINTS, rungs=rungs)
 
 
 def run_rate_sweep(cfg: ExperimentConfig, beta: float) -> dict:
@@ -241,25 +242,22 @@ def run_rate_sweep(cfg: ExperimentConfig, beta: float) -> dict:
     else:
         raise ConfigError("rate sweep needs a power_law or paper_example truth")
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    ladder = _Ladder(cfg)
+
+    def replicate(rung, r, obs):
+        eb = fit(obs)
+        post = eb_posterior(obs, eb)
+        return (float(np.sum((post.means - rung.mu0) ** 2)),
+                posterior_risk(eb.alpha_hat, obs, rung.mu0))
+
     rows = []
-    for n in cfg.n_ladder:
-        N = cfg.truncation(n)
-        mu0 = cfg.truth.coefficients(N)
-        sq_errs = []
-        risks = []
-        for r in range(cfg.replicates):
-            obs = simulate(cfg.truth, cfg.model, n, N, cfg.seed + r)
-            eb = fit(obs)
-            post = eb_posterior(obs, eb)
-            sq_errs.append(float(np.sum((post.means - mu0) ** 2)))
-            risks.append(posterior_risk(eb.alpha_hat, obs, mu0))
-        rows.append({"n": n, "N": N,
+    for rung, errs in ladder.run(replicate, curves=False):
+        sq_errs, risks = zip(*errs)
+        rows.append({"n": rung.n, "N": rung.N,
                      "mean_sq_error": float(np.mean(sq_errs)),
                      "mean_posterior_risk": float(np.mean(risks))})
 
-    csv_path = os.path.join(cfg.output_dir, "rate_sweep.csv")
-    with open(csv_path, "w", newline="") as fh:
+    with open(ladder.output("rate_sweep.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "mean_sq_error", "mean_posterior_risk"])
         for row in rows:
@@ -270,15 +268,5 @@ def run_rate_sweep(cfg: ExperimentConfig, beta: float) -> dict:
     log_err = np.log([row["mean_sq_error"] for row in rows])
     slope = float(np.polyfit(log_n, log_err, 1)[0])
     theoretical = -2.0 * beta / (1.0 + 2.0 * beta + 2.0 * cfg.model.p)
-    manifest = {
-        "config": cfg.to_dict(),
-        "config_sha256": cfg.config_sha256(),
-        "version": __version__,
-        "beta": beta,
-        "rows": rows,
-        "fitted_slope": slope,
-        "theoretical_slope": theoretical,
-        "files": ["rate_sweep.csv"],
-    }
-    _write_manifest(os.path.join(cfg.output_dir, "rate_manifest.json"), manifest)
-    return manifest
+    return ladder.write_manifest("rate", beta=beta, rows=rows, fitted_slope=slope,
+                                 theoretical_slope=theoretical)

@@ -2,12 +2,13 @@
 
 For each coordinate the posterior is normal with
 
-    mean_i = n * kappa_i * y_i / (i^(1+2*alpha) + n*kappa_i^2)
-    var_i  = kappa_i^2 ... / kappa_i^2 -> 1 / (i^(1+2*alpha) + n*kappa_i^2)
+    mean_i = n * kappa_i * y_i / (i^(1+2*alpha) + n*kappa_i^2) = w_i * y_i / kappa_i
+    var_i  = 1 / (i^(1+2*alpha) + n*kappa_i^2)                 = w_i / (n*kappa_i^2)
 
 which is the textbook form n*kappa_i^-1*y_i/(i^(1+2a)*kappa_i^-2 + n) and
-kappa_i^-2/(i^(1+2a)*kappa_i^-2 + n) multiplied through by kappa_i^2; the
-multiplied-through version never divides by a tiny kappa.
+kappa_i^-2/(i^(1+2a)*kappa_i^-2 + n) multiplied through by kappa_i^2.
+Written through the data weight w_i (see sequence_model) no large power
+i^(1+2a) is ever formed.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import log_denominator
 from .errors import ConfigError
-from .sequence_model import ModelSpec, Observation, synthesize_function
+from .sequence_model import ModelSpec, Observation, design, synthesize_function, weight
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,10 @@ def posterior(alpha: float, obs: Observation) -> CoordinatePosterior:
     """Exact conjugate posterior at prior regularity alpha."""
     if alpha < 0:
         raise ConfigError("alpha must be >= 0")
-    N = obs.N
-    log_i = np.log(np.arange(1, N + 1, dtype=float))
-    kap = obs.model.kappa_vector(N)
-    log_nk2 = np.log(obs.n) + 2.0 * np.log(kap)
-    logD = log_denominator(alpha, log_i, log_nk2)
-    variances = np.exp(-logD)
-    means = obs.y * np.exp(np.log(obs.n) + np.log(kap) - logD)
-    return CoordinatePosterior(alpha=float(alpha), means=means, variances=variances,
-                               n=obs.n, model=obs.model)
+    d = design(obs.model, obs.n, obs.N)
+    w = weight(d.log_odds(alpha))
+    return CoordinatePosterior(alpha=float(alpha), means=w * (obs.y / d.kappa),
+                               variances=w / (obs.n * d.kappa**2), n=obs.n, model=obs.model)
 
 
 def sample_posterior(post: CoordinatePosterior, seed: int) -> np.ndarray:

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from ._stable import log_denominator
 from .errors import ConfigError, NumericalError
-from .sequence_model import Observation
+from .sequence_model import Observation, design, log_index, weight
+
+MODE_BIN_WIDTH = 0.25
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,14 @@ class HbChain:
     alphas: np.ndarray
     acceptance_rate: float
     mu_mean: np.ndarray
-    mu_second_moment: np.ndarray
+    mu_var: np.ndarray
     mu_draws: np.ndarray
     config: HbConfig
     proposal_sd: float
 
     @property
-    def mu_var(self) -> np.ndarray:
-        return np.maximum(self.mu_second_moment - self.mu_mean**2, 0.0)
+    def mu_second_moment(self) -> np.ndarray:
+        return self.mu_var + self.mu_mean**2
 
     def summary(self) -> dict:
         q = np.quantile(self.alphas, [0.025, 0.5, 0.975])
@@ -156,7 +157,7 @@ def log_conditional_mu_density(mu: np.ndarray, alpha: float) -> float:
     mu = np.asarray(mu, dtype=float)
     if alpha <= 0:
         return -math.inf
-    log_j = np.log(np.arange(1, mu.size + 1, dtype=float))
+    log_j = log_index(mu.size)
     first = (0.5 + alpha) * float(np.sum(log_j))
     nz = mu != 0.0
     if not np.any(nz):
@@ -217,16 +218,20 @@ def default_proposal_sd(n: float, J: int) -> float:
     """
     logn = math.log(n)
     base = 0.3 if logn <= 1.0 else 0.3 * max(1.0, math.log(logn))
-    log_j = np.log(np.arange(1, J + 1, dtype=float))
-    curv = 2.0 * float(np.sum(log_j**2))
+    curv = 2.0 * float(np.sum(log_index(J)**2))
     if curv <= 0.0:
         return base
     return min(base, 2.4 / math.sqrt(curv))
 
 
-def histogram_mode(draws: np.ndarray, bins: int = 20, lo: float = 0.0, hi: float = 5.0) -> float:
-    """Midpoint of the fullest histogram bin on (lo, hi]."""
-    counts, edges = np.histogram(np.asarray(draws, dtype=float), bins=bins, range=(lo, hi))
+def histogram_mode(draws: np.ndarray) -> float:
+    """Midpoint of the fullest of the bins [k/4, (k+1)/4), k = 0, 1, ..., reaching past every draw.
+
+    Ties go to the lowest bin.
+    """
+    draws = np.asarray(draws, dtype=float)
+    bins = math.floor(float(np.max(draws)) / MODE_BIN_WIDTH) + 1
+    counts, edges = np.histogram(draws, bins=bins, range=(0.0, bins * MODE_BIN_WIDTH))
     k = int(np.argmax(counts))
     return float(0.5 * (edges[k] + edges[k + 1]))
 
@@ -259,27 +264,24 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
         raise ConfigError("alpha_init must be positive")
 
     rng = np.random.default_rng(cfg.seed)
-    log_j = np.log(np.arange(1, J + 1, dtype=float))
-    kap = obs.model.kappa_vector(J)
-    log_nk2 = math.log(obs.n) + 2.0 * np.log(kap)
-    log_nk = math.log(obs.n) + np.log(kap)
-    y = obs.y[:J]
+    d = design(obs.model, obs.n, J)
+    y_over_k = obs.y[:J] / d.kappa
+    inv_nk2 = 1.0 / (obs.n * d.kappa**2)
 
     kept = cfg.iterations - burn
     alphas = np.empty(kept)
+    # moments are accumulated about the first kept draw: at large n the draws
+    # spread far less than their size, and raw sums of mu^2 would cancel
     mu_sum = np.zeros(J)
-    mu_sq_sum = np.zeros(J)
+    dev_sq_sum = np.zeros(J)
     thinned: list[np.ndarray] = []
     accepted = 0
     proposed = 0
 
-    mu = np.zeros(J)
     for it in range(cfg.iterations):
-        # exact conjugate mu draw at the current alpha
-        logD = log_denominator(alpha, log_j, log_nk2)
-        means = y * np.exp(log_nk - logD)
-        sds = np.exp(-0.5 * logD)
-        mu = means + sds * rng.standard_normal(J)
+        # exact conjugate mu draw at the current alpha (see gaussian_posterior)
+        w = weight(d.log_odds(alpha))
+        mu = w * y_over_k + np.sqrt(w * inv_nk2) * rng.standard_normal(J)
 
         if not pinned:
             proposed += 1
@@ -292,16 +294,21 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
         if it >= burn:
             k = it - burn
             alphas[k] = alpha
+            if k == 0:
+                ref = mu
             mu_sum += mu
-            mu_sq_sum += mu**2
+            dev = mu - ref
+            dev *= dev
+            dev_sq_sum += dev
             if k % cfg.thin == 0:
-                thinned.append(mu.copy())
+                thinned.append(mu)
 
+    mu_mean = mu_sum / kept
     return HbChain(
         alphas=alphas,
         acceptance_rate=accepted / proposed if proposed else 0.0,
-        mu_mean=mu_sum / kept,
-        mu_second_moment=mu_sq_sum / kept,
+        mu_mean=mu_mean,
+        mu_var=np.maximum(dev_sq_sum / kept - (mu_mean - ref)**2, 0.0),
         mu_draws=np.array(thinned),
         config=cfg,
         proposal_sd=float(sd),

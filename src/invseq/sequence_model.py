@@ -8,6 +8,16 @@ where the multipliers kappa_i decay polynomially, kappa_i ~ i^(-p).
 This module owns the model/truth descriptions, simulation, norms of
 coefficient sequences, and synthesis back to functions on [0, 1] in the
 shifted cosine basis e_i(t) = sqrt(2) * cos((i - 1/2) * pi * t).
+
+It also owns the per-coordinate algebra every inference layer shares.
+All alpha-dependent quantities are functions of the log-odds of the data
+weight,
+
+    s_i(alpha) = log(n * kappa_i^2) - (1 + 2*alpha) * log i,
+    w_i = n*kappa_i^2 / (i^(1+2*alpha) + n*kappa_i^2) = expit(s_i),
+
+so powers are taken in log space (i^(1+2a) is exactly 1 at i = 1) and a
+large alpha never overflows.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ConfigError, OutOfRangeError
 
@@ -102,18 +113,39 @@ class ModelSpec:
         )
 
 
-def kappa(model: ModelSpec, i: int) -> float:
-    """Multiplier kappa_i for a single 1-based coordinate."""
-    if i < 1:
-        raise ConfigError("coordinate index is 1-based")
-    return float(model.kappa_vector(i)[-1])
+def log_index(N: int) -> np.ndarray:
+    """log 1, ..., log N."""
+    return np.log(np.arange(1, N + 1, dtype=float))
 
 
-def sandwich_constant(model: ModelSpec, N: int) -> float:
-    """Smallest C such that i^-p/C <= kappa_i <= C*i^-p over i <= N (by scan)."""
-    i = np.arange(1, N + 1, dtype=float)
-    ratio = model.kappa_vector(N) * i**model.p
-    return float(max(ratio.max(), 1.0 / ratio.min()))
+@dataclass(frozen=True)
+class Design:
+    """The alpha-free per-coordinate terms of the first N coordinates at noise level n."""
+
+    kappa: np.ndarray
+    log_i: np.ndarray
+    log_nk2: np.ndarray  # log(n * kappa_i^2)
+
+    def log_odds(self, alpha):
+        """s(alpha) for a scalar alpha; for an alpha column (shape (k, 1)), one row per alpha."""
+        return self.log_nk2 - (1.0 + 2.0 * alpha) * self.log_i
+
+
+def design(model: ModelSpec, n: float, N: int) -> Design:
+    """Design of the first N coordinates of the model at noise level n."""
+    kap = model.kappa_vector(N)
+    return Design(kappa=kap, log_i=log_index(N), log_nk2=math.log(n) + 2.0 * np.log(kap))
+
+
+def weight(s):
+    """Data weight w = expit(s) of log-odds s; 1 - w is weight(-s), accurate where it is small."""
+    return expit(s)
+
+
+def softplus_weight(s):
+    """(softplus(s), w): log(1 + e^s) without overflow, and w = e^(s - softplus(s)) from it."""
+    sp = np.logaddexp(0.0, s)
+    return sp, np.exp(s - sp)
 
 
 @dataclass(frozen=True)
@@ -227,8 +259,16 @@ class Observation:
         y = np.asarray(d["y"], dtype=float)
         if y.size != d["N"]:
             raise ConfigError("y length does not match N")
-        return cls(n=float(d["n"]), N=int(d["N"]), y=y, seed=int(d["seed"]),
-                   model=ModelSpec.from_dict(d["model"]))
+        if not np.all(np.isfinite(y)):
+            raise ConfigError("y must be finite")
+        return cls(n=_checked_noise_scale(float(d["n"])), N=int(d["N"]), y=y,
+                   seed=int(d["seed"]), model=ModelSpec.from_dict(d["model"]))
+
+
+def _checked_noise_scale(n: float) -> float:
+    if n <= 0 or not math.isfinite(n):
+        raise ConfigError("noise scale n must be positive and finite")
+    return n
 
 
 def default_truncation(n: float, p: float) -> int:
@@ -248,8 +288,7 @@ def simulate(truth: TruthSpec, model: ModelSpec, n: float, N: int, seed: int) ->
     The same (truth, model, n, N, seed) always produces bit-identical
     output; replicate seeds are conventionally seed + replicate index.
     """
-    if n <= 0 or not math.isfinite(n):
-        raise ConfigError("noise scale n must be positive and finite")
+    _checked_noise_scale(n)
     if N < 1:
         raise ConfigError("need at least one coordinate")
     mu = truth.coefficients(N)
@@ -288,16 +327,3 @@ def synthesize_function(mu: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
         freq = (np.arange(lo + 1, hi + 1, dtype=float) - 0.5) * math.pi
         out += np.cos(np.outer(t, freq)) @ mu[lo:hi]
     return math.sqrt(2.0) * out
-
-
-def volterra_forward_check(mu: np.ndarray, t: float) -> float:
-    """sum_i kappa_i * mu_i * e_i(t) with the volterra multipliers.
-
-    Test helper only.  Applying the weighting twice reproduces integration:
-    volterra_forward_check(kappa*mu, t) equals the reflected double
-    primitive int_t^1 int_0^s mu(u) du ds of the synthesized signal, which
-    is what the quadrature cross-checks in the test suite verify.
-    """
-    mu = np.asarray(mu, dtype=float)
-    kap = ModelSpec.volterra().kappa_vector(mu.size)
-    return float(synthesize_function(kap * mu, np.asarray([t]))[0])

@@ -20,11 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from ._stable import signal_weights
 from .errors import ConfigError
-from .sequence_model import ModelSpec
+from .sequence_model import Design, ModelSpec, design, weight
 
 DEFAULT_LOWER_THRESHOLD = 0.01
 DEFAULT_UPPER_COEFF = 1.0
@@ -78,6 +76,20 @@ def _prefactor(alpha: float, p: float, n: float) -> float:
     return q / (math.exp(math.log(n) / q) * math.log(n))
 
 
+def _weighted_truth(mu0: np.ndarray, model: ModelSpec, n: float) -> tuple[Design, np.ndarray]:
+    """The design of the truth's coordinates and the alpha-free part of each
+    diagnostic term, n*kappa_i^2 * mu_i^2 * log i."""
+    d = design(model, n, mu0.size)
+    return d, n * d.kappa**2 * mu0**2 * d.log_i
+
+
+def _weight_product(s: np.ndarray) -> np.ndarray:
+    """w * (1 - w) of log-odds s, in place in the weight's buffer."""
+    w = weight(s)
+    w *= weight(-s)
+    return w
+
+
 def bracket_diagnostic(alpha: float, mu0: np.ndarray, model: ModelSpec, n: float) -> float:
     """The diagnostic above at a single alpha, truncated at len(mu0) terms.
 
@@ -89,12 +101,8 @@ def bracket_diagnostic(alpha: float, mu0: np.ndarray, model: ModelSpec, n: float
         raise ConfigError("alpha must be >= 0")
     if n <= math.e:
         raise ConfigError("diagnostic needs log n > 1")
-    mu0 = np.asarray(mu0, dtype=float)
-    log_i = np.log(np.arange(1, mu0.size + 1, dtype=float))
-    kap2 = model.kappa_vector(mu0.size) ** 2
-    log_nk2 = math.log(n) + np.log(kap2)
-    w, omw = signal_weights(alpha, log_i, log_nk2)
-    return _prefactor(alpha, model.p, n) * float(np.sum(w * omw * n * kap2 * mu0**2 * log_i))
+    d, vec = _weighted_truth(np.asarray(mu0, dtype=float), model, n)
+    return _prefactor(alpha, model.p, n) * float(np.sum(_weight_product(d.log_odds(alpha)) * vec))
 
 
 def _first_crossing(values: np.ndarray, threshold: float) -> int | None:
@@ -139,14 +147,10 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float,
     cap = logn / (2.0 * math.log(2.0))
     scan_hi = max(cap, sqrt_logn)
 
-    log_i = np.log(np.arange(1, mu0.size + 1, dtype=float))
-    kap2 = model.kappa_vector(mu0.size) ** 2
-    log_nk2 = logn + np.log(kap2)
-    vec = n * kap2 * mu0**2 * log_i  # alpha-free part of each term
+    d, vec = _weighted_truth(mu0, model, n)
 
     def h(alpha: float) -> float:
-        w, omw = signal_weights(alpha, log_i, log_nk2)
-        return _prefactor(alpha, p, n) * float(np.dot(w * omw, vec))
+        return _prefactor(alpha, p, n) * float(np.dot(_weight_product(d.log_odds(alpha)), vec))
 
     identically_zero = bool(np.max(vec, initial=0.0) == 0.0)
 
@@ -161,8 +165,11 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float,
     chunk = 512
     for start in range(0, alphas.size, chunk):
         a_blk = alphas[start:start + chunk]
-        s = log_nk2[None, :] - (1.0 + 2.0 * a_blk)[:, None] * log_i[None, :]
-        vals = pref[start:start + chunk] * ((expit(s) * expit(-s)) @ vec)
+        # s stays bound until the next block's s replaces it.  Freed inside the
+        # kernel call instead, the block buffers go back to the system on every
+        # chunk and are page-faulted in again (80% more faults at N = 4642).
+        s = d.log_odds(a_blk[:, None])
+        vals = pref[start:start + chunk] * (_weight_product(s) @ vec)
         curve_a.append(a_blk)
         curve_v.append(vals)
         if lower_cross is None:

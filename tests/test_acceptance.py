@@ -32,8 +32,8 @@ from invseq import (
     score,
     simulate,
     synthesize_function,
-    volterra_forward_check,
 )
+from oracles import volterra_forward
 
 VOLTERRA = ModelSpec.volterra()
 
@@ -266,5 +266,5 @@ def test_forward_map_matches_quadrature():
         idx = jj * 16384
         g_t = simpson((t - grid[:idx + 1]) * f[:idx + 1], x=grid[:idx + 1]) if idx else 0.0
         # weighting applied twice integrates the synthesized signal
-        ok &= abs(volterra_forward_check(kap * mu, t) - (g_one - g_t)) <= 1e-6
+        ok &= abs(volterra_forward(kap * mu, t) - (g_one - g_t)) <= 1e-6
     _check(10, "operator forward map agrees with double-primitive quadrature", ok)

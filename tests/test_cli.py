@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from invseq import HyperPrior, ModelSpec, Observation, TruthSpec
+from invseq import ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthSpec
 from invseq.cli import main, parse_hyper, parse_model, parse_truth
 from invseq.errors import ConfigError
 
@@ -96,7 +96,6 @@ def _write_config(path, **overrides):
         "n_ladder": [100.0, 1000.0],
         "replicates": 2,
         "seed": 0,
-        "mode": "both",
         "hb_iterations": 300,
         "hb_burn_in": 50,
         "hb_thin": 50,
@@ -119,15 +118,25 @@ def test_figure1_zero_truth_endpoint(tmp_path):
             assert ah == math.log(rung["n"])
 
 
-def test_figure1_replay_byte_identical(tmp_path):
-    cfg = _write_config(tmp_path / "cfg.json")
-    out = tmp_path / "fig1"
-    assert main(["figure1", "--config", str(cfg), "--out", str(out)]) == 0
+REPLAY_CASES = {  # command: (extra arguments, config overrides, files expected)
+    "figure1": ([], {}, ["fig1_1e2_curve.csv", "fig1_manifest.json"]),
+    "figure2": ([], {}, ["fig2_1e3_alpha.csv", "fig2_manifest.json"]),
+    "rate-sweep": (["--beta", "1"], {"n_ladder": [1e2, 1e3, 1e4]},
+                   ["rate_sweep.csv", "rate_manifest.json"]),
+}
+
+
+@pytest.mark.parametrize("command", list(REPLAY_CASES))
+def test_replay_byte_identical(tmp_path, command):
+    extra, overrides, expected = REPLAY_CASES[command]
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
     first = {f: (out / f).read_bytes() for f in os.listdir(out)}
-    assert main(["figure1", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
     second = {f: (out / f).read_bytes() for f in os.listdir(out)}
     assert first == second
-    assert "fig1_1e2_curve.csv" in first and "fig1_manifest.json" in first
+    assert all(name in first for name in expected)
 
 
 def test_figure2_command_and_fixed_hook(tmp_path):
@@ -195,6 +204,30 @@ def test_exit_code_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"model\": {\"kind\": \"volterra\"}}")
     assert main(["figure1", "--config", str(bad)]) == 2
+
+
+def test_config_ignores_unknown_keys(tmp_path):
+    # "mode" was a config field once; old configs that still carry it must load
+    with open(_write_config(tmp_path / "cfg.json", mode="eb")) as fh:
+        cfg = ExperimentConfig.from_dict(json.load(fh))
+    assert "mode" not in cfg.to_dict()
+
+
+@pytest.mark.parametrize("command", ["eb-fit", "hb-run"])
+@pytest.mark.parametrize("field, value", [("n", -1.0), ("n", 0.0), ("n", math.nan),
+                                          ("y", math.nan), ("y", math.inf)])
+def test_bad_observation_file_is_config_error(tmp_path, capsys, command, field, value):
+    d = json.loads(Observation(n=1e3, N=3, y=np.array([0.1, 0.2, 0.3]), seed=0,
+                               model=ModelSpec.volterra()).to_json())
+    if field == "n":
+        d["n"] = value
+    else:
+        d["y"][1] = value
+    obs_path = tmp_path / "obs.json"
+    obs_path.write_text(json.dumps(d))
+    assert main([command, "--obs", str(obs_path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{field} must be" in err
 
 
 def test_exit_code_numerical_error(tmp_path):

@@ -161,6 +161,10 @@ def test_histogram_mode():
     draws = np.concatenate([np.full(90, 1.1), np.full(10, 3.3)])
     assert histogram_mode(draws) == 1.125
     assert histogram_mode(np.full(5, 3.3)) == 3.375
+    # the bins reach past the largest draw, so no draw is dropped
+    assert histogram_mode(np.full(5, 7.0)) == 7.125
+    draws = np.concatenate([np.full(90, 6.1), np.full(10, 1.1)])
+    assert histogram_mode(draws) == 6.125
 
 
 def test_run_mwg_validation():
@@ -216,6 +220,18 @@ def test_run_mwg_fixed_hook_matches_conjugate():
     se_second = np.sqrt((2.0 * ref.variances ** 2
                          + 4.0 * ref.variances * ref.means ** 2) / m)
     assert np.all(np.abs(chain.mu_second_moment - want_second) <= 4.0 * se_second)
+
+
+@pytest.mark.parametrize("n", [1e15, 1e20])
+def test_mu_var_matches_conjugate_at_large_n(n):
+    """Draws spread far less than their size; the variance must not cancel away."""
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, 50, 4)
+    chain = run_mwg(obs, HyperPrior.fixed(1.0),
+                    HbConfig(J=50, iterations=20_000, burn_in=0, seed=8))
+    m = chain.alphas.size
+    ratio = chain.mu_var / posterior(1.0, obs).variances
+    # the sample variance of m iid normal draws has relative sd sqrt(2/(m-1))
+    assert np.all(np.abs(ratio - 1.0) <= 5.0 * math.sqrt(2.0 / (m - 1)))
 
 
 def test_burn_in_default_is_tenth():

@@ -12,37 +12,34 @@ from invseq import (
     TruthSpec,
     analytic_norm_sq,
     default_truncation,
-    kappa,
-    sandwich_constant,
     simulate,
     sobolev_norm_sq,
     synthesize_function,
-    volterra_forward_check,
 )
 from invseq.errors import ConfigError, OutOfRangeError
+from oracles import sandwich_constant, volterra_forward
 
 VOLTERRA = ModelSpec.volterra()
 FLAT = ModelSpec.exact_power(0.0)
 
 
 def test_kappa_flat_model():
-    assert kappa(FLAT, 7) == 1.0
-    assert kappa(FLAT, 1) == 1.0
+    np.testing.assert_array_equal(FLAT.kappa_vector(7), np.ones(7))
 
 
 def test_kappa_volterra_first():
-    assert math.isclose(kappa(VOLTERRA, 1), 2.0 / math.pi, rel_tol=1e-15)
+    assert math.isclose(VOLTERRA.kappa_vector(1)[0], 2.0 / math.pi, rel_tol=1e-15)
 
 
 def test_kappa_inverse_power():
-    assert kappa(ModelSpec.exact_power(1.0), 4) == 0.25
+    assert ModelSpec.exact_power(1.0).kappa_vector(4)[3] == 0.25
 
 
 def test_kappa_explicit_table_and_range():
     m = ModelSpec.explicit([1.0, 0.4, 0.35], p=0.5, C=2.0)
-    assert kappa(m, 2) == 0.4
+    assert m.kappa_vector(2)[1] == 0.4
     with pytest.raises(OutOfRangeError):
-        kappa(m, 4)
+        m.kappa_vector(4)
     with pytest.raises(OutOfRangeError):
         m.kappa_vector(10)
 
@@ -201,10 +198,10 @@ def test_parseval():
 
 
 def test_volterra_forward_trivial():
-    assert volterra_forward_check(np.zeros(5), 0.3) == 0.0
+    assert volterra_forward(np.zeros(5), 0.3) == 0.0
     # e_1(1) = sqrt(2) cos(pi/2) = 0
-    assert abs(volterra_forward_check(np.array([1.0]), 1.0)) < 1e-15
-    got = volterra_forward_check(np.array([1.0]), 0.0)
+    assert abs(volterra_forward(np.array([1.0]), 1.0)) < 1e-15
+    got = volterra_forward(np.array([1.0]), 0.0)
     assert math.isclose(got, (2.0 / math.pi) * math.sqrt(2.0), rel_tol=1e-14)
 
 
@@ -222,3 +219,4 @@ def test_observation_json_round_trip():
     assert back.n == obs.n and back.N == obs.N and back.seed == obs.seed
     assert back.model == obs.model
     np.testing.assert_array_equal(back.y, obs.y)
+
