@@ -7,9 +7,7 @@ from .errors import ConfigError, InvseqError, NumericalError, OutOfRangeError
 from .experiments import ExperimentConfig, run_figure1, run_figure2, run_rate_sweep
 from .gaussian_posterior import (CoordinatePosterior, posterior, posterior_mean_function,
                                  posterior_risk, sample_posterior)
-from .hierarchical_bayes import (HbChain, HbConfig, HyperPrior, default_proposal_sd,
-                                 histogram_mode, log_conditional_mu_density,
-                                 mh_alpha_step, mh_log_acceptance, run_mwg)
+from .hierarchical_bayes import HbChain, HbConfig, HyperPrior, histogram_mode, mh_log_acceptance, run_mwg
 from .sequence_model import (ModelSpec, Observation, TruthSpec, analytic_norm_sq,
                              default_truncation, simulate, sobolev_norm_sq, synthesize_function)
 from .theory import (BracketReport, bracket, bracket_diagnostic, minimax_rate_analytic,
@@ -20,11 +18,10 @@ __all__ = [
     "BracketReport", "ConfigError", "CoordinatePosterior", "EbFit", "ExperimentConfig",
     "HbChain", "HbConfig", "HyperPrior", "InvseqError", "LikelihoodCurve", "ModelSpec",
     "NumericalError", "Observation", "OutOfRangeError", "TruthSpec",
-    "analytic_norm_sq", "bracket", "bracket_diagnostic", "default_proposal_sd",
+    "analytic_norm_sq", "bracket", "bracket_diagnostic",
     "default_truncation", "eb_posterior", "fit", "histogram_mode",
-    "likelihood_curve", "log_conditional_mu_density", "log_likelihood", "mh_alpha_step",
-    "mh_log_acceptance", "minimax_rate_analytic", "minimax_rate_sobolev", "posterior",
-    "posterior_mean_function", "posterior_risk", "run_figure1", "run_figure2", "run_mwg",
-    "run_rate_sweep", "sample_posterior",
+    "likelihood_curve", "log_likelihood", "mh_log_acceptance", "minimax_rate_analytic",
+    "minimax_rate_sobolev", "posterior", "posterior_mean_function", "posterior_risk",
+    "run_figure1", "run_figure2", "run_mwg", "run_rate_sweep", "sample_posterior",
     "score", "simulate", "slowly_varying_factor", "sobolev_norm_sq", "synthesize_function",
 ]

@@ -53,10 +53,12 @@ class EbFit:
     refined: bool
 
 
-def _prepared(obs: Observation) -> tuple[Design, np.ndarray]:
+def _prepared(obs: Observation, N: int | None = None) -> tuple[Design, np.ndarray]:
+    """The design and n*y_i^2 of the first N coordinates (all of them by default)."""
+    N = obs.N if N is None else N
     with np.errstate(over="ignore"):  # inf here surfaces as NumericalError later
-        ny2 = obs.n * obs.y**2
-    return design(obs.model, obs.n, obs.N), ny2
+        ny2 = obs.n * obs.y[:N]**2
+    return design(obs.model, obs.n, N), ny2
 
 
 def _loglik(alpha, d: Design, ny2) -> float:
@@ -87,12 +89,15 @@ def score(alpha: float, obs: Observation) -> float:
 
 def likelihood_curve(obs: Observation, grid_size: int = DEFAULT_GRID_SIZE) -> LikelihoodCurve:
     """ell on a uniform grid over [0, log n]."""
+    return _scan(obs.n, _prepared(obs), grid_size)
+
+
+def _scan(n: float, prep, grid_size: int) -> LikelihoodCurve:
     if grid_size < 2:
         raise ConfigError("grid needs at least the two endpoints")
-    top = math.log(obs.n)
+    top = math.log(n)
     if top <= 0:
         raise ConfigError("empirical Bayes search needs n > 1")
-    prep = _prepared(obs)
     alphas = np.linspace(0.0, top, grid_size)
     values = np.array([_loglik(a, *prep) for a in alphas])
     if not np.all(np.isfinite(values)):
@@ -128,8 +133,8 @@ def fit(obs: Observation, grid_size: int = DEFAULT_GRID_SIZE,
     strictly better, so exact endpoint maximizers (zero data pulls the
     maximizer to log n) and smallest-alpha tie-breaking are preserved.
     """
-    curve = likelihood_curve(obs, grid_size)
     prep = _prepared(obs)
+    curve = _scan(obs.n, prep, grid_size)
     k = curve.argmax_index
     lo = curve.alphas[max(k - 1, 0)]
     hi = curve.alphas[min(k + 1, curve.alphas.size - 1)]

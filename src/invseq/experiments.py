@@ -47,7 +47,6 @@ class ExperimentConfig:
     hb_iterations: int = 2000
     hb_burn_in: int | None = None
     hb_thin: int = 100
-    hb_proposal_sd: float | None = None
 
     def __post_init__(self):
         if not self.n_ladder:
@@ -74,7 +73,6 @@ class ExperimentConfig:
             "hb_iterations": self.hb_iterations,
             "hb_burn_in": self.hb_burn_in,
             "hb_thin": self.hb_thin,
-            "hb_proposal_sd": self.hb_proposal_sd,
         }
 
     @classmethod
@@ -92,7 +90,6 @@ class ExperimentConfig:
                 hb_iterations=int(d.get("hb_iterations", 2000)),
                 hb_burn_in=int(d["hb_burn_in"]) if d.get("hb_burn_in") is not None else None,
                 hb_thin=int(d.get("hb_thin", 100)),
-                hb_proposal_sd=float(d["hb_proposal_sd"]) if d.get("hb_proposal_sd") is not None else None,
             )
         except (KeyError, TypeError) as err:
             raise ConfigError(f"bad experiment config: {err}") from err
@@ -206,8 +203,7 @@ def run_figure2(cfg: ExperimentConfig) -> dict:
         if cfg.hyper.kind != "fixed":
             warm = max(fit(obs).alpha_hat, 1e-3)
         hb_cfg = HbConfig(J=rung.N, iterations=cfg.hb_iterations, burn_in=cfg.hb_burn_in,
-                          proposal_sd=cfg.hb_proposal_sd, seed=obs.seed, thin=cfg.hb_thin,
-                          alpha_init=warm)
+                          seed=obs.seed, thin=cfg.hb_thin, alpha_init=warm)
         chain = run_mwg(obs, cfg.hyper, hb_cfg)
         summary = chain.summary()
         if r == 0:

@@ -1,11 +1,16 @@
-"""Hierarchical Bayes: a hyperprior on alpha sampled by Metropolis-within-Gibbs.
+"""Hierarchical Bayes: a hyperprior on alpha, sampled by partially collapsed Gibbs.
 
-Each sweep alternates an exact conjugate draw of the first J coordinates
-given alpha with a random-walk Metropolis step on alpha given those
-coordinates.  The alpha step targets lambda(alpha) * p(mu_J | alpha); the
-observation enters only through the conjugate mu draw.  Proposals are
-normal steps truncated to (0, inf), so the acceptance ratio carries the
-Phi(alpha/sd)/Phi(alpha'/sd) correction that keeps the kernel reversible.
+The marginal posterior of alpha is lambda(alpha) * exp(ell_J(alpha)), where
+ell_J is the marginal likelihood of the first J coordinates, the function
+empirical Bayes maximizes.  Each sweep moves alpha by a random-walk
+Metropolis step on that density, with mu integrated out, and then draws
+mu_1..mu_J exactly from the conjugate conditional at the new alpha, so each
+kept (alpha, mu) pair is a joint posterior draw (van Dyk & Park 2008).
+Proposals are normal steps truncated to (0, inf), so the acceptance ratio
+carries the Phi(alpha/sd)/Phi(alpha'/sd) correction that keeps the kernel
+reversible.  The step is sd = 2.4/sqrt(I + 1), where I is the Fisher
+information of ell_J at the start point; the +1 keeps the step finite
+where ell_J is flat.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
+from .empirical_bayes import _loglik, _prepared
 from .errors import ConfigError, NumericalError
-from .sequence_model import Observation, design, log_index, weight
+from .sequence_model import Design, Observation, weight
 
 MODE_BIN_WIDTH = 0.25
 
@@ -91,12 +97,11 @@ class HyperPrior:
 
 @dataclass(frozen=True)
 class HbConfig:
-    """Sampler settings.  proposal_sd/alpha_init of None mean "pick a default"."""
+    """Sampler settings.  alpha_init of None means "pick a default"."""
 
     J: int
     iterations: int
     burn_in: int | None = None
-    proposal_sd: float | None = None
     seed: int = 0
     thin: int = 100
     alpha_init: float | None = None
@@ -107,7 +112,7 @@ class HbConfig:
 
 @dataclass(frozen=True)
 class HbChain:
-    """Post-burn-in output of one Metropolis-within-Gibbs run."""
+    """Post-burn-in output of one sampler run."""
 
     alphas: np.ndarray
     acceptance_rate: float
@@ -147,41 +152,15 @@ class HbChain:
             json.dump(self.summary(), fh, sort_keys=True, indent=1)
 
 
-def log_conditional_mu_density(mu: np.ndarray, alpha: float) -> float:
-    """log p(mu_1..mu_J | alpha) up to an additive constant free of alpha.
+def mh_log_acceptance(alpha: float, alpha_prime: float, target: float,
+                      target_prime: float, proposal_sd: float) -> float:
+    """Log acceptance probability (uncapped) of the truncated-normal step alpha -> alpha'.
 
-    sum_j [(1/2 + alpha)*log j - j^(1+2*alpha)*mu_j^2/2].  The quadratic
-    part is summed in log space so that a huge j^(1+2*alpha) returns -inf
-    instead of overflowing, and zero coordinates contribute nothing.
+    target and target_prime are log lambda + ell_J at alpha and alpha'.
+    The normal kernel itself is symmetric and cancels, leaving
+    log Phi(a/sd) - log Phi(a'/sd) from the truncation.
     """
-    mu = np.asarray(mu, dtype=float)
-    if alpha <= 0:
-        return -math.inf
-    log_j = log_index(mu.size)
-    first = (0.5 + alpha) * float(np.sum(log_j))
-    nz = mu != 0.0
-    if not np.any(nz):
-        return first
-    s = (1.0 + 2.0 * alpha) * log_j[nz] + 2.0 * np.log(np.abs(mu[nz]))
-    m = float(np.max(s))
-    if m > 700.0:
-        return -math.inf
-    return first - 0.5 * float(np.sum(np.exp(s)))
-
-
-def mh_log_acceptance(alpha: float, alpha_prime: float, mu: np.ndarray,
-                      hyper: HyperPrior, proposal_sd: float) -> float:
-    """Log acceptance probability (uncapped) of the truncated-normal MH step.
-
-    log lambda(a') - log lambda(a) + log p(mu|a') - log p(mu|a)
-    + log Phi(a/sd) - log Phi(a'/sd); the normal kernel itself is
-    symmetric and cancels.
-    """
-    if alpha <= 0 or alpha_prime <= 0:
-        return -math.inf
-    return (hyper.log_density(alpha_prime) - hyper.log_density(alpha)
-            + log_conditional_mu_density(mu, alpha_prime)
-            - log_conditional_mu_density(mu, alpha)
+    return (target_prime - target
             + float(log_ndtr(alpha / proposal_sd))
             - float(log_ndtr(alpha_prime / proposal_sd)))
 
@@ -194,34 +173,10 @@ def _propose_positive(alpha: float, sd: float, rng) -> float:
             return cand
 
 
-def mh_alpha_step(alpha: float, mu: np.ndarray, hyper: HyperPrior,
-                  proposal_sd: float, rng) -> tuple[float, bool]:
-    """One Metropolis step on alpha given the current coordinates."""
-    if proposal_sd <= 0:
-        raise ConfigError("proposal_sd must be positive")
-    cand = _propose_positive(alpha, proposal_sd, rng)
-    log_acc = mh_log_acceptance(alpha, cand, mu, hyper, proposal_sd)
-    if math.isnan(log_acc):
-        raise NumericalError("non-finite MH acceptance ratio")
-    if math.log(rng.random()) < log_acc:
-        return cand, True
-    return alpha, False
-
-
-def default_proposal_sd(n: float, J: int) -> float:
-    """Step size for the alpha walk.
-
-    The base rule 0.3*(1 or loglog n) suits small J; the conditional
-    density of alpha given J coordinates has curvature of order
-    2*sum_j log(j)^2, so the step is capped near that scale or the
-    chain stalls when J runs into the thousands.
-    """
-    logn = math.log(n)
-    base = 0.3 if logn <= 1.0 else 0.3 * max(1.0, math.log(logn))
-    curv = 2.0 * float(np.sum(log_index(J)**2))
-    if curv <= 0.0:
-        return base
-    return min(base, 2.4 / math.sqrt(curv))
+def _step_size(d: Design, alpha: float) -> float:
+    """2.4/sqrt(I + 1), with I = 2 * sum_i (log i * w_i(alpha))^2 the Fisher information of ell."""
+    g = d.log_i * weight(d.log_odds(alpha))
+    return 2.4 / math.sqrt(2.0 * float(np.dot(g, g)) + 1.0)
 
 
 def histogram_mode(draws: np.ndarray) -> float:
@@ -237,11 +192,12 @@ def histogram_mode(draws: np.ndarray) -> float:
 
 
 def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
-    """Run the Metropolis-within-Gibbs sampler.
+    """Run the sampler.
 
-    Runs cfg.iterations sweeps; each sweep draws mu_1..mu_J exactly from
-    the conjugate conditional, then moves alpha (skipped for the "fixed"
-    hyperprior hook).  Identical configs reproduce identical chains.
+    Runs cfg.iterations sweeps; each sweep moves alpha on its marginal
+    posterior (skipped for the "fixed" hyperprior hook), then draws
+    mu_1..mu_J exactly from the conjugate conditional at the new alpha.
+    Identical configs reproduce identical chains.
     """
     J = cfg.J
     if J < 1 or J > obs.N:
@@ -254,9 +210,6 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     if cfg.thin < 1:
         raise ConfigError("thin must be >= 1")
 
-    sd = cfg.proposal_sd if cfg.proposal_sd is not None else default_proposal_sd(obs.n, J)
-    if sd <= 0:
-        raise ConfigError("proposal_sd must be positive")
     pinned = hyper.kind == "fixed"
     alpha = cfg.alpha_init if cfg.alpha_init is not None else (
         hyper.alpha_star if pinned else 1.0)
@@ -264,10 +217,21 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
         raise ConfigError("alpha_init must be positive")
 
     rng = np.random.default_rng(cfg.seed)
-    d = design(obs.model, obs.n, J)
+    d, ny2 = _prepared(obs, J)
+    ell = _loglik(alpha, d, ny2)
+    if not math.isfinite(ell):
+        raise NumericalError(f"log likelihood non-finite at the start point alpha={alpha}")
+    target = hyper.log_density(alpha) + ell
+    sd = _step_size(d, alpha)
     y_over_k = obs.y[:J] / d.kappa
     inv_nk2 = 1.0 / (obs.n * d.kappa**2)
 
+    def conditional(a):
+        # mean and sd of the conjugate mu draw at alpha = a (see gaussian_posterior)
+        w = weight(d.log_odds(a))
+        return w * y_over_k, np.sqrt(w * inv_nk2)
+
+    mu_loc, mu_scale = conditional(alpha)
     kept = cfg.iterations - burn
     alphas = np.empty(kept)
     # moments are accumulated about the first kept draw: at large n the draws
@@ -276,20 +240,20 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     dev_sq_sum = np.zeros(J)
     thinned: list[np.ndarray] = []
     accepted = 0
-    proposed = 0
 
     for it in range(cfg.iterations):
-        # exact conjugate mu draw at the current alpha (see gaussian_posterior)
-        w = weight(d.log_odds(alpha))
-        mu = w * y_over_k + np.sqrt(w * inv_nk2) * rng.standard_normal(J)
-
         if not pinned:
-            proposed += 1
-            try:
-                alpha, ok = mh_alpha_step(alpha, mu, hyper, sd, rng)
-            except NumericalError as err:
-                raise NumericalError(f"iteration {it}: {err}") from err
-            accepted += int(ok)
+            cand = _propose_positive(alpha, sd, rng)
+            cand_target = hyper.log_density(cand) + _loglik(cand, d, ny2)
+            log_acc = mh_log_acceptance(alpha, cand, target, cand_target, sd)
+            if math.isnan(log_acc):
+                raise NumericalError(f"iteration {it}: non-finite MH acceptance ratio")
+            if math.log(rng.random()) < log_acc:
+                alpha, target = cand, cand_target
+                mu_loc, mu_scale = conditional(alpha)
+                accepted += 1
+
+        mu = mu_loc + mu_scale * rng.standard_normal(J)
 
         if it >= burn:
             k = it - burn
@@ -304,12 +268,6 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
                 thinned.append(mu)
 
     mu_mean = mu_sum / kept
-    return HbChain(
-        alphas=alphas,
-        acceptance_rate=accepted / proposed if proposed else 0.0,
-        mu_mean=mu_mean,
-        mu_var=np.maximum(dev_sq_sum / kept - (mu_mean - ref)**2, 0.0),
-        mu_draws=np.array(thinned),
-        config=cfg,
-        proposal_sd=float(sd),
-    )
+    mu_var = np.maximum(dev_sq_sum / kept - (mu_mean - ref)**2, 0.0)
+    acceptance_rate = 0.0 if pinned else accepted / cfg.iterations
+    return HbChain(alphas, acceptance_rate, mu_mean, mu_var, np.array(thinned), cfg, sd)

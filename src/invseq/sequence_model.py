@@ -128,7 +128,8 @@ class Design:
 
     def log_odds(self, alpha):
         """s(alpha) for a scalar alpha; for an alpha column (shape (k, 1)), one row per alpha."""
-        return self.log_nk2 - (1.0 + 2.0 * alpha) * self.log_i
+        s = (1.0 + 2.0 * alpha) * self.log_i
+        return np.subtract(self.log_nk2, s, out=s)  # in the product's buffer: one block, not two
 
 
 def design(model: ModelSpec, n: float, N: int) -> Design:
@@ -137,9 +138,9 @@ def design(model: ModelSpec, n: float, N: int) -> Design:
     return Design(kappa=kap, log_i=log_index(N), log_nk2=math.log(n) + 2.0 * np.log(kap))
 
 
-def weight(s):
+def weight(s, out=None):
     """Data weight w = expit(s) of log-odds s; 1 - w is weight(-s), accurate where it is small."""
-    return expit(s)
+    return expit(s, out=out)
 
 
 def softplus_weight(s):

@@ -84,9 +84,10 @@ def _weighted_truth(mu0: np.ndarray, model: ModelSpec, n: float) -> tuple[Design
 
 
 def _weight_product(s: np.ndarray) -> np.ndarray:
-    """w * (1 - w) of log-odds s, in place in the weight's buffer."""
+    """w * (1 - w) of log-odds s, in the weight's buffer; 1 - w overwrites s."""
     w = weight(s)
-    w *= weight(-s)
+    np.negative(s, out=s)
+    w *= weight(s, out=s)
     return w
 
 

@@ -175,15 +175,25 @@ def test_mh_acceptance_matches_oracle_and_balances():
         a1 = float(np.exp(rng.uniform(math.log(0.05), math.log(8.0))))
         a2 = float(np.exp(rng.uniform(math.log(0.05), math.log(8.0))))
         J = int(rng.integers(1, 21))
-        mu = rng.standard_normal(J) * float(rng.uniform(0.2, 2.0))
+        # an observation of J coordinates at n log-uniform in [10, 1e4]
+        z = rng.standard_normal(J)
+        n = float(10.0 ** rng.uniform(1.0, 4.0))
         sd = float(rng.uniform(0.1, 1.0))
+        kap = VOLTERRA.kappa_vector(J)
+        y = kap * TruthSpec.paper_example().coefficients(J) + z / math.sqrt(n)
+        obs = Observation(n=n, N=J, y=y, seed=k, model=VOLTERRA)
         hyper, dist = hypers[k % 3], dists[k % 3]
-        impl = mh_log_acceptance(a1, a2, mu, hyper, sd)
+
+        def impl_target(a):  # what run_mwg evaluates
+            return hyper.log_density(a) + log_likelihood(a, obs)
+
+        impl = mh_log_acceptance(a1, a2, impl_target(a1), impl_target(a2), sd)
         j = np.arange(1, J + 1, dtype=float)
 
         def logtarget(a):
-            return float(dist.logpdf(a)
-                         + np.sum(stats.norm.logpdf(mu, scale=j ** (-(0.5 + a)))))
+            # y_j ~ N(0, kappa_j^2 j^(-1-2a) + 1/n) with mu integrated out
+            return float(dist.logpdf(a) + np.sum(stats.norm.logpdf(
+                y, scale=np.sqrt(kap**2 * j ** (-1.0 - 2.0 * a) + 1.0 / n))))
 
         oracle = (logtarget(a2) - logtarget(a1)
                   + stats.norm.logpdf(a1, loc=a2, scale=sd)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -207,10 +208,10 @@ def test_exit_code_config_error(tmp_path):
 
 
 def test_config_ignores_unknown_keys(tmp_path):
-    # "mode" was a config field once; old configs that still carry it must load
-    with open(_write_config(tmp_path / "cfg.json", mode="eb")) as fh:
+    # "mode" and "hb_proposal_sd" were config fields once; old configs that still carry them must load
+    with open(_write_config(tmp_path / "cfg.json", mode="eb", hb_proposal_sd=0.3)) as fh:
         cfg = ExperimentConfig.from_dict(json.load(fh))
-    assert "mode" not in cfg.to_dict()
+    assert "mode" not in cfg.to_dict() and "hb_proposal_sd" not in cfg.to_dict()
 
 
 @pytest.mark.parametrize("command", ["eb-fit", "hb-run"])
@@ -231,12 +232,16 @@ def test_bad_observation_file_is_config_error(tmp_path, capsys, command, field, 
 
 
 def test_exit_code_numerical_error(tmp_path):
+    # n*y^2 overflows: both commands stop before any work, without a warning
     obs = Observation(n=1e6, N=2, y=np.array([1e200, 0.1]), seed=0,
                       model=ModelSpec.exact_power(0.0))
     obs_path = tmp_path / "obs.json"
     obs_path.write_text(obs.to_json())
-    rc = main(["eb-fit", "--obs", str(obs_path), "--out", str(tmp_path / "fit")])
-    assert rc == 3
+    for command in ("eb-fit", "hb-run"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--obs", str(obs_path), "--out", str(tmp_path / command)])
+        assert rc == 3
 
 
 def test_exit_code_io_error(tmp_path):

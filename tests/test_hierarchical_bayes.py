@@ -1,23 +1,25 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
 from invseq import (
     HbConfig,
     HyperPrior,
     ModelSpec,
+    Observation,
     TruthSpec,
-    default_proposal_sd,
+    fit,
     histogram_mode,
-    log_conditional_mu_density,
-    mh_alpha_step,
+    log_likelihood,
     mh_log_acceptance,
     posterior,
     run_mwg,
@@ -26,6 +28,15 @@ from invseq import (
 from invseq.errors import ConfigError
 
 VOLTERRA = ModelSpec.volterra()
+
+
+def _effective_sample_size():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "benchstats.py"
+    spec = importlib.util.spec_from_file_location("perfbench_benchstats", path)
+    benchstats = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(benchstats)
+    return benchstats.effective_sample_size
+
 
 KINDS = [
     (HyperPrior.exponential(1.3), stats.expon(scale=1.0 / 1.3)),
@@ -81,80 +92,31 @@ def test_hyperprior_validation_and_round_trip():
     assert HyperPrior.from_dict(hook.to_dict()) == hook
 
 
-def test_conditional_density_single_coordinate():
-    for alpha in (0.3, 1.0, 5.0):
-        got = log_conditional_mu_density(np.array([0.8]), alpha)
-        assert math.isclose(got, -0.32, rel_tol=1e-15)
-
-
-def test_conditional_density_hand_value():
-    # J=2, mu=(0,1), alpha=0.5: (1)*log 2 - 2^2/2
-    got = log_conditional_mu_density(np.array([0.0, 1.0]), 0.5)
-    assert math.isclose(got, math.log(2.0) - 2.0, rel_tol=1e-15)
-
-
-def test_conditional_density_monotone_at_zero():
-    mu = np.zeros(5)
-    vals = [log_conditional_mu_density(mu, a) for a in (0.2, 0.8, 2.0)]
-    assert vals[0] < vals[1] < vals[2]
-
-
-def test_conditional_density_overflow_guard():
-    # 3^(1+2*400) dwarfs the float range; want -inf, not an exception
-    got = log_conditional_mu_density(np.array([0.0, 1.0, 1.0]), 400.0)
-    assert got == -math.inf
-
-
 def test_mh_acceptance_no_move_is_unit():
-    hyper = HyperPrior.exponential(1.0)
-    mu = np.array([0.4, -0.1])
-    assert mh_log_acceptance(1.0, 1.0, mu, hyper, 0.5) == 0.0
+    assert mh_log_acceptance(1.0, 1.0, -3.2, -3.2, 0.5) == 0.0
 
 
 def test_mh_acceptance_hand_value():
-    """Far from the boundary the ratio collapses to the hyperprior move e^-1."""
-    got = mh_log_acceptance(5.0, 6.0, np.array([0.3]), HyperPrior.exponential(1.0), 0.5)
+    """Far from the boundary the ratio collapses to the target difference."""
+    got = mh_log_acceptance(5.0, 6.0, -2.5, -3.5, 0.5)
     assert math.isclose(math.exp(got), math.exp(-1.0), rel_tol=1e-12)
 
 
 def test_mh_acceptance_boundary_correction_sign():
-    # moving toward the boundary picks up a positive Phi correction
-    mu = np.zeros(1)
-    flat = HyperPrior.gamma(1.0, 1e-9)  # nearly flat on the range probed
-    down = mh_log_acceptance(0.5, 0.1, mu, flat, 0.5)
-    up = mh_log_acceptance(0.1, 0.5, mu, flat, 0.5)
+    # with equal targets, moving toward the boundary picks up a positive Phi correction
+    down = mh_log_acceptance(0.5, 0.1, 0.0, 0.0, 0.5)
+    up = mh_log_acceptance(0.1, 0.5, 0.0, 0.0, 0.5)
     assert down > 0.0 > up
 
 
-def test_mh_step_determinism_and_positivity():
-    hyper = HyperPrior.exponential(1.0)
-    mu = np.array([0.2, 0.4])
-    rng1 = np.random.default_rng(5)
-    rng2 = np.random.default_rng(5)
-    a1, acc1 = mh_alpha_step(0.05, mu, hyper, 2.0, rng1)
-    a2, acc2 = mh_alpha_step(0.05, mu, hyper, 2.0, rng2)
-    assert (a1, acc1) == (a2, acc2)
-    rng = np.random.default_rng(6)
-    alpha = 0.05
-    for _ in range(500):
-        alpha, _ = mh_alpha_step(alpha, mu, hyper, 2.0, rng)
-        assert alpha > 0.0
-
-
-def test_mh_step_rejects_bad_sd():
-    with pytest.raises(ConfigError):
-        mh_alpha_step(1.0, np.zeros(1), HyperPrior.exponential(1.0), 0.0,
-                      np.random.default_rng(0))
-
-
-def test_default_proposal_sd_regimes():
-    base = 0.3 * max(1.0, math.log(math.log(1e3)))
-    assert math.isclose(default_proposal_sd(1e3, 2), base, rel_tol=1e-12)
-    # large J: the curvature cap takes over
-    j = np.arange(1, 4643, dtype=float)
-    cap = 2.4 / math.sqrt(2.0 * float(np.sum(np.log(j) ** 2)))
-    assert math.isclose(default_proposal_sd(1e11, 4642), cap, rel_tol=1e-12)
-    assert default_proposal_sd(math.e, 1) == 0.3
+def test_step_is_fisher_information_rule():
+    # J = 2, kappa = 1, n = 8, alpha = 1: w_2 = 8/(2^3 + 8) = 1/2 and log 1 = 0,
+    # so I = 2*(log(2)/2)^2 and the step is 2.4/sqrt(I + 1)
+    obs = Observation(n=8.0, N=2, y=np.array([0.3, -0.2]), seed=0, model=ModelSpec.exact_power(0.0))
+    chain = run_mwg(obs, HyperPrior.exponential(1.0),
+                    HbConfig(J=2, iterations=10, seed=1, alpha_init=1.0))
+    fisher = 2.0 * (math.log(2.0) / 2.0) ** 2
+    assert math.isclose(chain.proposal_sd, 2.4 / math.sqrt(fisher + 1.0), rel_tol=1e-14)
 
 
 def test_histogram_mode():
@@ -176,8 +138,6 @@ def test_run_mwg_validation():
         run_mwg(obs, hyper, HbConfig(J=5, iterations=10, burn_in=10))
     with pytest.raises(ConfigError):
         run_mwg(obs, hyper, HbConfig(J=5, iterations=10, thin=0))
-    with pytest.raises(ConfigError):
-        run_mwg(obs, hyper, HbConfig(J=5, iterations=10, proposal_sd=-1.0))
     with pytest.raises(ConfigError):
         run_mwg(obs, hyper, HbConfig(J=5, iterations=10, alpha_init=0.0))
 
@@ -232,6 +192,29 @@ def test_mu_var_matches_conjugate_at_large_n(n):
     ratio = chain.mu_var / posterior(1.0, obs).variances
     # the sample variance of m iid normal draws has relative sd sqrt(2/(m-1))
     assert np.all(np.abs(ratio - 1.0) <= 5.0 * math.sqrt(2.0 / (m - 1)))
+
+
+@pytest.mark.parametrize("n, J", [(1e7, 215), (1e11, 4642)])
+def test_alpha_chain_mixes(n, J):
+    """The alpha chain explores its exact marginal instead of echoing the warm start."""
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, J, 12)
+    hyper = HyperPrior.exponential(1.0)
+    warm = max(fit(obs).alpha_hat, 1e-3)
+    chain = run_mwg(obs, hyper, HbConfig(J=J, iterations=4000, burn_in=1000, seed=13,
+                                         alpha_init=warm))
+
+    # quadrature of lambda(alpha) * exp(ell(alpha)); the window holds all its mass
+    grid = np.linspace(max(warm - 1.5, 1e-6), warm + 1.5, 3001)
+    logpost = np.array([hyper.log_density(a) + log_likelihood(a, obs) for a in grid])
+    dens = np.exp(logpost - logpost.max())
+    assert max(dens[0], dens[-1]) < 1e-12
+    dens /= trapezoid(dens, grid)
+    mean = trapezoid(grid * dens, grid)
+    sd = math.sqrt(trapezoid((grid - mean) ** 2 * dens, grid))
+
+    assert _effective_sample_size()(chain.alphas) >= 300
+    assert abs(float(np.std(chain.alphas)) / sd - 1.0) <= 0.15
+    assert abs(float(np.mean(chain.alphas)) - mean) <= 0.25 * sd
 
 
 def test_burn_in_default_is_tenth():

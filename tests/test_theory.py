@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from invseq import (
     TruthSpec,
     bracket,
     bracket_diagnostic,
+    default_truncation,
     minimax_rate_analytic,
     minimax_rate_sobolev,
     slowly_varying_factor,
@@ -181,3 +183,16 @@ def test_slowly_varying_domain_and_kind():
         slowly_varying_factor("sobolev", 0.0, 10.0)
     with pytest.raises(ConfigError):
         slowly_varying_factor("hoelder", 0.0, 1e6)
+
+
+def test_bracket_scan_peak_memory():
+    """The scan holds about two 512 x N blocks at once: s (which becomes 1 - w) and w."""
+    N = default_truncation(1e11, 1.0)
+    mu0 = TruthSpec.paper_example().coefficients(N)
+    tracemalloc.start()
+    try:
+        bracket(mu0, VOLTERRA, 1e11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 512 * N * 8
