@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import CoordinatePosterior, posterior
-from .sequence_model import Design, Observation, design, softplus_weight, weight
+from .sequence_model import Design, Observation, design, softplus_weight, weight, weight_product
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
@@ -62,9 +62,14 @@ def _prepared(obs: Observation, N: int | None = None) -> tuple[Design, np.ndarra
 
 
 def _loglik(alpha, d: Design, ny2) -> float:
+    return _loglik_weight(alpha, d, ny2)[0]
+
+
+def _loglik_weight(alpha, d: Design, ny2) -> tuple[float, np.ndarray]:
+    """ell(alpha) and the data weight w it was computed from."""
     # w = n/(i^(1+2a)*kappa^-2 + n); the quadratic term is n*w*y_i^2.
     sp, w = softplus_weight(d.log_odds(alpha))
-    return -0.5 * float(np.sum(sp - w * ny2))
+    return -0.5 * float(np.sum(sp - w * ny2)), w
 
 
 def log_likelihood(alpha: float, obs: Observation) -> float:
@@ -78,13 +83,14 @@ def score(alpha: float, obs: Observation) -> float:
     """Derivative of the marginal log likelihood in alpha.
 
     Written with the data weight w_i = n/(i^(1+2a)*kappa_i^-2 + n):
-    sum_i log(i) * w_i * (1 - (1 - w_i) * n * y_i^2).
+    sum_i log(i) * (w_i - w_i * (1 - w_i) * n * y_i^2).
     """
     if alpha < 0:
         raise ConfigError("alpha must be >= 0")
     d, ny2 = _prepared(obs)
     s = d.log_odds(alpha)
-    return float(np.sum(d.log_i * weight(s) * (1.0 - weight(-s) * ny2)))
+    w = weight(s)
+    return float(np.sum(d.log_i * (w - weight_product(s) * ny2)))
 
 
 def likelihood_curve(obs: Observation, grid_size: int = DEFAULT_GRID_SIZE) -> LikelihoodCurve:

@@ -8,9 +8,11 @@ mu_1..mu_J exactly from the conjugate conditional at the new alpha, so each
 kept (alpha, mu) pair is a joint posterior draw (van Dyk & Park 2008).
 Proposals are normal steps truncated to (0, inf), so the acceptance ratio
 carries the Phi(alpha/sd)/Phi(alpha'/sd) correction that keeps the kernel
-reversible.  The step is sd = 2.4/sqrt(I + 1), where I is the Fisher
-information of ell_J at the start point; the +1 keeps the step finite
-where ell_J is flat.
+reversible.  log Phi comes from the standard library's complementary error
+function: log1p(-erfc(x/sqrt 2)/2) for x >= 0, which is every call the
+sampler makes, and log(erfc(-x/sqrt 2)/2) below 0.  The step is
+sd = 2.4/sqrt(I + 1), where I is the Fisher information of ell_J at the
+start point; the +1 keeps the step finite where ell_J is flat.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
-from .empirical_bayes import _loglik, _prepared
+from .empirical_bayes import _loglik_weight, _prepared
 from .errors import ConfigError, NumericalError
-from .sequence_model import Design, Observation, weight
+from .sequence_model import Observation
 
 MODE_BIN_WIDTH = 0.25
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -161,8 +163,14 @@ def mh_log_acceptance(alpha: float, alpha_prime: float, target: float,
     log Phi(a/sd) - log Phi(a'/sd) from the truncation.
     """
     return (target_prime - target
-            + float(log_ndtr(alpha / proposal_sd))
-            - float(log_ndtr(alpha_prime / proposal_sd)))
+            + _log_ndtr(alpha / proposal_sd) - _log_ndtr(alpha_prime / proposal_sd))
+
+
+def _log_ndtr(x: float) -> float:
+    """log Phi(x), the log of the standard normal distribution function."""
+    if x >= 0.0:
+        return math.log1p(-0.5 * math.erfc(x / SQRT2))
+    return math.log(0.5 * math.erfc(-x / SQRT2))
 
 
 def _propose_positive(alpha: float, sd: float, rng) -> float:
@@ -173,9 +181,9 @@ def _propose_positive(alpha: float, sd: float, rng) -> float:
             return cand
 
 
-def _step_size(d: Design, alpha: float) -> float:
-    """2.4/sqrt(I + 1), with I = 2 * sum_i (log i * w_i(alpha))^2 the Fisher information of ell."""
-    g = d.log_i * weight(d.log_odds(alpha))
+def _step_size(log_i: np.ndarray, w: np.ndarray) -> float:
+    """2.4/sqrt(I + 1), with I = 2 * sum_i (log i * w_i)^2 the Fisher information of ell at w."""
+    g = log_i * w
     return 2.4 / math.sqrt(2.0 * float(np.dot(g, g)) + 1.0)
 
 
@@ -197,7 +205,8 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     Runs cfg.iterations sweeps; each sweep moves alpha on its marginal
     posterior (skipped for the "fixed" hyperprior hook), then draws
     mu_1..mu_J exactly from the conjugate conditional at the new alpha.
-    Identical configs reproduce identical chains.
+    With the "fixed" hook, an alpha_init other than its alpha is a
+    ConfigError.  Identical configs reproduce identical chains.
     """
     J = cfg.J
     if J < 1 or J > obs.N:
@@ -215,23 +224,25 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
         hyper.alpha_star if pinned else 1.0)
     if alpha <= 0:
         raise ConfigError("alpha_init must be positive")
+    if pinned and alpha != hyper.alpha_star:
+        raise ConfigError(f"alpha_init {alpha} differs from the fixed hyperprior's "
+                          f"alpha {hyper.alpha_star}")
 
     rng = np.random.default_rng(cfg.seed)
     d, ny2 = _prepared(obs, J)
-    ell = _loglik(alpha, d, ny2)
+    ell, w = _loglik_weight(alpha, d, ny2)
     if not math.isfinite(ell):
         raise NumericalError(f"log likelihood non-finite at the start point alpha={alpha}")
     target = hyper.log_density(alpha) + ell
-    sd = _step_size(d, alpha)
+    sd = _step_size(d.log_i, w)
     y_over_k = obs.y[:J] / d.kappa
     inv_nk2 = 1.0 / (obs.n * d.kappa**2)
 
-    def conditional(a):
-        # mean and sd of the conjugate mu draw at alpha = a (see gaussian_posterior)
-        w = weight(d.log_odds(a))
+    def conditional(w):
+        # mean and sd of the conjugate mu draw at data weight w (see gaussian_posterior)
         return w * y_over_k, np.sqrt(w * inv_nk2)
 
-    mu_loc, mu_scale = conditional(alpha)
+    mu_loc, mu_scale = conditional(w)
     kept = cfg.iterations - burn
     alphas = np.empty(kept)
     # moments are accumulated about the first kept draw: at large n the draws
@@ -244,13 +255,14 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     for it in range(cfg.iterations):
         if not pinned:
             cand = _propose_positive(alpha, sd, rng)
-            cand_target = hyper.log_density(cand) + _loglik(cand, d, ny2)
+            cand_ell, cand_w = _loglik_weight(cand, d, ny2)
+            cand_target = hyper.log_density(cand) + cand_ell
             log_acc = mh_log_acceptance(alpha, cand, target, cand_target, sd)
             if math.isnan(log_acc):
                 raise NumericalError(f"iteration {it}: non-finite MH acceptance ratio")
             if math.log(rng.random()) < log_acc:
                 alpha, target = cand, cand_target
-                mu_loc, mu_scale = conditional(alpha)
+                mu_loc, mu_scale = conditional(cand_w)
                 accepted += 1
 
         mu = mu_loc + mu_scale * rng.standard_normal(J)

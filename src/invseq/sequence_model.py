@@ -14,10 +14,12 @@ All alpha-dependent quantities are functions of the log-odds of the data
 weight,
 
     s_i(alpha) = log(n * kappa_i^2) - (1 + 2*alpha) * log i,
-    w_i = n*kappa_i^2 / (i^(1+2*alpha) + n*kappa_i^2) = expit(s_i),
+    w_i = n*kappa_i^2 / (i^(1+2*alpha) + n*kappa_i^2) = 1 / (1 + exp(-s_i)),
 
 so powers are taken in log space (i^(1+2a) is exactly 1 at i = 1) and a
-large alpha never overflows.
+large alpha never overflows.  numpy computes w by that formula, the one
+the logistic function expit uses, and w * (1 - w) as e / (1 + e)^2 with
+e = exp(-|s|): one exponential each.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, OutOfRangeError
 
@@ -139,8 +140,30 @@ def design(model: ModelSpec, n: float, N: int) -> Design:
 
 
 def weight(s, out=None):
-    """Data weight w = expit(s) of log-odds s; 1 - w is weight(-s), accurate where it is small."""
-    return expit(s, out=out)
+    """Data weight w = 1 / (1 + exp(-s)) of log-odds s; 1 - w is weight(-s), accurate where it is small.
+
+    Below s = -709, exp(-s) overflows to inf and w is exactly 0.  out may be s itself.
+    """
+    with np.errstate(over="ignore"):
+        out = np.negative(s, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)
+
+
+def weight_product(s, out=None):
+    """w * (1 - w) of log-odds s, as e / (1 + e)^2 with e = exp(-|s|).
+
+    Symmetric in s, so it needs no branch and cannot overflow.  out may be
+    s itself; the only other block formed is 1 + e.
+    """
+    e = np.abs(s, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    den *= den
+    e /= den
+    return e
 
 
 def softplus_weight(s):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sequence_model import Design, ModelSpec, design, weight
+from .sequence_model import Design, ModelSpec, design, weight_product
 
 DEFAULT_LOWER_THRESHOLD = 0.01
 DEFAULT_UPPER_COEFF = 1.0
@@ -83,14 +83,6 @@ def _weighted_truth(mu0: np.ndarray, model: ModelSpec, n: float) -> tuple[Design
     return d, n * d.kappa**2 * mu0**2 * d.log_i
 
 
-def _weight_product(s: np.ndarray) -> np.ndarray:
-    """w * (1 - w) of log-odds s, in the weight's buffer; 1 - w overwrites s."""
-    w = weight(s)
-    np.negative(s, out=s)
-    w *= weight(s, out=s)
-    return w
-
-
 def bracket_diagnostic(alpha: float, mu0: np.ndarray, model: ModelSpec, n: float) -> float:
     """The diagnostic above at a single alpha, truncated at len(mu0) terms.
 
@@ -103,7 +95,7 @@ def bracket_diagnostic(alpha: float, mu0: np.ndarray, model: ModelSpec, n: float
     if n <= math.e:
         raise ConfigError("diagnostic needs log n > 1")
     d, vec = _weighted_truth(np.asarray(mu0, dtype=float), model, n)
-    return _prefactor(alpha, model.p, n) * float(np.sum(_weight_product(d.log_odds(alpha)) * vec))
+    return _prefactor(alpha, model.p, n) * float(np.sum(weight_product(d.log_odds(alpha)) * vec))
 
 
 def _first_crossing(values: np.ndarray, threshold: float) -> int | None:
@@ -151,7 +143,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float,
     d, vec = _weighted_truth(mu0, model, n)
 
     def h(alpha: float) -> float:
-        return _prefactor(alpha, p, n) * float(np.dot(_weight_product(d.log_odds(alpha)), vec))
+        return _prefactor(alpha, p, n) * float(np.dot(weight_product(d.log_odds(alpha)), vec))
 
     identically_zero = bool(np.max(vec, initial=0.0) == 0.0)
 
@@ -170,7 +162,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float,
         # kernel call instead, the block buffers go back to the system on every
         # chunk and are page-faulted in again (80% more faults at N = 4642).
         s = d.log_odds(a_blk[:, None])
-        vals = pref[start:start + chunk] * (_weight_product(s) @ vec)
+        vals = pref[start:start + chunk] * (weight_product(s, out=s) @ vec)
         curve_a.append(a_blk)
         curve_v.append(vals)
         if lower_cross is None:

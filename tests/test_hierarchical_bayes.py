@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad, trapezoid
+from scipy.special import log_ndtr
 
 from invseq import (
     HbConfig,
@@ -26,6 +27,7 @@ from invseq import (
     simulate,
 )
 from invseq.errors import ConfigError
+from invseq.hierarchical_bayes import _log_ndtr
 
 VOLTERRA = ModelSpec.volterra()
 
@@ -109,6 +111,19 @@ def test_mh_acceptance_boundary_correction_sign():
     assert down > 0.0 > up
 
 
+def test_log_ndtr_matches_scipy():
+    x = np.linspace(-30.0, 40.0, 70_001)
+    got = np.array([_log_ndtr(float(v)) for v in x])
+    ref = log_ndtr(x)
+    # the sampler's half, x >= 0, where |log Phi| <= log 2
+    pos = x >= 0.0
+    assert np.max(np.abs(got[pos] - ref[pos])) <= 1e-15
+    # below 0, |log Phi| reaches 454 at x = -30, where one ulp is 5.7e-14
+    neg = ~pos
+    assert np.all(np.abs(got[neg] - ref[neg])
+                  <= 1e-15 + 4.0 * np.finfo(float).eps * np.abs(ref[neg]))
+
+
 def test_step_is_fisher_information_rule():
     # J = 2, kappa = 1, n = 8, alpha = 1: w_2 = 8/(2^3 + 8) = 1/2 and log 1 = 0,
     # so I = 2*(log(2)/2)^2 and the step is 2.4/sqrt(I + 1)
@@ -140,6 +155,16 @@ def test_run_mwg_validation():
         run_mwg(obs, hyper, HbConfig(J=5, iterations=10, thin=0))
     with pytest.raises(ConfigError):
         run_mwg(obs, hyper, HbConfig(J=5, iterations=10, alpha_init=0.0))
+
+
+def test_fixed_hyperprior_rejects_another_start():
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 100.0, 5, 0)
+    hook = HyperPrior.fixed(0.7)
+    with pytest.raises(ConfigError):
+        run_mwg(obs, hook, HbConfig(J=5, iterations=10, alpha_init=2.0))
+    for start in (None, 0.7):
+        chain = run_mwg(obs, hook, HbConfig(J=5, iterations=10, alpha_init=start))
+        assert np.all(chain.alphas == 0.7)
 
 
 def test_run_mwg_deterministic():

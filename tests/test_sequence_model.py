@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.special import expit
 
 from invseq import (
     ModelSpec,
@@ -17,10 +19,38 @@ from invseq import (
     synthesize_function,
 )
 from invseq.errors import ConfigError, OutOfRangeError
+from invseq.sequence_model import design, weight, weight_product
 from oracles import sandwich_constant, volterra_forward
 
 VOLTERRA = ModelSpec.volterra()
 FLAT = ModelSpec.exact_power(0.0)
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("aliased", [False, True])
+def test_weight_matches_expit(aliased):
+    s = np.linspace(-800.0, 800.0, 160_001)
+    ref = expit(s)
+    x = s.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = weight(x, out=x if aliased else None)
+    assert (w is x) == aliased
+    # the same formula as expit, whose exp (libm's) may differ from numpy's by
+    # an ulp; with the rounding of 1 + e and of 1/(1 + e) on each side that
+    # allows 3 eps relative
+    big = ref > 1e-300
+    assert np.max(np.abs(w[big] - ref[big]) / ref[big]) <= 3.0 * EPS
+    assert np.all(w[s < -745.0] == 0.0)
+
+
+def test_weight_product_matches_expit_product():
+    # the bracket scan's first block: 512 alphas at the Volterra model, n = 1e11, N = 4642
+    s = design(VOLTERRA, 1e11, 4642).log_odds(np.arange(1, 513)[:, None] * 1e-3)
+    ref = expit(s) * expit(-s)
+    got = weight_product(s, out=s)
+    assert got is s
+    assert np.max(np.abs(got - ref) / ref) <= 4.0 * EPS
 
 
 def test_kappa_flat_model():
