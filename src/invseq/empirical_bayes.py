@@ -8,24 +8,44 @@ The marginal log likelihood of alpha (additive constants dropped) is
 and the estimator is its maximizer over [0, log n].  A coarse grid scan
 followed by golden-section refinement is enough: the curve is smooth and
 one-dimensional, and ties are broken toward the smallest alpha.
+
+With u_i = exp(s_i(alpha)) = n*kappa_i^2 / i^(1+2a) (see sequence_model)
+the bracket is log(1 + u_i) - n*y_i^2 * u_i/(1 + u_i), and since
+u/(1 + u) = 1 - 1/(1 + u),
+
+    ell(alpha) - 1/2 * sum_i n*y_i^2 = -1/2 * sum_i [ log(1 + u_i) + n*y_i^2/(1 + u_i) ].
+
+Every search and every ratio works on this centred value.  The dropped
+term is free of alpha but large: at n = 1e15 and N = 1e5 it is about
+1.5e14, where one ulp is 0.03, so ell itself cannot resolve the
+differences a golden-section search compares near its maximum.  The
+centred value is about 1e6 there.  `Loglik` evaluates it with one
+exponential, one logarithm and one reciprocal per coordinate, into
+buffers it holds, and reported values (`log_likelihood`, the curve) add
+the term back once.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import CoordinatePosterior, posterior
-from .sequence_model import Design, Observation, design, softplus_weight, weight, weight_product
+from .sequence_model import Design, Observation, design, weight, weight_product
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
 DEFAULT_GRID_SIZE = 200
 DEFAULT_REFINE_TOL = 1e-4
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows past this
+# Below about s = -707, numpy's vector exp hands each element to a scalar path
+# 15-200 times slower, while 1 + e^s is exactly 1 from s = -38 down.
+S_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -61,22 +81,51 @@ def _prepared(obs: Observation, N: int | None = None) -> tuple[Design, np.ndarra
     return design(obs.model, obs.n, N), ny2
 
 
-def _loglik(alpha, d: Design, ny2) -> float:
-    return _loglik_weight(alpha, d, ny2)[0]
+class Loglik:
+    """ell(alpha) - 1/2 * sum_i n*y_i^2 of the first N coordinates (all by default).
 
+    A call returns the centred value at alpha >= 0 and leaves u = exp(s(alpha))
+    and r = 1/(1 + u) in `u` and `r`, so a caller can form the data weight
+    w = u * r without another exponential.  s is raised to S_FLOOR first,
+    which leaves the centred value exactly as it was and puts w at
+    e^-700 = 1e-304 wherever it was smaller.  Every call reuses the same
+    buffers.  `offset` is the dropped term 1/2 * sum_i n*y_i^2.
+    """
 
-def _loglik_weight(alpha, d: Design, ny2) -> tuple[float, np.ndarray]:
-    """ell(alpha) and the data weight w it was computed from."""
-    # w = n/(i^(1+2a)*kappa^-2 + n); the quadratic term is n*w*y_i^2.
-    sp, w = softplus_weight(d.log_odds(alpha))
-    return -0.5 * float(np.sum(sp - w * ny2)), w
+    def __init__(self, obs: Observation, N: int | None = None):
+        d, ny2 = _prepared(obs, N)
+        self.design = d
+        self.offset = 0.5 * float(np.sum(ny2))
+        if not math.isfinite(self.offset):
+            raise NumericalError("n * y_i^2 overflows the float range")
+        # s(alpha) is largest at alpha = 0 (log i >= 0), so no call can overflow exp
+        top = float(np.max(d.log_odds(0.0)))
+        if top > LOG_FLOAT_MAX:
+            raise NumericalError(f"exp(s_i) overflows the float range: s_i(0) reaches {top:.6g}")
+        N = ny2.size
+        # log(1 + u) and r share one block, so a single dot with (1, ..., 1, n*y^2) sums both terms
+        self._terms = np.empty(2 * N)
+        self._log1p_u, self.r = self._terms[:N], self._terms[N:]
+        self._coef = np.concatenate([np.ones(N), ny2])
+        self.u = np.empty(N)
+
+    def __call__(self, alpha) -> float:
+        u, r = self.u, self.r
+        self.design.log_odds(alpha, u)
+        np.maximum(u, S_FLOOR, out=u)
+        np.exp(u, u)
+        np.add(u, 1.0, r)
+        np.log(r, self._log1p_u)
+        np.reciprocal(r, r)
+        return -0.5 * float(np.dot(self._terms, self._coef))
 
 
 def log_likelihood(alpha: float, obs: Observation) -> float:
     """Marginal log likelihood of alpha given the observation."""
     if alpha < 0:
         raise ConfigError("alpha must be >= 0")
-    return _loglik(alpha, *_prepared(obs))
+    ell = Loglik(obs)
+    return ell(alpha) + ell.offset
 
 
 def score(alpha: float, obs: Observation) -> float:
@@ -95,22 +144,25 @@ def score(alpha: float, obs: Observation) -> float:
 
 def likelihood_curve(obs: Observation, grid_size: int = DEFAULT_GRID_SIZE) -> LikelihoodCurve:
     """ell on a uniform grid over [0, log n]."""
-    return _scan(obs.n, _prepared(obs), grid_size)
+    return _scan(obs.n, Loglik(obs), grid_size)[0]
 
 
-def _scan(n: float, prep, grid_size: int) -> LikelihoodCurve:
+def _scan(n: float, ell: Loglik, grid_size: int) -> tuple[LikelihoodCurve, np.ndarray]:
+    """The curve and its centred values."""
     if grid_size < 2:
         raise ConfigError("grid needs at least the two endpoints")
     top = math.log(n)
     if top <= 0:
         raise ConfigError("empirical Bayes search needs n > 1")
     alphas = np.linspace(0.0, top, grid_size)
-    values = np.array([_loglik(a, *prep) for a in alphas])
-    if not np.all(np.isfinite(values)):
-        bad = alphas[~np.isfinite(values)][0]
+    centred = np.array([ell(a) for a in alphas])
+    if not np.all(np.isfinite(centred)):
+        bad = alphas[~np.isfinite(centred)][0]
         raise NumericalError(f"log likelihood non-finite at alpha={bad}")
     # np.argmax takes the first maximizer, i.e. the smallest alpha on ties.
-    return LikelihoodCurve(alphas=alphas, values=values, argmax_index=int(np.argmax(values)))
+    curve = LikelihoodCurve(alphas=alphas, values=centred + ell.offset,
+                            argmax_index=int(np.argmax(centred)))
+    return curve, centred
 
 
 def _golden_max(f, lo: float, hi: float, tol: float):
@@ -139,16 +191,16 @@ def fit(obs: Observation, grid_size: int = DEFAULT_GRID_SIZE,
     strictly better, so exact endpoint maximizers (zero data pulls the
     maximizer to log n) and smallest-alpha tie-breaking are preserved.
     """
-    prep = _prepared(obs)
-    curve = _scan(obs.n, prep, grid_size)
+    ell = Loglik(obs)
+    curve, centred = _scan(obs.n, ell, grid_size)
     k = curve.argmax_index
     lo = curve.alphas[max(k - 1, 0)]
     hi = curve.alphas[min(k + 1, curve.alphas.size - 1)]
-    cand, cand_val = _golden_max(lambda a: _loglik(a, *prep), lo, hi, refine_tol)
+    cand, cand_val = _golden_max(ell, lo, hi, refine_tol)
     if not math.isfinite(cand_val):
         raise NumericalError("log likelihood non-finite during refinement")
     alpha_hat = float(curve.alphas[k])
-    refined = bool(cand_val > curve.values[k])
+    refined = bool(cand_val > centred[k])
     if refined:
         alpha_hat = float(cand)
     return EbFit(alpha_hat=alpha_hat, curve=curve, refined=refined)

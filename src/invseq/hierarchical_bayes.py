@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical_bayes import _loglik_weight, _prepared
+from .empirical_bayes import Loglik
 from .errors import ConfigError, NumericalError
 from .sequence_model import Observation
 
@@ -229,20 +229,28 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
                           f"alpha {hyper.alpha_star}")
 
     rng = np.random.default_rng(cfg.seed)
-    d, ny2 = _prepared(obs, J)
-    ell, w = _loglik_weight(alpha, d, ny2)
-    if not math.isfinite(ell):
+    ell = Loglik(obs, J)
+    d = ell.design
+    start = ell(alpha)
+    if not math.isfinite(start):
         raise NumericalError(f"log likelihood non-finite at the start point alpha={alpha}")
-    target = hyper.log_density(alpha) + ell
-    sd = _step_size(d.log_i, w)
+    # targets and ratios use ell's centred value; the dropped term cancels
+    target = hyper.log_density(alpha) + start
+    # the conjugate mu draw at data weight w = u/(1+u) has mean w*y/kappa and
+    # sd sqrt(w/(n kappa^2)) (see gaussian_posterior); all three live in held buffers
+    w, mu_loc, mu_scale = np.empty(J), np.empty(J), np.empty(J)
     y_over_k = obs.y[:J] / d.kappa
     inv_nk2 = 1.0 / (obs.n * d.kappa**2)
 
-    def conditional(w):
-        # mean and sd of the conjugate mu draw at data weight w (see gaussian_posterior)
-        return w * y_over_k, np.sqrt(w * inv_nk2)
+    def conditional():
+        # from the weight of ell's last evaluation
+        np.multiply(ell.u, ell.r, w)
+        np.multiply(w, y_over_k, mu_loc)
+        np.multiply(w, inv_nk2, mu_scale)
+        np.sqrt(mu_scale, mu_scale)
 
-    mu_loc, mu_scale = conditional(w)
+    conditional()
+    sd = _step_size(d.log_i, w)
     kept = cfg.iterations - burn
     alphas = np.empty(kept)
     # moments are accumulated about the first kept draw: at large n the draws
@@ -255,14 +263,13 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     for it in range(cfg.iterations):
         if not pinned:
             cand = _propose_positive(alpha, sd, rng)
-            cand_ell, cand_w = _loglik_weight(cand, d, ny2)
-            cand_target = hyper.log_density(cand) + cand_ell
+            cand_target = hyper.log_density(cand) + ell(cand)
             log_acc = mh_log_acceptance(alpha, cand, target, cand_target, sd)
             if math.isnan(log_acc):
                 raise NumericalError(f"iteration {it}: non-finite MH acceptance ratio")
             if math.log(rng.random()) < log_acc:
                 alpha, target = cand, cand_target
-                mu_loc, mu_scale = conditional(cand_w)
+                conditional()
                 accepted += 1
 
         mu = mu_loc + mu_scale * rng.standard_normal(J)

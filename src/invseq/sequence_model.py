@@ -19,7 +19,8 @@ weight,
 so powers are taken in log space (i^(1+2a) is exactly 1 at i = 1) and a
 large alpha never overflows.  numpy computes w by that formula, the one
 the logistic function expit uses, and w * (1 - w) as e / (1 + e)^2 with
-e = exp(-|s|): one exponential each.
+e = exp(-|s|): one exponential each.  The marginal likelihood forms its
+own log(1 + e^s) and 1/(1 + e^s) (see empirical_bayes.Loglik).
 """
 
 from __future__ import annotations
@@ -127,10 +128,13 @@ class Design:
     log_i: np.ndarray
     log_nk2: np.ndarray  # log(n * kappa_i^2)
 
-    def log_odds(self, alpha):
-        """s(alpha) for a scalar alpha; for an alpha column (shape (k, 1)), one row per alpha."""
-        s = (1.0 + 2.0 * alpha) * self.log_i
-        return np.subtract(self.log_nk2, s, out=s)  # in the product's buffer: one block, not two
+    def log_odds(self, alpha, out=None):
+        """s(alpha) for a scalar alpha; for an alpha column (shape (k, 1)), one row per alpha.
+
+        out, if given, receives s; otherwise s is one new block.
+        """
+        s = np.multiply(self.log_i, 1.0 + 2.0 * alpha, out)
+        return np.subtract(self.log_nk2, s, s)
 
 
 def design(model: ModelSpec, n: float, N: int) -> Design:
@@ -164,12 +168,6 @@ def weight_product(s, out=None):
     den *= den
     e /= den
     return e
-
-
-def softplus_weight(s):
-    """(softplus(s), w): log(1 + e^s) without overflow, and w = e^(s - softplus(s)) from it."""
-    sp = np.logaddexp(0.0, s)
-    return sp, np.exp(s - sp)
 
 
 @dataclass(frozen=True)
@@ -337,17 +335,29 @@ def analytic_norm_sq(mu: np.ndarray, gamma: float) -> float:
 
 
 def synthesize_function(mu: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Evaluate sum_i mu_i * sqrt(2)*cos((i-1/2)*pi*t) on t_grid.
+    """Evaluate sum_i mu_i * sqrt(2)*cos((i-1/2)*pi*t) on t_grid (flattened).
 
-    Plain blockwise summation; with at most 1e5 coefficients and a few
-    thousand grid points there is nothing to gain from a fast transform.
+    By angle addition: with the N coefficients in blocks of B = ceil(sqrt N),
+    index i - 1 = lo + j with 0 <= j < B, and A = (lo + 1/2)*pi*t,
+
+        cos((lo + j + 1/2)*pi*t) = cos(A)*cos(j*pi*t) - sin(A)*sin(j*pi*t),
+
+    so two T x B tables of cos(j*pi*t) and sin(j*pi*t), two matrix products
+    with the zero-padded (N/B) x B coefficient matrix and the T x (N/B) block
+    offsets need about 2*T*sqrt(N) trigonometric evaluations instead of T*N.
+    Any grid works, uniform or not.
     """
     mu = np.asarray(mu, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
-    out = np.zeros(t.size)
-    block = 2048
-    for lo in range(0, mu.size, block):
-        hi = min(lo + block, mu.size)
-        freq = (np.arange(lo + 1, hi + 1, dtype=float) - 0.5) * math.pi
-        out += np.cos(np.outer(t, freq)) @ mu[lo:hi]
+    t = np.asarray(t_grid, dtype=float).ravel()
+    if mu.size == 0:
+        return np.zeros(t.size)
+    B = math.isqrt(mu.size - 1) + 1  # ceil(sqrt N)
+    blocks = -(-mu.size // B)
+    coef = np.zeros(blocks * B)
+    coef[:mu.size] = mu
+    coef = coef.reshape(blocks, B)
+    inner = np.outer(t, np.arange(B) * math.pi)
+    offset = np.outer(t, (np.arange(blocks) * B + 0.5) * math.pi)
+    out = np.einsum("tb,tb->t", np.cos(offset), np.cos(inner) @ coef.T)
+    out -= np.einsum("tb,tb->t", np.sin(offset), np.sin(inner) @ coef.T)
     return math.sqrt(2.0) * out

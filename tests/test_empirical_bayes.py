@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from invseq import (
     simulate,
     synthesize_function,
 )
+from invseq.empirical_bayes import DEFAULT_GRID_SIZE, DEFAULT_REFINE_TOL, Loglik, _golden_max
 from invseq.errors import ConfigError, NumericalError
+from invseq.sequence_model import default_truncation
 
 FLAT = ModelSpec.exact_power(0.0)
 VOLTERRA = ModelSpec.volterra()
@@ -200,3 +204,89 @@ def test_adaptive_beats_mismatched_alpha():
         return math.sqrt(float(np.mean((posterior_mean_function(post, t) - f_true) ** 2)))
 
     assert grid_err(eb_posterior(obs)) < grid_err(posterior(0.1, obs))
+
+
+def _long_double_centred(obs):
+    """ell - 1/2 sum n y^2 in np.longdouble, from the model's kappa and the data alone."""
+    ld = np.longdouble
+    i = np.arange(1, obs.N + 1, dtype=ld)
+    kap = obs.model.kappa_vector(obs.N).astype(ld)
+    ny2 = ld(obs.n) * obs.y.astype(ld) ** 2
+    log_nk2 = np.log(ld(obs.n) * kap ** 2)
+
+    def ell(alpha):
+        u = np.exp(log_nk2 - (1 + 2 * ld(alpha)) * np.log(i))
+        return -np.sum(np.log1p(u) + ny2 / (1 + u)) / 2
+
+    return ell
+
+
+@pytest.mark.parametrize("n, N", [(1e12, 10**4), (1e15, 10**5)])
+def test_fit_matches_long_double_search(n, N):
+    """alpha_hat is the maximizer of ell, not of its float64 rounding noise.
+
+    At n = 1e15 the alpha-free part of ell is about 1.5e14; carried along, it
+    moved alpha_hat by 2e-3 from this long-double run of the same search.
+    """
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, N, 2)
+    ell = _long_double_centred(obs)
+    alphas = np.linspace(0.0, math.log(n), DEFAULT_GRID_SIZE)
+    values = [ell(a) for a in alphas]
+    # the whole curve, up to alpha = log n where most u_i are below e^-700
+    np.testing.assert_allclose([Loglik(obs)(a) for a in alphas], np.array(values, dtype=float),
+                               rtol=1e-12)
+    k = int(np.argmax(values))
+    cand, cand_val = _golden_max(ell, alphas[max(k - 1, 0)], alphas[min(k + 1, alphas.size - 1)],
+                                 DEFAULT_REFINE_TOL)
+    want = float(cand) if cand_val > values[k] else float(alphas[k])
+    assert abs(fit(obs).alpha_hat - want) <= 1e-6
+
+
+def test_loglik_evaluates_in_place():
+    """After its first call the evaluator allocates no coordinate-sized block."""
+    N = 10**5
+    ell = Loglik(simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, N, 2))
+    ell(0.5)
+    tracemalloc.start()
+    try:
+        for alpha in (0.7, 1.1, 2.3):
+            ell(alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N
+
+
+def test_reported_values_add_the_dropped_term_back():
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e6, 100, 4)
+    ell = Loglik(obs)
+    assert ell.offset == 0.5 * float(np.sum(obs.n * obs.y ** 2))
+    curve = likelihood_curve(obs)
+    for a, v in zip(curve.alphas[::40], curve.values[::40]):
+        assert v == ell(a) + ell.offset == log_likelihood(a, obs)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("n", [1.5, 1e20])
+def test_loglik_finite_across_domain(n, p):
+    model = ModelSpec.exact_power(p)
+    obs = simulate(TruthSpec.paper_example(), model, n, default_truncation(n, p), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.0, math.log(n)):
+            assert math.isfinite(log_likelihood(alpha, obs))
+
+
+def test_exp_overflow_is_named():
+    """n*kappa_1^2 past the float range: exp(s_1) would be inf at every alpha."""
+    y = np.array([1e-153, 1e-154])
+
+    def obs(k1):
+        return _obs(1e307, y, model=ModelSpec.explicit([k1, 1.0], p=0.0, C=k1))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(log_likelihood(0.0, obs(4.0)))  # n*kappa_1^2 = 1.6e308
+        for call in (lambda o: log_likelihood(0.0, o), fit):
+            with pytest.raises(NumericalError, match="overflows"):
+                call(obs(8.0))  # n*kappa_1^2 = 6.4e309

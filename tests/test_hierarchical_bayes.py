@@ -26,6 +26,7 @@ from invseq import (
     run_mwg,
     simulate,
 )
+from invseq.empirical_bayes import Loglik
 from invseq.errors import ConfigError
 from invseq.hierarchical_bayes import _log_ndtr
 
@@ -109,6 +110,46 @@ def test_mh_acceptance_boundary_correction_sign():
     down = mh_log_acceptance(0.5, 0.1, 0.0, 0.0, 0.5)
     up = mh_log_acceptance(0.1, 0.5, 0.0, 0.0, 0.5)
     assert down > 0.0 > up
+
+
+def test_acceptance_ratio_matches_oracle_at_large_n():
+    """Criterion 7's oracle and cases, with n log-uniform in [10, 1e12] instead of [10, 1e4].
+
+    The targets come from the evaluator run_mwg uses.  Were ell carried with
+    its alpha-free term n*y_1^2 (about 1e11 here), rounding alone would put the
+    ratio 4e-6 off.
+    """
+    rng = np.random.default_rng(303)
+    dists = [stats.expon(scale=1.0), stats.gamma(2.0, scale=1.0 / 1.5),
+             stats.invgamma(2.0, scale=1.0)]
+    hypers = [HyperPrior.exponential(1.0), HyperPrior.gamma(2.0, 1.5),
+              HyperPrior.inverse_gamma(2.0, 1.0)]
+    worst = 0.0
+    for k in range(100):
+        a1 = float(np.exp(rng.uniform(math.log(0.05), math.log(8.0))))
+        a2 = float(np.exp(rng.uniform(math.log(0.05), math.log(8.0))))
+        J = int(rng.integers(1, 21))
+        z = rng.standard_normal(J)
+        n = float(10.0 ** rng.uniform(1.0, 12.0))
+        sd = float(rng.uniform(0.1, 1.0))
+        kap = VOLTERRA.kappa_vector(J)
+        y = kap * TruthSpec.paper_example().coefficients(J) + z / math.sqrt(n)
+        obs = Observation(n=n, N=J, y=y, seed=k, model=VOLTERRA)
+        hyper, dist = hypers[k % 3], dists[k % 3]
+        ell = Loglik(obs, J)
+        impl = mh_log_acceptance(a1, a2, hyper.log_density(a1) + ell(a1),
+                                 hyper.log_density(a2) + ell(a2), sd)
+        j = np.arange(1, J + 1, dtype=float)
+
+        def logtarget(a):
+            return float(dist.logpdf(a) + np.sum(stats.norm.logpdf(
+                y, scale=np.sqrt(kap**2 * j ** (-1.0 - 2.0 * a) + 1.0 / n))))
+
+        oracle = (logtarget(a2) - logtarget(a1)
+                  + stats.norm.logpdf(a1, loc=a2, scale=sd) - stats.norm.logcdf(a2 / sd)
+                  - stats.norm.logpdf(a2, loc=a1, scale=sd) + stats.norm.logcdf(a1 / sd))
+        worst = max(worst, abs(impl - oracle) / (1.0 + abs(impl)))
+    assert worst <= 1e-10
 
 
 def test_log_ndtr_matches_scipy():

@@ -217,6 +217,30 @@ def test_synthesize_large_against_matrix_oracle():
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
+def _direct_sum_long_double(mu, t):
+    ld = np.longdouble
+    pi = ld("3.14159265358979323846264338327950288")
+    i = np.arange(1, mu.size + 1, dtype=ld)
+    return np.sqrt(ld(2)) * (np.cos(np.outer(t.astype(ld), (i - ld(0.5)) * pi)) @ mu.astype(ld))
+
+
+@pytest.mark.parametrize("N", [1, 2, 10, 4642, 10_000])
+def test_synthesize_against_long_double_direct_sum(N):
+    # an unsorted, non-uniform grid holding both ends of [0, 1]
+    t = np.random.default_rng(N).permutation(np.concatenate(
+        [[0.0, 1.0], np.random.default_rng(5).uniform(0.0, 1.0, 62) ** 2]))
+    mu = TruthSpec.paper_example().coefficients(N)
+    want = _direct_sum_long_double(mu, t)
+    got = synthesize_function(mu, t)
+    assert np.max(np.abs(got - want)) <= 1e-14 * float(np.max(np.abs(want)))
+
+
+def test_synthesize_output_shapes():
+    assert synthesize_function(np.array([]), np.linspace(0.0, 1.0, 5)).tolist() == [0.0] * 5
+    assert synthesize_function(np.array([1.0, 0.5]), 0.25).shape == (1,)
+    assert synthesize_function(np.array([]), 0.25).shape == (1,)
+
+
 def test_parseval():
     """Coefficient energy equals the integrated squared synthesis."""
     mu = TruthSpec.paper_example().coefficients(64)
