@@ -100,7 +100,7 @@ def _cmd_hb_run(args) -> None:
     hyper = parse_hyper(args.hyper)
     cfg = HbConfig(J=args.J if args.J is not None else obs.N,
                    iterations=args.iterations, burn_in=args.burn_in,
-                   seed=args.seed, thin=args.thin)
+                   seed=args.seed)
     chain = run_mwg(obs, hyper, cfg)
     os.makedirs(args.out, exist_ok=True)
     chain.write_alpha_csv(os.path.join(args.out, "alpha.csv"))
@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyper", default="exponential:1")
     p.add_argument("--iterations", type=int, default=2000)
     p.add_argument("--burn-in", type=int, default=None)
-    p.add_argument("--thin", type=int, default=100)
     p.add_argument("--J", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -190,7 +190,10 @@ def fit(obs: Observation, grid_size: int = DEFAULT_GRID_SIZE,
     The refined candidate replaces the best grid point only when it is
     strictly better, so exact endpoint maximizers (zero data pulls the
     maximizer to log n) and smallest-alpha tie-breaking are preserved.
+    refine_tol must be positive and finite.
     """
+    if not 0.0 < refine_tol < math.inf:
+        raise ConfigError("refine_tol must be positive and finite")
     ell = Loglik(obs)
     curve, centred = _scan(obs.n, ell, grid_size)
     k = curve.argmax_index

@@ -46,13 +46,12 @@ class ExperimentConfig:
     hyper: HyperPrior = field(default_factory=lambda: HyperPrior.exponential(1.0))
     hb_iterations: int = 2000
     hb_burn_in: int | None = None
-    hb_thin: int = 100
 
     def __post_init__(self):
         if not self.n_ladder:
             raise ConfigError("n_ladder must not be empty")
-        if any(n <= 1 for n in self.n_ladder):
-            raise ConfigError("every rung needs n > 1")
+        if not all(1 < n < math.inf for n in self.n_ladder):
+            raise ConfigError("every rung needs a finite n > 1")
         if any(b >= a for a, b in zip(self.n_ladder[1:], self.n_ladder)):
             raise ConfigError("n_ladder must be strictly increasing")
         if self.replicates < 1:
@@ -72,7 +71,6 @@ class ExperimentConfig:
             "hyper": self.hyper.to_dict(),
             "hb_iterations": self.hb_iterations,
             "hb_burn_in": self.hb_burn_in,
-            "hb_thin": self.hb_thin,
         }
 
     @classmethod
@@ -89,7 +87,6 @@ class ExperimentConfig:
                 hyper=HyperPrior.from_dict(d["hyper"]) if d.get("hyper") else HyperPrior.exponential(1.0),
                 hb_iterations=int(d.get("hb_iterations", 2000)),
                 hb_burn_in=int(d["hb_burn_in"]) if d.get("hb_burn_in") is not None else None,
-                hb_thin=int(d.get("hb_thin", 100)),
             )
         except (KeyError, TypeError) as err:
             raise ConfigError(f"bad experiment config: {err}") from err
@@ -203,7 +200,7 @@ def run_figure2(cfg: ExperimentConfig) -> dict:
         if cfg.hyper.kind != "fixed":
             warm = max(fit(obs).alpha_hat, 1e-3)
         hb_cfg = HbConfig(J=rung.N, iterations=cfg.hb_iterations, burn_in=cfg.hb_burn_in,
-                          seed=obs.seed, thin=cfg.hb_thin, alpha_init=warm)
+                          seed=obs.seed, alpha_init=warm)
         chain = run_mwg(obs, cfg.hyper, hb_cfg)
         summary = chain.summary()
         if r == 0:

@@ -105,7 +105,6 @@ class HbConfig:
     iterations: int
     burn_in: int | None = None
     seed: int = 0
-    thin: int = 100
     alpha_init: float | None = None
 
     def resolved_burn_in(self) -> int:
@@ -120,7 +119,6 @@ class HbChain:
     acceptance_rate: float
     mu_mean: np.ndarray
     mu_var: np.ndarray
-    mu_draws: np.ndarray
     config: HbConfig
     proposal_sd: float
 
@@ -138,7 +136,6 @@ class HbChain:
             "mu_mean": [float(v) for v in self.mu_mean],
             "mu_var": [float(v) for v in self.mu_var],
             "burn_in": self.config.resolved_burn_in(),
-            "thin": self.config.thin,
             "proposal_sd": self.proposal_sd,
         }
 
@@ -216,8 +213,6 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     burn = cfg.resolved_burn_in()
     if not 0 <= burn < cfg.iterations:
         raise ConfigError("burn_in must be in [0, iterations)")
-    if cfg.thin < 1:
-        raise ConfigError("thin must be >= 1")
 
     pinned = hyper.kind == "fixed"
     alpha = cfg.alpha_init if cfg.alpha_init is not None else (
@@ -257,7 +252,6 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     # spread far less than their size, and raw sums of mu^2 would cancel
     mu_sum = np.zeros(J)
     dev_sq_sum = np.zeros(J)
-    thinned: list[np.ndarray] = []
     accepted = 0
 
     for it in range(cfg.iterations):
@@ -283,10 +277,8 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
             dev = mu - ref
             dev *= dev
             dev_sq_sum += dev
-            if k % cfg.thin == 0:
-                thinned.append(mu)
 
     mu_mean = mu_sum / kept
     mu_var = np.maximum(dev_sq_sum / kept - (mu_mean - ref)**2, 0.0)
     acceptance_rate = 0.0 if pinned else accepted / cfg.iterations
-    return HbChain(alphas, acceptance_rate, mu_mean, mu_var, np.array(thinned), cfg, sd)
+    return HbChain(alphas, acceptance_rate, mu_mean, mu_var, cfg, sd)

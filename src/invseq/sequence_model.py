@@ -299,8 +299,7 @@ def default_truncation(n: float, p: float) -> int:
     Past that index the signal-to-noise ratio of a coordinate is too small
     to matter for either estimation or likelihood evaluation.
     """
-    if n <= 0:
-        raise ConfigError("noise scale n must be positive")
+    _checked_noise_scale(n)
     return min(math.ceil(n ** (1.0 / (1.0 + 2.0 * p))), TRUNCATION_CAP)
 
 

@@ -80,6 +80,26 @@ def test_eb_fit_command(tmp_path):
     assert (out / "likelihood.csv").exists()
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_eb_fit_bad_refine_tol_exits_two(tmp_path, capsys, tol):
+    obs_path = tmp_path / "obs.json"
+    main(["simulate", "--n", "1000", "--N", "10", "--seed", "4", "--out", str(obs_path)])
+    out = tmp_path / "fit"
+    assert main(["eb-fit", "--obs", str(obs_path), "--refine-tol", tol, "--out", str(out)]) == 2
+    assert "refine_tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bracket"])
+@pytest.mark.parametrize("n", ["inf", "nan"])
+@pytest.mark.parametrize("N", [[], ["--N", "5"]])
+def test_non_finite_n_exits_two(tmp_path, capsys, command, n, N):
+    out = tmp_path / "out"
+    assert main([command, "--n", n, *N, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hb_run_command(tmp_path):
     obs_path = tmp_path / "obs.json"
     main(["simulate", "--n", "1000", "--N", "10", "--seed", "4", "--out", str(obs_path)])
@@ -113,7 +133,6 @@ def _write_config(path, **overrides):
         "seed": 0,
         "hb_iterations": 300,
         "hb_burn_in": 50,
-        "hb_thin": 50,
     }
     cfg.update(overrides)
     with open(path, "w") as fh:
@@ -221,11 +240,23 @@ def test_exit_code_config_error(tmp_path):
     assert main(["figure1", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("rung", [math.inf, math.nan])
+def test_non_finite_rung_is_config_error(tmp_path, rung):
+    with pytest.raises(ConfigError, match="finite"):
+        ExperimentConfig(model=ModelSpec.volterra(), truth=TruthSpec.paper_example(),
+                         n_ladder=(1e3, rung))
+    # through the command line: exit 2 before the first rung writes anything
+    cfg = _write_config(tmp_path / "cfg.json", n_ladder=[1e3, rung])
+    out = tmp_path / "fig1"
+    assert main(["figure1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_config_ignores_unknown_keys(tmp_path):
-    # "mode" and "hb_proposal_sd" were config fields once; old configs that still carry them must load
-    with open(_write_config(tmp_path / "cfg.json", mode="eb", hb_proposal_sd=0.3)) as fh:
+    # "mode", "hb_proposal_sd" and "hb_thin" were config fields once; old configs that still carry them must load
+    with open(_write_config(tmp_path / "cfg.json", mode="eb", hb_proposal_sd=0.3, hb_thin=50)) as fh:
         cfg = ExperimentConfig.from_dict(json.load(fh))
-    assert "mode" not in cfg.to_dict() and "hb_proposal_sd" not in cfg.to_dict()
+    assert not {"mode", "hb_proposal_sd", "hb_thin"} & set(cfg.to_dict())
 
 
 @pytest.mark.parametrize("command", ["eb-fit", "hb-run"])

@@ -166,6 +166,14 @@ def test_fit_matches_bounded_scalar_minimizer():
     assert log_likelihood(eb.alpha_hat, obs) >= eb.curve.values[k]
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_fit_rejects_bad_refine_tol(tol):
+    # a tolerance <= 0 never ends the golden-section loop; nan or inf ends it at once
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e3, 10, 1)
+    with pytest.raises(ConfigError, match="refine_tol"):
+        fit(obs, refine_tol=tol)
+
+
 def test_fit_within_range():
     obs = simulate(TruthSpec.power_law(2.0), VOLTERRA, 1e6, 100, 31)
     eb = fit(obs)

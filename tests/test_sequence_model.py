@@ -263,8 +263,9 @@ def test_default_truncation():
     assert default_truncation(1000.0, 1.0) == 10
     assert default_truncation(1e6, 0.0) == 100_000  # capped
     assert default_truncation(1e8, 1.0) == 465
-    with pytest.raises(ConfigError):
-        default_truncation(0.0, 1.0)
+    for n in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            default_truncation(n, 1.0)
 
 
 def test_observation_json_round_trip():
