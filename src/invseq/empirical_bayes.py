@@ -19,33 +19,28 @@ Every search and every ratio works on this centred value.  The dropped
 term is free of alpha but large: at n = 1e15 and N = 1e5 it is about
 1.5e14, where one ulp is 0.03, so ell itself cannot resolve the
 differences a golden-section search compares near its maximum.  The
-centred value is about 1e6 there.  `Loglik` evaluates it with one
-exponential, one logarithm and one reciprocal per coordinate, into
-buffers it holds, and reported values (`log_likelihood`, the curve) add
-the term back once.
+centred value is about 1e6 there.  `Loglik` evaluates it from
+`Design.odds` with one logarithm and one reciprocal more per coordinate,
+into buffers it holds, and reported values (`log_likelihood`, the curve)
+add the term back once.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import CoordinatePosterior, posterior
-from .sequence_model import Design, Observation, design, weight, weight_product
+from .sequence_model import Observation, design
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
 DEFAULT_GRID_SIZE = 200
 DEFAULT_REFINE_TOL = 1e-4
-LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows past this
-# Below about s = -707, numpy's vector exp hands each element to a scalar path
-# 15-200 times slower, while 1 + e^s is exactly 1 from s = -38 down.
-S_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -73,48 +68,34 @@ class EbFit:
     refined: bool
 
 
-def _prepared(obs: Observation, N: int | None = None) -> tuple[Design, np.ndarray]:
-    """The design and n*y_i^2 of the first N coordinates (all of them by default)."""
-    N = obs.N if N is None else N
-    with np.errstate(over="ignore"):  # inf here surfaces as NumericalError later
-        ny2 = obs.n * obs.y[:N]**2
-    return design(obs.model, obs.n, N), ny2
-
-
 class Loglik:
     """ell(alpha) - 1/2 * sum_i n*y_i^2 of the first N coordinates (all by default).
 
-    A call returns the centred value at alpha >= 0 and leaves u = exp(s(alpha))
-    and r = 1/(1 + u) in `u` and `r`, so a caller can form the data weight
-    w = u * r without another exponential.  s is raised to S_FLOOR first,
-    which leaves the centred value exactly as it was and puts w at
-    e^-700 = 1e-304 wherever it was smaller.  Every call reuses the same
-    buffers.  `offset` is the dropped term 1/2 * sum_i n*y_i^2.
+    A call returns the centred value at alpha >= 0 and leaves u and
+    r = 1/(1 + u) of `Design.odds` in `u` and `r`, so a caller can form the
+    data weight w = u * r without another exponential.  Every call reuses
+    the same buffers.  `ny2` holds n*y_i^2 and `offset` is the dropped term
+    1/2 * sum_i n*y_i^2.
     """
 
     def __init__(self, obs: Observation, N: int | None = None):
-        d, ny2 = _prepared(obs, N)
-        self.design = d
-        self.offset = 0.5 * float(np.sum(ny2))
-        if not math.isfinite(self.offset):
-            raise NumericalError("n * y_i^2 overflows the float range")
-        # s(alpha) is largest at alpha = 0 (log i >= 0), so no call can overflow exp
-        top = float(np.max(d.log_odds(0.0)))
-        if top > LOG_FLOAT_MAX:
-            raise NumericalError(f"exp(s_i) overflows the float range: s_i(0) reaches {top:.6g}")
-        N = ny2.size
+        N = obs.N if N is None else N
+        self.design = design(obs.model, obs.n, N)
         # log(1 + u) and r share one block, so a single dot with (1, ..., 1, n*y^2) sums both terms
         self._terms = np.empty(2 * N)
         self._log1p_u, self.r = self._terms[:N], self._terms[N:]
-        self._coef = np.concatenate([np.ones(N), ny2])
         self.u = np.empty(N)
+        with np.errstate(over="ignore"):  # inf here is the NumericalError below
+            ny2 = obs.n * obs.y[:N]**2
+        self._coef = np.concatenate([np.ones(N), ny2])
+        self.ny2 = self._coef[N:]
+        self.offset = 0.5 * float(np.sum(ny2))
+        if not math.isfinite(self.offset):
+            raise NumericalError("n * y_i^2 overflows the float range")
 
     def __call__(self, alpha) -> float:
         u, r = self.u, self.r
-        self.design.log_odds(alpha, u)
-        np.maximum(u, S_FLOOR, out=u)
-        np.exp(u, u)
-        np.add(u, 1.0, r)
+        self.design.odds(alpha, u, r)
         np.log(r, self._log1p_u)
         np.reciprocal(r, r)
         return -0.5 * float(np.dot(self._terms, self._coef))
@@ -136,10 +117,10 @@ def score(alpha: float, obs: Observation) -> float:
     """
     if alpha < 0:
         raise ConfigError("alpha must be >= 0")
-    d, ny2 = _prepared(obs)
-    s = d.log_odds(alpha)
-    w = weight(s)
-    return float(np.sum(d.log_i * (w - weight_product(s) * ny2)))
+    ell = Loglik(obs)
+    ell(alpha)
+    w = ell.u * ell.r
+    return float(np.sum(ell.design.log_i * (w - w * ell.r * ell.ny2)))
 
 
 def likelihood_curve(obs: Observation, grid_size: int = DEFAULT_GRID_SIZE) -> LikelihoodCurve:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sequence_model import ModelSpec, Observation, design, synthesize_function, weight
+from .sequence_model import ModelSpec, Observation, design, synthesize_function
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,9 @@ def posterior(alpha: float, obs: Observation) -> CoordinatePosterior:
     if alpha < 0:
         raise ConfigError("alpha must be >= 0")
     d = design(obs.model, obs.n, obs.N)
-    w = weight(d.log_odds(alpha))
+    w, r = np.empty(obs.N), np.empty(obs.N)
+    d.odds(alpha, w, r)
+    w *= np.reciprocal(r, r)  # u*r, as every layer forms w
     return CoordinatePosterior(alpha=float(alpha), means=w * (obs.y / d.kappa),
                                variances=w / (obs.n * d.kappa**2), n=obs.n, model=obs.model)
 

@@ -52,10 +52,10 @@ class HyperPrior:
     def __post_init__(self):
         if self.kind not in ("exponential", "gamma", "inverse_gamma", "fixed"):
             raise ConfigError(f"unknown hyperprior kind {self.kind!r}")
-        if min(self.shape, self.rate, self.scale) <= 0:
-            raise ConfigError("hyperprior parameters must be positive")
-        if self.kind == "fixed" and self.alpha_star <= 0:
-            raise ConfigError("pinned alpha must be positive")
+        for name in ("shape", "rate", "scale", "alpha_star"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:
+                raise ConfigError(f"hyperprior {name} must be positive and finite, got {v}")
 
     @classmethod
     def exponential(cls, rate: float = 1.0) -> "HyperPrior":

@@ -17,23 +17,27 @@ weight,
     w_i = n*kappa_i^2 / (i^(1+2*alpha) + n*kappa_i^2) = 1 / (1 + exp(-s_i)),
 
 so powers are taken in log space (i^(1+2a) is exactly 1 at i = 1) and a
-large alpha never overflows.  numpy computes w by that formula, the one
-the logistic function expit uses, and w * (1 - w) as e / (1 + e)^2 with
-e = exp(-|s|): one exponential each.  The marginal likelihood forms its
-own log(1 + e^s) and 1/(1 + e^s) (see empirical_bayes.Loglik).
+large alpha never overflows.  `Design.odds` is the one place s is
+exponentiated: from u = exp(s) and r = 1/(1 + u), every layer reads
+w = u*r, 1 - w = r and w*(1 - w) = u*r*r.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OutOfRangeError
+from .errors import ConfigError, NumericalError, OutOfRangeError
 
 TRUNCATION_CAP = 100_000
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows past this
+# Below about s = -707, numpy's vector exp hands each element to a scalar path
+# 15-200 times slower, while 1 + e^s is exactly 1 from s = -38 down.
+S_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("exact_power", "volterra", "explicit"):
             raise ConfigError(f"unknown model kind {self.kind!r}")
-        if self.p < 0:
-            raise ConfigError("decay order p must be >= 0")
-        if self.C < 1.0:
-            raise ConfigError("sandwich constant C must be >= 1")
+        if not 0.0 <= self.p < math.inf:
+            raise ConfigError(f"decay order p must be finite and >= 0, got {self.p}")
+        if not 1.0 <= self.C < math.inf:
+            raise ConfigError(f"sandwich constant C must be finite and >= 1, got {self.C}")
         if self.kind == "explicit":
             if not self.table:
                 raise ConfigError("explicit model needs a non-empty kappa table")
@@ -115,11 +119,6 @@ class ModelSpec:
         )
 
 
-def log_index(N: int) -> np.ndarray:
-    """log 1, ..., log N."""
-    return np.log(np.arange(1, N + 1, dtype=float))
-
-
 @dataclass(frozen=True)
 class Design:
     """The alpha-free per-coordinate terms of the first N coordinates at noise level n."""
@@ -128,46 +127,31 @@ class Design:
     log_i: np.ndarray
     log_nk2: np.ndarray  # log(n * kappa_i^2)
 
-    def log_odds(self, alpha, out=None):
-        """s(alpha) for a scalar alpha; for an alpha column (shape (k, 1)), one row per alpha.
+    def odds(self, alpha, u, u1):
+        """Fill u with exp(max(s(alpha), S_FLOOR)) and u1 with 1 + u.
 
-        out, if given, receives s; otherwise s is one new block.
+        alpha is a scalar, or an alpha column (shape (k, 1)) for one row of
+        u and u1 per alpha.  The clamp leaves 1 + u exactly as it was and
+        puts u*r (r = 1/u1) at e^-700 = 1e-304 wherever w was smaller.
+        design() has checked that no alpha >= 0 overflows exp.
         """
-        s = np.multiply(self.log_i, 1.0 + 2.0 * alpha, out)
-        return np.subtract(self.log_nk2, s, s)
+        np.multiply(self.log_i, 1.0 + 2.0 * alpha, u)
+        np.subtract(self.log_nk2, u, u)
+        np.maximum(u, S_FLOOR, out=u)
+        np.exp(u, u)
+        np.add(u, 1.0, u1)
 
 
 def design(model: ModelSpec, n: float, N: int) -> Design:
     """Design of the first N coordinates of the model at noise level n."""
     kap = model.kappa_vector(N)
-    return Design(kappa=kap, log_i=log_index(N), log_nk2=math.log(n) + 2.0 * np.log(kap))
-
-
-def weight(s, out=None):
-    """Data weight w = 1 / (1 + exp(-s)) of log-odds s; 1 - w is weight(-s), accurate where it is small.
-
-    Below s = -709, exp(-s) overflows to inf and w is exactly 0.  out may be s itself.
-    """
-    with np.errstate(over="ignore"):
-        out = np.negative(s, out=out)
-        np.exp(out, out=out)
-        out += 1.0
-        return np.reciprocal(out, out=out)
-
-
-def weight_product(s, out=None):
-    """w * (1 - w) of log-odds s, as e / (1 + e)^2 with e = exp(-|s|).
-
-    Symmetric in s, so it needs no branch and cannot overflow.  out may be
-    s itself; the only other block formed is 1 + e.
-    """
-    e = np.abs(s, out=out)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    den = e + 1.0
-    den *= den
-    e /= den
-    return e
+    log_i = np.log(np.arange(1, N + 1, dtype=float))
+    log_nk2 = math.log(n) + 2.0 * np.log(kap)
+    # s(alpha) is largest at alpha = 0 (log i >= 0), so no alpha >= 0 can overflow exp
+    top = float(np.max(log_nk2 - log_i))
+    if top > LOG_FLOAT_MAX:
+        raise NumericalError(f"exp(s_i) overflows the float range: s_i(0) reaches {top:.6g}")
+    return Design(kappa=kap, log_i=log_i, log_nk2=log_nk2)
 
 
 @dataclass(frozen=True)
@@ -189,6 +173,9 @@ class TruthSpec:
     def __post_init__(self):
         if self.kind not in ("explicit", "power_law", "paper_example", "analytic_decay", "zero"):
             raise ConfigError(f"unknown truth kind {self.kind!r}")
+        for name in ("beta", "gamma", "c", "coeffs"):
+            if getattr(self, name) is not None and not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"truth {name} must be finite")
         if self.kind == "power_law" and (self.beta is None or self.beta <= 0):
             raise ConfigError("power_law truth needs beta > 0")
         if self.kind == "analytic_decay" and (self.gamma is None or self.gamma <= 0):
@@ -283,8 +270,12 @@ class Observation:
             raise ConfigError("y length does not match N")
         if not np.all(np.isfinite(y)):
             raise ConfigError("y must be finite")
+        model = ModelSpec.from_dict(d["model"])
+        if model.table is not None and len(model.table) < y.size:
+            raise ConfigError(f"kappa table must be at least N = {y.size} entries long, "
+                              f"has {len(model.table)}")
         return cls(n=_checked_noise_scale(float(d["n"])), N=int(d["N"]), y=y,
-                   seed=int(d["seed"]), model=ModelSpec.from_dict(d["model"]))
+                   seed=int(d["seed"]), model=model)
 
 
 def _checked_noise_scale(n: float) -> float:

@@ -14,7 +14,7 @@ zero exactly when the truth lives on the first coordinate alone.
 One evaluator, built once per (truth, model, n), computes diag wherever
 it is needed: at a single alpha for bracket_diagnostic and for the
 bisection that refines a crossing, and at CHUNK alphas at a time, into
-one held block, for the scan that finds it.
+two blocks held for the whole scan, for the scan that finds it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sequence_model import ModelSpec, design, weight_product
+from .sequence_model import ModelSpec, design
 
 DEFAULT_LOWER_THRESHOLD = 0.01
 DEFAULT_UPPER_COEFF = 1.0
@@ -82,8 +82,8 @@ class _Diagnostic:
 
     Holds the design of the truth's coordinates and the alpha-free part of
     each term, n*kappa_i^2 * mu_i^2 * log i.  Each term is that part times
-    w_i*(1-w_i), with w_i = n/(i^(1+2a)/kappa_i^2 + n) the data weight, so
-    no large power is formed explicitly.
+    w_i*(1-w_i) = u_i*r_i*r_i, with w_i = n/(i^(1+2a)/kappa_i^2 + n) the data
+    weight formed from `Design.odds`, so no large power is formed explicitly.
     """
 
     def __init__(self, mu0: np.ndarray, model: ModelSpec, n: float):
@@ -94,20 +94,23 @@ class _Diagnostic:
         self.p = model.p
         self.logn = math.log(n)
 
-    def __call__(self, alpha, out=None):
+    def __call__(self, alpha, blocks=None):
         """diag at a scalar alpha, or at each alpha of a 1-D array.
 
-        out, if given, is a (len(alpha), N) block that receives the
-        per-coordinate work; otherwise that block is new.  A block is
-        summed by one matrix-vector product, a single alpha pairwise: at
-        N = 1e5 that is within 17 eps of a long-double sum, a dot product
-        within 40.
+        blocks, if given, is a pair of (len(alpha), N) blocks, or of
+        N-vectors for a scalar alpha, that receive the per-coordinate work;
+        otherwise the pair is new.  A block is summed by one matrix-vector
+        product, a single alpha pairwise: at N = 1e5 that is within 17 eps
+        of a long-double sum, a dot product within 40.
         """
         a = np.asarray(alpha, dtype=float)
         q = 1.0 + 2.0 * a + 2.0 * self.p
-        s = self.design.log_odds(a[..., None], out)
-        wp = weight_product(s, out=s)
-        total = wp @ self.terms if a.ndim else np.sum(wp * self.terms)
+        u, r = np.empty((2, *a.shape, self.terms.size)) if blocks is None else blocks
+        self.design.odds(a[..., None], u, r)
+        np.reciprocal(r, r)
+        u *= r
+        u *= r
+        total = u @ self.terms if a.ndim else np.sum(u * self.terms)
         return q / (np.exp(self.logn / q) * self.logn) * total
 
 
@@ -127,11 +130,11 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float,
     bracket is the first crossing of L*(log n)^2, scanned up to
     log n / (2*log 2) (beyond which a crossing is guaranteed whenever the
     second coordinate of the truth is non-zero).  Grid step 1e-3, scanned
-    CHUNK alphas at a time in one held block; each crossing refined by
+    CHUNK alphas at a time in two held blocks; each crossing refined by
     bisection to 1e-6.
     """
-    if l <= 0 or L <= 0:
-        raise ConfigError("thresholds must be positive")
+    if not (0.0 < l < math.inf and 0.0 < L < math.inf):
+        raise ConfigError("thresholds must be positive and finite")
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.size < 1:
         raise ConfigError("need at least one coefficient")
@@ -143,7 +146,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float,
     scan_hi = max(cap, sqrt_logn)
 
     alphas = np.arange(SCAN_STEP, scan_hi + SCAN_STEP, SCAN_STEP)
-    block = np.empty((min(CHUNK, alphas.size), mu0.size))
+    u_blk, r_blk = np.empty((2, min(CHUNK, alphas.size), mu0.size))
 
     def crossing(threshold: float, limit: float) -> float | None:
         """First alpha of the current chunk above threshold, refined to REFINE_TOL.
@@ -159,7 +162,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float,
         hi = float(a_blk[k])
         while hi - lo > REFINE_TOL:
             mid = 0.5 * (lo + hi)
-            if diag(mid) > threshold:
+            if diag(mid, (u_blk[0], r_blk[0])) > threshold:
                 hi = mid
             else:
                 lo = mid
@@ -169,7 +172,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float,
     lower_cross = upper_cross = None
     for start in range(0, alphas.size, CHUNK):
         a_blk = alphas[start:start + CHUNK]
-        vals = diag(a_blk, block[:a_blk.size])
+        vals = diag(a_blk, (u_blk[:a_blk.size], r_blk[:a_blk.size]))
         curve_v.append(vals)
         if lower_cross is None:
             lower_cross = crossing(l, math.inf)

@@ -100,6 +100,39 @@ def test_non_finite_n_exits_two(tmp_path, capsys, command, n, N):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--lower", "--upper-coeff"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_bracket_threshold_exits_two(tmp_path, capsys, flag, value):
+    out = tmp_path / "br"
+    assert main(["bracket", "--n", "1e4", flag, value, "--out", str(out)]) == 2
+    assert "thresholds must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, spec, name", [
+    ("--truth", "power:nan", "beta"), ("--truth", "analytic:nan", "gamma"),
+    ("--truth", "power:1:nan", "c"), ("--model", "power:nan", "p"),
+])
+def test_non_finite_spec_exits_two(tmp_path, capsys, flag, spec, name):
+    out = tmp_path / "obs.json"
+    assert main(["simulate", flag, spec, "--n", "1000", "--out", str(out)]) == 2
+    assert f"{name} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hyper, name", [
+    ("exponential:nan", "rate"), ("exponential:inf", "rate"), ("gamma:nan:1", "shape"),
+    ("inverse_gamma:2:inf", "scale"), ("fixed:nan", "alpha_star"),
+])
+def test_non_finite_hyperprior_exits_two(tmp_path, capsys, hyper, name):
+    obs_path = tmp_path / "obs.json"
+    main(["simulate", "--n", "1000", "--N", "5", "--seed", "4", "--out", str(obs_path)])
+    out = tmp_path / "hb"
+    assert main(["hb-run", "--obs", str(obs_path), "--hyper", hyper, "--out", str(out)]) == 2
+    assert f"hyperprior {name} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hb_run_command(tmp_path):
     obs_path = tmp_path / "obs.json"
     main(["simulate", "--n", "1000", "--N", "10", "--seed", "4", "--out", str(obs_path)])
@@ -261,19 +294,24 @@ def test_config_ignores_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize("command", ["eb-fit", "hb-run"])
 @pytest.mark.parametrize("field, value", [("n", -1.0), ("n", 0.0), ("n", math.nan),
-                                          ("y", math.nan), ("y", math.inf)])
+                                          ("y", math.nan), ("y", math.inf),
+                                          ("table", [1.0, 1.0])])
 def test_bad_observation_file_is_config_error(tmp_path, capsys, command, field, value):
     d = json.loads(Observation(n=1e3, N=3, y=np.array([0.1, 0.2, 0.3]), seed=0,
                                model=ModelSpec.volterra()).to_json())
     if field == "n":
         d["n"] = value
-    else:
+    elif field == "y":
         d["y"][1] = value
+    else:  # an explicit model whose kappa table is shorter than N
+        d["model"] = {"kind": "explicit", "p": 0.0, "C": 1.0, "table": value}
     obs_path = tmp_path / "obs.json"
     obs_path.write_text(json.dumps(d))
-    assert main([command, "--obs", str(obs_path), "--out", str(tmp_path / "x")]) == 2
+    out = tmp_path / "x"
+    assert main([command, "--obs", str(obs_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"{field} must be" in err
+    assert not out.exists()
 
 
 def test_exit_code_numerical_error(tmp_path):

@@ -295,6 +295,7 @@ def test_exp_overflow_is_named():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isfinite(log_likelihood(0.0, obs(4.0)))  # n*kappa_1^2 = 1.6e308
-        for call in (lambda o: log_likelihood(0.0, o), fit):
+        for call in (lambda o: log_likelihood(0.0, o), fit,
+                     lambda o: posterior(0.0, o), lambda o: score(0.0, o)):
             with pytest.raises(NumericalError, match="overflows"):
                 call(obs(8.0))  # n*kappa_1^2 = 6.4e309

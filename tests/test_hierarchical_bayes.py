@@ -95,6 +95,19 @@ def test_hyperprior_validation_and_round_trip():
     assert HyperPrior.from_dict(hook.to_dict()) == hook
 
 
+@pytest.mark.parametrize("make, name", [
+    (HyperPrior.exponential, "rate"),
+    (lambda v: HyperPrior.gamma(v, 1.0), "shape"),
+    (lambda v: HyperPrior.gamma(2.0, v), "rate"),
+    (lambda v: HyperPrior.inverse_gamma(2.0, v), "scale"),
+    (HyperPrior.fixed, "alpha_star"),
+])
+@pytest.mark.parametrize("v", [math.nan, math.inf])
+def test_hyperprior_rejects_non_finite(make, name, v):
+    with pytest.raises(ConfigError, match=f"hyperprior {name} must be positive and finite"):
+        make(v)
+
+
 def test_mh_acceptance_no_move_is_unit():
     assert mh_log_acceptance(1.0, 1.0, -3.2, -3.2, 0.5) == 0.0
 

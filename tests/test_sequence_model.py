@@ -19,7 +19,7 @@ from invseq import (
     synthesize_function,
 )
 from invseq.errors import ConfigError, OutOfRangeError
-from invseq.sequence_model import design, weight, weight_product
+from invseq.sequence_model import S_FLOOR, Design
 from oracles import sandwich_constant, volterra_forward
 
 VOLTERRA = ModelSpec.volterra()
@@ -27,30 +27,27 @@ FLAT = ModelSpec.exact_power(0.0)
 EPS = np.finfo(float).eps
 
 
-@pytest.mark.parametrize("aliased", [False, True])
-def test_weight_matches_expit(aliased):
-    s = np.linspace(-800.0, 800.0, 160_001)
-    ref = expit(s)
-    x = s.copy()
+def test_odds_matches_expit():
+    """u*r, r and u*r*r from Design.odds against expit(s), expit(-s) and their product.
+
+    Over s in [-800, 700], with design terms chosen so that s(0) is the grid;
+    below S_FLOOR the weight and its product are e^-700 exactly.
+    """
+    s = np.linspace(-800.0, 700.0, 150_001)
+    d = Design(kappa=np.ones(s.size), log_i=np.zeros(s.size), log_nk2=s)
+    u, r = np.empty(s.size), np.empty(s.size)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = weight(x, out=x if aliased else None)
-    assert (w is x) == aliased
-    # the same formula as expit, whose exp (libm's) may differ from numpy's by
-    # an ulp; with the rounding of 1 + e and of 1/(1 + e) on each side that
-    # allows 3 eps relative
-    big = ref > 1e-300
-    assert np.max(np.abs(w[big] - ref[big]) / ref[big]) <= 3.0 * EPS
-    assert np.all(w[s < -745.0] == 0.0)
-
-
-def test_weight_product_matches_expit_product():
-    # the bracket scan's first block: 512 alphas at the Volterra model, n = 1e11, N = 4642
-    s = design(VOLTERRA, 1e11, 4642).log_odds(np.arange(1, 513)[:, None] * 1e-3)
-    ref = expit(s) * expit(-s)
-    got = weight_product(s, out=s)
-    assert got is s
-    assert np.max(np.abs(got - ref) / ref) <= 4.0 * EPS
+        d.odds(0.0, u, r)
+        np.reciprocal(r, r)
+        w = u * r
+        wp = w * r
+    floor = math.exp(S_FLOOR)
+    for got, ref in ((w, expit(s)), (r, expit(-s)), (wp, expit(s) * expit(-s))):
+        big = ref > floor
+        # numpy's exp against libm's, with the rounding of 1 + u, 1/(1 + u) and the products
+        assert np.max(np.abs(got[big] - ref[big]) / ref[big]) <= 4.0 * EPS
+    assert np.all(w[s < S_FLOOR] == floor) and np.all(wp[s < S_FLOOR] == floor)
 
 
 def test_kappa_flat_model():
@@ -80,6 +77,20 @@ def test_explicit_table_validation():
     # kappa_2 = 10 breaks C^-1 i^-p <= kappa_i <= C i^-p at C = 1
     with pytest.raises(ConfigError):
         ModelSpec.explicit([1.0, 10.0], p=0.0, C=1.0)
+
+
+@pytest.mark.parametrize("make, name", [
+    (ModelSpec.exact_power, "p"),
+    (lambda v: ModelSpec(kind="exact_power", p=1.0, C=v), "C"),
+    (TruthSpec.power_law, "beta"),
+    (lambda v: TruthSpec.power_law(1.0, v), "c"),
+    (TruthSpec.analytic_decay, "gamma"),
+    (lambda v: TruthSpec.explicit([1.0, v]), "coeffs"),
+])
+@pytest.mark.parametrize("v", [math.nan, math.inf])
+def test_specs_reject_non_finite(make, name, v):
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        make(v)
 
 
 def test_volterra_sandwich_order_one():

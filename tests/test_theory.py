@@ -95,6 +95,11 @@ def test_bracket_threshold_validation():
         bracket(np.array([0.0, 1.0]), FLAT, 1e4, l=0.0)
     with pytest.raises(ConfigError):
         bracket(np.array([0.0, 1.0]), FLAT, 1e4, L=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            bracket(np.array([0.0, 1.0]), FLAT, 1e4, l=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            bracket(np.array([0.0, 1.0]), FLAT, 1e4, L=bad)
     with pytest.raises(ConfigError):
         bracket(np.array([0.0, 1.0]), FLAT, 2.0)
 
@@ -221,8 +226,8 @@ def test_slowly_varying_domain_and_kind():
 
 
 def test_bracket_scan_peak_memory():
-    """The scan holds about two 512 x N blocks at once: the held log-odds block and
-    the 1 + e block of weight_product."""
+    """The scan holds about two 512 x N blocks at once: the u and 1 + u blocks
+    Design.odds fills."""
     N = default_truncation(1e11, 1.0)
     mu0 = TruthSpec.paper_example().coefficients(N)
     tracemalloc.start()
