@@ -15,8 +15,9 @@ from .empirical_bayes import fit
 from .errors import ConfigError, NumericalError
 from .experiments import ExperimentConfig, run_figure1, run_figure2, run_rate_sweep
 from .hierarchical_bayes import HbConfig, HyperPrior, run_mwg
-from .sequence_model import ModelSpec, Observation, TruthSpec, default_truncation, simulate
-from .theory import DEFAULT_LOWER_THRESHOLD, DEFAULT_UPPER_COEFF, bracket
+from .sequence_model import (ModelSpec, Observation, TruthSpec, checked_truncation,
+                             default_truncation, simulate)
+from .theory import bracket
 
 
 def parse_model(text: str) -> ModelSpec:
@@ -33,12 +34,11 @@ def parse_truth(text: str) -> TruthSpec:
     if text == "zero":
         return TruthSpec.zero()
     head, _, rest = text.partition(":")
-    if head == "power":
-        parts = rest.split(":")
-        return TruthSpec.power_law(float(parts[0]), float(parts[1]) if len(parts) > 1 else 1.0)
-    if head == "analytic":
-        parts = rest.split(":")
-        return TruthSpec.analytic_decay(float(parts[0]), float(parts[1]) if len(parts) > 1 else 1.0)
+    parts = rest.split(":")
+    if head == "power" and len(parts) <= 2:
+        return TruthSpec.power_law(*map(float, parts))
+    if head == "analytic" and len(parts) <= 2:
+        return TruthSpec.analytic_decay(*map(float, parts))
     if head == "explicit":
         return TruthSpec.explicit([float(v) for v in rest.split(",")])
     raise ConfigError(
@@ -48,8 +48,8 @@ def parse_truth(text: str) -> TruthSpec:
 def parse_hyper(text: str) -> HyperPrior:
     head, _, rest = text.partition(":")
     parts = [float(v) for v in rest.split(":")] if rest else []
-    if head == "exponential":
-        return HyperPrior.exponential(*parts[:1])
+    if head == "exponential" and len(parts) <= 1:
+        return HyperPrior.exponential(*parts)
     if head == "gamma" and len(parts) == 2:
         return HyperPrior.gamma(parts[0], parts[1])
     if head == "inverse_gamma" and len(parts) == 2:
@@ -64,6 +64,8 @@ def parse_hyper(text: str) -> HyperPrior:
 def _load_config(path: str, seed: int | None, out: str | None) -> ExperimentConfig:
     with open(path) as fh:
         d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ConfigError("an experiment config must be a JSON object")
     if seed is not None:
         d["seed"] = seed
     if out is not None:
@@ -71,10 +73,15 @@ def _load_config(path: str, seed: int | None, out: str | None) -> ExperimentConf
     return ExperimentConfig.from_dict(d)
 
 
+def _truncation(args, model: ModelSpec) -> int:
+    """--N if given, else the default truncation at --n."""
+    return default_truncation(args.n, model.p) if args.N is None else checked_truncation(args.N)
+
+
 def _cmd_simulate(args) -> None:
     model = parse_model(args.model)
     truth = parse_truth(args.truth)
-    N = args.N if args.N is not None else default_truncation(args.n, model.p)
+    N = _truncation(args, model)
     obs = simulate(truth, model, args.n, N, args.seed)
     with open(args.out, "w") as fh:
         fh.write(obs.to_json())
@@ -84,12 +91,11 @@ def _cmd_simulate(args) -> None:
 def _cmd_eb_fit(args) -> None:
     with open(args.obs) as fh:
         obs = Observation.from_json(fh.read())
-    eb = fit(obs, grid_size=args.grid_size, refine_tol=args.refine_tol)
+    eb = fit(obs)
     os.makedirs(args.out, exist_ok=True)
     eb.curve.write_csv(os.path.join(args.out, "likelihood.csv"))
     with open(os.path.join(args.out, "fit.json"), "w") as fh:
-        json.dump({"alpha_hat": eb.alpha_hat, "refined": eb.refined,
-                   "grid_size": args.grid_size, "n": obs.n, "N": obs.N},
+        json.dump({"alpha_hat": eb.alpha_hat, "refined": eb.refined, "n": obs.n, "N": obs.N},
                   fh, sort_keys=True, indent=1)
     print(f"alpha_hat = {eb.alpha_hat:.6f}")
 
@@ -98,9 +104,7 @@ def _cmd_hb_run(args) -> None:
     with open(args.obs) as fh:
         obs = Observation.from_json(fh.read())
     hyper = parse_hyper(args.hyper)
-    cfg = HbConfig(J=args.J if args.J is not None else obs.N,
-                   iterations=args.iterations, burn_in=args.burn_in,
-                   seed=args.seed)
+    cfg = HbConfig(iterations=args.iterations, burn_in=args.burn_in, seed=args.seed)
     chain = run_mwg(obs, hyper, cfg)
     os.makedirs(args.out, exist_ok=True)
     chain.write_alpha_csv(os.path.join(args.out, "alpha.csv"))
@@ -112,8 +116,7 @@ def _cmd_hb_run(args) -> None:
 def _cmd_bracket(args) -> None:
     model = parse_model(args.model)
     truth = parse_truth(args.truth)
-    N = args.N if args.N is not None else default_truncation(args.n, model.p)
-    report = bracket(truth.coefficients(N), model, args.n, l=args.lower, L=args.upper_coeff)
+    report = bracket(truth.coefficients(_truncation(args, model)), model, args.n)
     os.makedirs(args.out, exist_ok=True)
     report.write_curve_csv(os.path.join(args.out, "diagnostic_curve.csv"))
     with open(os.path.join(args.out, "bracket.json"), "w") as fh:
@@ -154,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eb-fit", help="empirical Bayes fit of a stored observation")
     p.add_argument("--obs", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-size", type=int, default=200)
-    p.add_argument("--refine-tol", type=float, default=1e-4)
     p.set_defaults(func=_cmd_eb_fit)
 
     p = sub.add_parser("hb-run", help="hierarchical Bayes chain on a stored observation")
@@ -163,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyper", default="exponential:1")
     p.add_argument("--iterations", type=int, default=2000)
     p.add_argument("--burn-in", type=int, default=None)
-    p.add_argument("--J", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_hb_run)
@@ -173,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default="paper")
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--lower", type=float, default=DEFAULT_LOWER_THRESHOLD)
-    p.add_argument("--upper-coeff", type=float, default=DEFAULT_UPPER_COEFF)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bracket)
 

@@ -39,8 +39,8 @@ from .sequence_model import Observation, design
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
-DEFAULT_GRID_SIZE = 200
-DEFAULT_REFINE_TOL = 1e-4
+GRID_SIZE = 200  # points of the search grid over [0, log n], both endpoints included
+GOLDEN_TOL = 1e-4  # bracket width at which golden-section refinement stops
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class EbFit:
 
 
 class Loglik:
-    """ell(alpha) - 1/2 * sum_i n*y_i^2 of the first N coordinates (all by default).
+    """ell(alpha) - 1/2 * sum_i n*y_i^2 over all N coordinates of an observation.
 
     A call returns the centred value at alpha >= 0 and leaves u and
     r = 1/(1 + u) of `Design.odds` in `u` and `r`, so a caller can form the
@@ -78,15 +78,15 @@ class Loglik:
     1/2 * sum_i n*y_i^2.
     """
 
-    def __init__(self, obs: Observation, N: int | None = None):
-        N = obs.N if N is None else N
+    def __init__(self, obs: Observation):
+        N = obs.N
         self.design = design(obs.model, obs.n, N)
         # log(1 + u) and r share one block, so a single dot with (1, ..., 1, n*y^2) sums both terms
         self._terms = np.empty(2 * N)
         self._log1p_u, self.r = self._terms[:N], self._terms[N:]
         self.u = np.empty(N)
         with np.errstate(over="ignore"):  # inf here is the NumericalError below
-            ny2 = obs.n * obs.y[:N]**2
+            ny2 = obs.n * obs.y**2
         self._coef = np.concatenate([np.ones(N), ny2])
         self.ny2 = self._coef[N:]
         self.offset = 0.5 * float(np.sum(ny2))
@@ -123,19 +123,17 @@ def score(alpha: float, obs: Observation) -> float:
     return float(np.sum(ell.design.log_i * (w - w * ell.r * ell.ny2)))
 
 
-def likelihood_curve(obs: Observation, grid_size: int = DEFAULT_GRID_SIZE) -> LikelihoodCurve:
-    """ell on a uniform grid over [0, log n]."""
-    return _scan(obs.n, Loglik(obs), grid_size)[0]
+def likelihood_curve(obs: Observation) -> LikelihoodCurve:
+    """ell on a uniform grid of GRID_SIZE points over [0, log n]."""
+    return _scan(obs.n, Loglik(obs))[0]
 
 
-def _scan(n: float, ell: Loglik, grid_size: int) -> tuple[LikelihoodCurve, np.ndarray]:
+def _scan(n: float, ell: Loglik) -> tuple[LikelihoodCurve, np.ndarray]:
     """The curve and its centred values."""
-    if grid_size < 2:
-        raise ConfigError("grid needs at least the two endpoints")
     top = math.log(n)
     if top <= 0:
         raise ConfigError("empirical Bayes search needs n > 1")
-    alphas = np.linspace(0.0, top, grid_size)
+    alphas = np.linspace(0.0, top, GRID_SIZE)
     centred = np.array([ell(a) for a in alphas])
     if not np.all(np.isfinite(centred)):
         bad = alphas[~np.isfinite(centred)][0]
@@ -164,23 +162,21 @@ def _golden_max(f, lo: float, hi: float, tol: float):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def fit(obs: Observation, grid_size: int = DEFAULT_GRID_SIZE,
-        refine_tol: float = DEFAULT_REFINE_TOL) -> EbFit:
+def fit(obs: Observation) -> EbFit:
     """Maximize ell over [0, log n]: grid scan plus golden-section refinement.
 
-    The refined candidate replaces the best grid point only when it is
-    strictly better, so exact endpoint maximizers (zero data pulls the
-    maximizer to log n) and smallest-alpha tie-breaking are preserved.
-    refine_tol must be positive and finite.
+    The GRID_SIZE-point scan is refined between the best grid point's
+    neighbours down to GOLDEN_TOL.  The refined candidate replaces the best
+    grid point only when it is strictly better, so exact endpoint maximizers
+    (zero data pulls the maximizer to log n) and smallest-alpha
+    tie-breaking are preserved.
     """
-    if not 0.0 < refine_tol < math.inf:
-        raise ConfigError("refine_tol must be positive and finite")
     ell = Loglik(obs)
-    curve, centred = _scan(obs.n, ell, grid_size)
+    curve, centred = _scan(obs.n, ell)
     k = curve.argmax_index
     lo = curve.alphas[max(k - 1, 0)]
     hi = curve.alphas[min(k + 1, curve.alphas.size - 1)]
-    cand, cand_val = _golden_max(ell, lo, hi, refine_tol)
+    cand, cand_val = _golden_max(ell, lo, hi, GOLDEN_TOL)
     if not math.isfinite(cand_val):
         raise NumericalError("log likelihood non-finite during refinement")
     alpha_hat = float(curve.alphas[k])

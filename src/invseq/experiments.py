@@ -27,8 +27,8 @@ from .empirical_bayes import eb_posterior, fit
 from .errors import ConfigError
 from .gaussian_posterior import posterior_mean_function, posterior_risk
 from .hierarchical_bayes import HbConfig, HyperPrior, run_mwg
-from .sequence_model import (ModelSpec, TruthSpec, default_truncation, simulate,
-                             synthesize_function)
+from .sequence_model import (ModelSpec, TruthSpec, checked_truncation, default_truncation,
+                             simulate, synthesize_function)
 
 GRID_POINTS = 512
 CURVE_GRID = np.linspace(0.0, 1.0, GRID_POINTS)
@@ -56,8 +56,13 @@ class ExperimentConfig:
             raise ConfigError("n_ladder must be strictly increasing")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if self.N is not None and self.N < 1:
-            raise ConfigError("N must be >= 1")
+        if self.N is not None:
+            checked_truncation(self.N)
+        # the top rung needs the most coordinates
+        top = self.truncation(self.n_ladder[-1])
+        if self.model.table is not None and len(self.model.table) < top:
+            raise ConfigError(f"kappa table must be at least N = {top} entries long, "
+                              f"has {len(self.model.table)}")
 
     def to_dict(self) -> dict:
         return {
@@ -199,7 +204,7 @@ def run_figure2(cfg: ExperimentConfig) -> dict:
         warm = None
         if cfg.hyper.kind != "fixed":
             warm = max(fit(obs).alpha_hat, 1e-3)
-        hb_cfg = HbConfig(J=rung.N, iterations=cfg.hb_iterations, burn_in=cfg.hb_burn_in,
+        hb_cfg = HbConfig(iterations=cfg.hb_iterations, burn_in=cfg.hb_burn_in,
                           seed=obs.seed, alpha_init=warm)
         chain = run_mwg(obs, cfg.hyper, hb_cfg)
         summary = chain.summary()

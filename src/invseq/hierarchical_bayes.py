@@ -1,18 +1,18 @@
 """Hierarchical Bayes: a hyperprior on alpha, sampled by partially collapsed Gibbs.
 
-The marginal posterior of alpha is lambda(alpha) * exp(ell_J(alpha)), where
-ell_J is the marginal likelihood of the first J coordinates, the function
+The marginal posterior of alpha is lambda(alpha) * exp(ell(alpha)), where
+ell is the marginal likelihood of all N observed coordinates, the function
 empirical Bayes maximizes.  Each sweep moves alpha by a random-walk
 Metropolis step on that density, with mu integrated out, and then draws
-mu_1..mu_J exactly from the conjugate conditional at the new alpha, so each
+mu_1..mu_N exactly from the conjugate conditional at the new alpha, so each
 kept (alpha, mu) pair is a joint posterior draw (van Dyk & Park 2008).
 Proposals are normal steps truncated to (0, inf), so the acceptance ratio
 carries the Phi(alpha/sd)/Phi(alpha'/sd) correction that keeps the kernel
 reversible.  log Phi comes from the standard library's complementary error
 function: log1p(-erfc(x/sqrt 2)/2) for x >= 0, which is every call the
 sampler makes, and log(erfc(-x/sqrt 2)/2) below 0.  The step is
-sd = 2.4/sqrt(I + 1), where I is the Fisher information of ell_J at the
-start point; the +1 keeps the step finite where ell_J is flat.
+sd = 2.4/sqrt(I + 1), where I is the Fisher information of ell at the
+start point; the +1 keeps the step finite where ell is flat.
 """
 
 from __future__ import annotations
@@ -99,9 +99,11 @@ class HyperPrior:
 
 @dataclass(frozen=True)
 class HbConfig:
-    """Sampler settings.  alpha_init of None means "pick a default"."""
+    """Sampler settings.  alpha_init of None means "pick a default".
 
-    J: int
+    The chain always covers every coordinate of the observation it runs on.
+    """
+
     iterations: int
     burn_in: int | None = None
     seed: int = 0
@@ -155,7 +157,7 @@ def mh_log_acceptance(alpha: float, alpha_prime: float, target: float,
                       target_prime: float, proposal_sd: float) -> float:
     """Log acceptance probability (uncapped) of the truncated-normal step alpha -> alpha'.
 
-    target and target_prime are log lambda + ell_J at alpha and alpha'.
+    target and target_prime are log lambda + ell at alpha and alpha'.
     The normal kernel itself is symmetric and cancels, leaving
     log Phi(a/sd) - log Phi(a'/sd) from the truncation.
     """
@@ -201,13 +203,10 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
 
     Runs cfg.iterations sweeps; each sweep moves alpha on its marginal
     posterior (skipped for the "fixed" hyperprior hook), then draws
-    mu_1..mu_J exactly from the conjugate conditional at the new alpha.
+    mu_1..mu_N exactly from the conjugate conditional at the new alpha.
     With the "fixed" hook, an alpha_init other than its alpha is a
     ConfigError.  Identical configs reproduce identical chains.
     """
-    J = cfg.J
-    if J < 1 or J > obs.N:
-        raise ConfigError("need 1 <= J <= N")
     if cfg.iterations < 1:
         raise ConfigError("need at least one iteration")
     burn = cfg.resolved_burn_in()
@@ -224,7 +223,7 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
                           f"alpha {hyper.alpha_star}")
 
     rng = np.random.default_rng(cfg.seed)
-    ell = Loglik(obs, J)
+    ell = Loglik(obs)
     d = ell.design
     start = ell(alpha)
     if not math.isfinite(start):
@@ -233,8 +232,9 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     target = hyper.log_density(alpha) + start
     # the conjugate mu draw at data weight w = u/(1+u) has mean w*y/kappa and
     # sd sqrt(w/(n kappa^2)) (see gaussian_posterior); all three live in held buffers
-    w, mu_loc, mu_scale = np.empty(J), np.empty(J), np.empty(J)
-    y_over_k = obs.y[:J] / d.kappa
+    N = obs.N
+    w, mu_loc, mu_scale = np.empty(N), np.empty(N), np.empty(N)
+    y_over_k = obs.y / d.kappa
     inv_nk2 = 1.0 / (obs.n * d.kappa**2)
 
     def conditional():
@@ -250,8 +250,8 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     alphas = np.empty(kept)
     # moments are accumulated about the first kept draw: at large n the draws
     # spread far less than their size, and raw sums of mu^2 would cancel
-    mu_sum = np.zeros(J)
-    dev_sq_sum = np.zeros(J)
+    mu_sum = np.zeros(N)
+    dev_sq_sum = np.zeros(N)
     accepted = 0
 
     for it in range(cfg.iterations):
@@ -266,7 +266,7 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
                 conditional()
                 accepted += 1
 
-        mu = mu_loc + mu_scale * rng.standard_normal(J)
+        mu = mu_loc + mu_scale * rng.standard_normal(N)
 
         if it >= burn:
             k = it - burn

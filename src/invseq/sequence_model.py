@@ -264,24 +264,42 @@ class Observation:
 
     @classmethod
     def from_json(cls, text: str) -> "Observation":
+        """The observation a JSON object of to_json's layout holds.
+
+        A missing field, or one of the wrong type, is a ConfigError.
+        """
         d = json.loads(text)
-        y = np.asarray(d["y"], dtype=float)
-        if y.size != d["N"]:
-            raise ConfigError("y length does not match N")
-        if not np.all(np.isfinite(y)):
-            raise ConfigError("y must be finite")
-        model = ModelSpec.from_dict(d["model"])
-        if model.table is not None and len(model.table) < y.size:
-            raise ConfigError(f"kappa table must be at least N = {y.size} entries long, "
-                              f"has {len(model.table)}")
-        return cls(n=_checked_noise_scale(float(d["n"])), N=int(d["N"]), y=y,
-                   seed=int(d["seed"]), model=model)
+        try:
+            N = checked_truncation(d["N"])
+            y = np.asarray(d["y"], dtype=float)
+            if y.shape != (N,):
+                raise ConfigError("y must be a list of N values")
+            if not np.all(np.isfinite(y)):
+                raise ConfigError("y must be finite")
+            model = ModelSpec.from_dict(d["model"])
+            if model.table is not None and len(model.table) < N:
+                raise ConfigError(f"kappa table must be at least N = {N} entries long, "
+                                  f"has {len(model.table)}")
+            return cls(n=_checked_noise_scale(float(d["n"])), N=int(N), y=y,
+                       seed=int(d["seed"]), model=model)
+        except (KeyError, TypeError, OverflowError) as err:
+            raise ConfigError(f"bad observation file: {err!r}") from err
 
 
 def _checked_noise_scale(n: float) -> float:
     if n <= 0 or not math.isfinite(n):
         raise ConfigError("noise scale n must be positive and finite")
     return n
+
+
+def checked_truncation(N):
+    """N itself when 1 <= N <= TRUNCATION_CAP, and a ConfigError otherwise.
+
+    Checked before anything N long is allocated.
+    """
+    if not 1 <= N <= TRUNCATION_CAP:
+        raise ConfigError(f"N must be in [1, {TRUNCATION_CAP}], got {N}")
+    return N
 
 
 def default_truncation(n: float, p: float) -> int:

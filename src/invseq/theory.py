@@ -6,8 +6,9 @@ The central object is a functional of the true coefficients,
     diag(a) = (1+2a+2p) / (n^(1/(1+2a+2p)) * log n)
               * sum_i n^2 i^(1+2a) mu_i^2 log(i) / (i^(1+2a)/kappa_i^2 + n)^2,
 
-whose first up-crossings of a small threshold l and of a large threshold
-L*(log n)^2 bracket the empirical-Bayes estimate from below and above.
+whose first up-crossings of a small threshold l = 0.01 and of a large
+threshold L*(log n)^2 with L = 1 bracket the empirical-Bayes estimate from
+below and above.
 The i = 1 term vanishes (log 1 = 0), so the diagnostic is identically
 zero exactly when the truth lives on the first coordinate alone.
 
@@ -29,8 +30,8 @@ import numpy as np
 from .errors import ConfigError
 from .sequence_model import ModelSpec, design
 
-DEFAULT_LOWER_THRESHOLD = 0.01
-DEFAULT_UPPER_COEFF = 1.0
+LOWER_THRESHOLD = 0.01  # l
+UPPER_COEFF = 1.0  # L, of the upper threshold L*(log n)^2
 SCAN_STEP = 1e-3
 REFINE_TOL = 1e-6
 CHUNK = 512  # alphas per scanned block
@@ -121,26 +122,22 @@ def bracket_diagnostic(alpha: float, mu0: np.ndarray, model: ModelSpec, n: float
     return float(_Diagnostic(np.asarray(mu0, dtype=float), model, n)(alpha))
 
 
-def bracket(mu0: np.ndarray, model: ModelSpec, n: float,
-            l: float = DEFAULT_LOWER_THRESHOLD,
-            L: float = DEFAULT_UPPER_COEFF) -> BracketReport:
+def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
     """Locate the two threshold crossings of the diagnostic.
 
-    The lower bracket is min(first crossing of l, sqrt(log n)); the upper
-    bracket is the first crossing of L*(log n)^2, scanned up to
-    log n / (2*log 2) (beyond which a crossing is guaranteed whenever the
-    second coordinate of the truth is non-zero).  Grid step 1e-3, scanned
-    CHUNK alphas at a time in two held blocks; each crossing refined by
-    bisection to 1e-6.
+    The lower bracket is min(first crossing of LOWER_THRESHOLD, sqrt(log n));
+    the upper bracket is the first crossing of UPPER_COEFF*(log n)^2,
+    scanned up to log n / (2*log 2) (beyond which a crossing is guaranteed
+    whenever the second coordinate of the truth is non-zero).  Grid step
+    1e-3, scanned CHUNK alphas at a time in two held blocks; each crossing
+    refined by bisection to 1e-6.
     """
-    if not (0.0 < l < math.inf and 0.0 < L < math.inf):
-        raise ConfigError("thresholds must be positive and finite")
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.size < 1:
         raise ConfigError("need at least one coefficient")
     diag = _Diagnostic(mu0, model, n)
     logn = diag.logn
-    upper_threshold = L * logn**2
+    upper_threshold = UPPER_COEFF * logn**2
     sqrt_logn = math.sqrt(logn)
     cap = logn / (2.0 * math.log(2.0))
     scan_hi = max(cap, sqrt_logn)
@@ -175,7 +172,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float,
         vals = diag(a_blk, (u_blk[:a_blk.size], r_blk[:a_blk.size]))
         curve_v.append(vals)
         if lower_cross is None:
-            lower_cross = crossing(l, math.inf)
+            lower_cross = crossing(LOWER_THRESHOLD, math.inf)
         if upper_cross is None:
             upper_cross = crossing(upper_threshold, cap)
         done_lower = lower_cross is not None or a_blk[-1] >= sqrt_logn
@@ -196,7 +193,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float,
     return BracketReport(
         alpha_lower=float(alpha_lower),
         alpha_upper=float(alpha_upper),
-        lower_threshold=float(l),
+        lower_threshold=LOWER_THRESHOLD,
         upper_threshold=float(upper_threshold),
         n=float(n),
         p=float(model.p),

@@ -101,7 +101,7 @@ def test_bracket_contains_estimator_across_seeds():
     truth = TruthSpec.power_law(1.0)
     N = 10**4
     n = 1e8
-    rep = bracket(truth.coefficients(N), VOLTERRA, n, l=0.01, L=1.0)
+    rep = bracket(truth.coefficients(N), VOLTERRA, n)
     inside = 0
     for seed in range(50):
         obs = simulate(truth, VOLTERRA, n, N, seed=seed)
@@ -132,7 +132,7 @@ def test_error_decay_slopes_match_theory(tmp_path):
 def test_sampler_marginal_matches_quadrature():
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 10.0, 3, seed=3)
     hyper = HyperPrior.exponential(1.0)
-    chain = run_mwg(obs, hyper, HbConfig(J=3, iterations=10**6,
+    chain = run_mwg(obs, hyper, HbConfig(iterations=10**6,
                                          burn_in=10**5, seed=7))
 
     grid = np.linspace(1e-6, 15.0, 30001)
@@ -153,7 +153,7 @@ def test_sampler_marginal_matches_quadrature():
 
     # pinned-regularity sub-chain draws the exact coordinate posterior
     pinned = run_mwg(obs, HyperPrior.fixed(0.7),
-                     HbConfig(J=3, iterations=10**4, burn_in=0, seed=5))
+                     HbConfig(iterations=10**4, burn_in=0, seed=5))
     post = posterior(0.7, obs)
     m, v, M = post.means, post.variances, 10**4
     se_mean = np.sqrt(v / M)
@@ -256,7 +256,7 @@ def test_regularity_recovered_at_large_n():
         eb = fit(obs)
         hits_eb += 0.5 <= eb.alpha_hat <= 1.5
         chain = run_mwg(obs, hyper,
-                        HbConfig(J=N, iterations=4000, burn_in=1000,
+                        HbConfig(iterations=4000, burn_in=1000,
                                  seed=20000 + r,
                                  alpha_init=max(eb.alpha_hat, 1e-3)))
         hits_hb += 0.5 <= histogram_mode(chain.alphas) <= 1.5

@@ -14,6 +14,7 @@ import pytest
 from invseq import ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthSpec
 from invseq.cli import main, parse_hyper, parse_model, parse_truth
 from invseq.errors import ConfigError
+from invseq.sequence_model import TRUNCATION_CAP
 
 
 def test_import_loads_no_scipy():
@@ -41,8 +42,9 @@ def test_parse_truth():
     assert parse_truth("power:2:0.5") == TruthSpec.power_law(2.0, 0.5)
     assert parse_truth("analytic:0.5") == TruthSpec.analytic_decay(0.5)
     assert parse_truth("explicit:1,0,-2") == TruthSpec.explicit([1.0, 0.0, -2.0])
-    with pytest.raises(ConfigError):
-        parse_truth("spline:3")
+    for spec in ("spline:3", "power:1:2:3", "analytic:1:2:3"):
+        with pytest.raises(ConfigError, match="power:B\\[:C\\]"):
+            parse_truth(spec)
 
 
 def test_parse_hyper():
@@ -51,8 +53,9 @@ def test_parse_hyper():
     assert parse_hyper("gamma:2:1.5") == HyperPrior.gamma(2.0, 1.5)
     assert parse_hyper("inverse_gamma:2:1") == HyperPrior.inverse_gamma(2.0, 1.0)
     assert parse_hyper("fixed:0.7") == HyperPrior.fixed(0.7)
-    with pytest.raises(ConfigError):
-        parse_hyper("uniform:0:5")
+    for spec in ("uniform:0:5", "exponential:1:2", "fixed:1:2"):
+        with pytest.raises(ConfigError, match="exponential\\[:RATE\\]"):
+            parse_hyper(spec)
 
 
 def test_simulate_round_trip(tmp_path):
@@ -80,16 +83,6 @@ def test_eb_fit_command(tmp_path):
     assert (out / "likelihood.csv").exists()
 
 
-@pytest.mark.parametrize("tol", ["0", "-1"])
-def test_eb_fit_bad_refine_tol_exits_two(tmp_path, capsys, tol):
-    obs_path = tmp_path / "obs.json"
-    main(["simulate", "--n", "1000", "--N", "10", "--seed", "4", "--out", str(obs_path)])
-    out = tmp_path / "fit"
-    assert main(["eb-fit", "--obs", str(obs_path), "--refine-tol", tol, "--out", str(out)]) == 2
-    assert "refine_tol" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command", ["simulate", "bracket"])
 @pytest.mark.parametrize("n", ["inf", "nan"])
 @pytest.mark.parametrize("N", [[], ["--N", "5"]])
@@ -97,15 +90,6 @@ def test_non_finite_n_exits_two(tmp_path, capsys, command, n, N):
     out = tmp_path / "out"
     assert main([command, "--n", n, *N, "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flag", ["--lower", "--upper-coeff"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_bracket_threshold_exits_two(tmp_path, capsys, flag, value):
-    out = tmp_path / "br"
-    assert main(["bracket", "--n", "1e4", flag, value, "--out", str(out)]) == 2
-    assert "thresholds must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -130,6 +114,30 @@ def test_non_finite_hyperprior_exits_two(tmp_path, capsys, hyper, name):
     out = tmp_path / "hb"
     assert main(["hb-run", "--obs", str(obs_path), "--hyper", hyper, "--out", str(out)]) == 2
     assert f"hyperprior {name} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, spec", [
+    ("simulate", "--truth", "power:1:2:3"), ("simulate", "--truth", "analytic:1:2:x"),
+    ("hb-run", "--hyper", "exponential:1:2"),
+])
+def test_extra_spec_fields_exit_two(tmp_path, capsys, command, flag, spec):
+    source = ["--n", "1000"]
+    if command == "hb-run":
+        obs_path = tmp_path / "obs.json"
+        main(["simulate", "--n", "1000", "--N", "5", "--seed", "4", "--out", str(obs_path)])
+        source = ["--obs", str(obs_path)]
+    out = tmp_path / "out"
+    assert main([command, *source, flag, spec, "--out", str(out)]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bracket"])
+def test_truncation_over_cap_exits_two(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--n", "1e4", "--N", str(TRUNCATION_CAP + 1), "--out", str(out)]) == 2
+    assert f"N must be in [1, {TRUNCATION_CAP}]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -271,6 +279,8 @@ def test_exit_code_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"model\": {\"kind\": \"volterra\"}}")
     assert main(["figure1", "--config", str(bad)]) == 2
+    bad.write_text("[]")
+    assert main(["figure1", "--config", str(bad), "--seed", "1"]) == 2
 
 
 @pytest.mark.parametrize("rung", [math.inf, math.nan])
@@ -282,6 +292,22 @@ def test_non_finite_rung_is_config_error(tmp_path, rung):
     cfg = _write_config(tmp_path / "cfg.json", n_ladder=[1e3, rung])
     out = tmp_path / "fig1"
     assert main(["figure1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["figure1", "figure2", "rate-sweep"])
+@pytest.mark.parametrize("overrides, message", [
+    # an explicit model with p = 0 needs 1e5 coordinates at the top rung
+    ({"model": ModelSpec.explicit([1.0] * 3, p=0.0, C=1.0).to_dict()},
+     "kappa table must be at least N = 100000 entries long, has 3"),
+    ({"N": TRUNCATION_CAP + 1}, f"N must be in [1, {TRUNCATION_CAP}]"),
+], ids=["short-table", "N-over-cap"])
+def test_config_truncation_errors_exit_two(tmp_path, capsys, command, overrides, message):
+    cfg = _write_config(tmp_path / "cfg.json", n_ladder=[1e3, 1e4, 1e5], **overrides)
+    out = tmp_path / "out"
+    beta = ["--beta", "1"] if command == "rate-sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *beta]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -311,6 +337,34 @@ def test_bad_observation_file_is_config_error(tmp_path, capsys, command, field, 
     assert main([command, "--obs", str(obs_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"{field} must be" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eb-fit", "hb-run"])
+@pytest.mark.parametrize("field", ["n", "seed", "model", "N", None])
+def test_mistyped_observation_file_is_config_error(tmp_path, capsys, command, field):
+    d = json.loads(Observation(n=1e3, N=3, y=np.array([0.1, 0.2, 0.3]), seed=0,
+                               model=ModelSpec.volterra()).to_json())
+    if field is None:
+        d = [d]  # a list at the top level
+    else:
+        d[field] = None
+    obs_path = tmp_path / "obs.json"
+    obs_path.write_text(json.dumps(d))
+    out = tmp_path / "x"
+    assert main([command, "--obs", str(obs_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad observation file")
+    assert not out.exists()
+
+
+def test_observation_over_cap_is_config_error(tmp_path, capsys):
+    N = TRUNCATION_CAP + 1
+    obs_path = tmp_path / "obs.json"
+    obs_path.write_text(Observation(n=1e3, N=N, y=np.zeros(N), seed=0,
+                                    model=ModelSpec.volterra()).to_json())
+    out = tmp_path / "fit"
+    assert main(["eb-fit", "--obs", str(obs_path), "--out", str(out)]) == 2
+    assert f"N must be in [1, {TRUNCATION_CAP}]" in capsys.readouterr().err
     assert not out.exists()
 
 

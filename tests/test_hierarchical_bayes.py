@@ -149,7 +149,7 @@ def test_acceptance_ratio_matches_oracle_at_large_n():
         y = kap * TruthSpec.paper_example().coefficients(J) + z / math.sqrt(n)
         obs = Observation(n=n, N=J, y=y, seed=k, model=VOLTERRA)
         hyper, dist = hypers[k % 3], dists[k % 3]
-        ell = Loglik(obs, J)
+        ell = Loglik(obs)
         impl = mh_log_acceptance(a1, a2, hyper.log_density(a1) + ell(a1),
                                  hyper.log_density(a2) + ell(a2), sd)
         j = np.arange(1, J + 1, dtype=float)
@@ -183,7 +183,7 @@ def test_step_is_fisher_information_rule():
     # so I = 2*(log(2)/2)^2 and the step is 2.4/sqrt(I + 1)
     obs = Observation(n=8.0, N=2, y=np.array([0.3, -0.2]), seed=0, model=ModelSpec.exact_power(0.0))
     chain = run_mwg(obs, HyperPrior.exponential(1.0),
-                    HbConfig(J=2, iterations=10, seed=1, alpha_init=1.0))
+                    HbConfig(iterations=10, seed=1, alpha_init=1.0))
     fisher = 2.0 * (math.log(2.0) / 2.0) ** 2
     assert math.isclose(chain.proposal_sd, 2.4 / math.sqrt(fisher + 1.0), rel_tol=1e-14)
 
@@ -202,26 +202,24 @@ def test_run_mwg_validation():
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 100.0, 5, 0)
     hyper = HyperPrior.exponential(1.0)
     with pytest.raises(ConfigError):
-        run_mwg(obs, hyper, HbConfig(J=6, iterations=10))
+        run_mwg(obs, hyper, HbConfig(iterations=10, burn_in=10))
     with pytest.raises(ConfigError):
-        run_mwg(obs, hyper, HbConfig(J=5, iterations=10, burn_in=10))
-    with pytest.raises(ConfigError):
-        run_mwg(obs, hyper, HbConfig(J=5, iterations=10, alpha_init=0.0))
+        run_mwg(obs, hyper, HbConfig(iterations=10, alpha_init=0.0))
 
 
 def test_fixed_hyperprior_rejects_another_start():
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 100.0, 5, 0)
     hook = HyperPrior.fixed(0.7)
     with pytest.raises(ConfigError):
-        run_mwg(obs, hook, HbConfig(J=5, iterations=10, alpha_init=2.0))
+        run_mwg(obs, hook, HbConfig(iterations=10, alpha_init=2.0))
     for start in (None, 0.7):
-        chain = run_mwg(obs, hook, HbConfig(J=5, iterations=10, alpha_init=start))
+        chain = run_mwg(obs, hook, HbConfig(iterations=10, alpha_init=start))
         assert np.all(chain.alphas == 0.7)
 
 
 def test_run_mwg_deterministic():
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e3, 10, 1)
-    cfg = HbConfig(J=10, iterations=400, burn_in=100, seed=3)
+    cfg = HbConfig(iterations=400, burn_in=100, seed=3)
     hyper = HyperPrior.exponential(1.0)
     a = run_mwg(obs, hyper, cfg)
     b = run_mwg(obs, hyper, cfg)
@@ -234,7 +232,7 @@ def test_run_mwg_deterministic():
 def test_run_mwg_basic_chain_properties():
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e3, 10, 1)
     chain = run_mwg(obs, HyperPrior.exponential(1.0),
-                    HbConfig(J=10, iterations=2000, burn_in=200, seed=3))
+                    HbConfig(iterations=2000, burn_in=200, seed=3))
     assert chain.alphas.size == 1800
     assert np.all(chain.alphas > 0.0)
     assert 0.0 < chain.acceptance_rate < 1.0
@@ -246,7 +244,7 @@ def test_run_mwg_fixed_hook_matches_conjugate():
     alpha_star = 0.7
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 50.0, 4, 2)
     chain = run_mwg(obs, HyperPrior.fixed(alpha_star),
-                    HbConfig(J=4, iterations=4000, burn_in=0, seed=9))
+                    HbConfig(iterations=4000, burn_in=0, seed=9))
     assert np.all(chain.alphas == alpha_star)
     assert chain.acceptance_rate == 0.0
     ref = posterior(alpha_star, obs)
@@ -264,7 +262,7 @@ def test_mu_var_matches_conjugate_at_large_n(n):
     """Draws spread far less than their size; the variance must not cancel away."""
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, 50, 4)
     chain = run_mwg(obs, HyperPrior.fixed(1.0),
-                    HbConfig(J=50, iterations=20_000, burn_in=0, seed=8))
+                    HbConfig(iterations=20_000, burn_in=0, seed=8))
     m = chain.alphas.size
     ratio = chain.mu_var / posterior(1.0, obs).variances
     # the sample variance of m iid normal draws has relative sd sqrt(2/(m-1))
@@ -277,7 +275,7 @@ def test_alpha_chain_mixes(n, J):
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, J, 12)
     hyper = HyperPrior.exponential(1.0)
     warm = max(fit(obs).alpha_hat, 1e-3)
-    chain = run_mwg(obs, hyper, HbConfig(J=J, iterations=4000, burn_in=1000, seed=13,
+    chain = run_mwg(obs, hyper, HbConfig(iterations=4000, burn_in=1000, seed=13,
                                          alpha_init=warm))
 
     # quadrature of lambda(alpha) * exp(ell(alpha)); the window holds all its mass
@@ -295,15 +293,15 @@ def test_alpha_chain_mixes(n, J):
 
 
 def test_burn_in_default_is_tenth():
-    cfg = HbConfig(J=3, iterations=1000)
+    cfg = HbConfig(iterations=1000)
     assert cfg.resolved_burn_in() == 100
-    assert HbConfig(J=3, iterations=1000, burn_in=17).resolved_burn_in() == 17
+    assert HbConfig(iterations=1000, burn_in=17).resolved_burn_in() == 17
 
 
 def test_chain_summary_and_files(tmp_path):
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e3, 8, 4)
     chain = run_mwg(obs, HyperPrior.exponential(1.0),
-                    HbConfig(J=8, iterations=600, burn_in=100, seed=7))
+                    HbConfig(iterations=600, burn_in=100, seed=7))
     s = chain.summary()
     for key in ("acceptance_rate", "alpha_mean", "alpha_quantiles", "alpha_mode",
                 "mu_mean", "mu_var", "burn_in", "proposal_sd"):

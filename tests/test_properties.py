@@ -3,19 +3,24 @@ to the 1e5 cap, on all three model kinds.
 
 The posterior means and variances stay finite, the variances do not grow
 with alpha, and the marginal log likelihood stays finite on the search
-interval [0, log n].  The examples are derandomized, so every run draws the
-same ones.
+interval [0, log n].  On malformed input the command line returns one of
+its documented exit codes and writes nothing on a configuration error.
+The examples are derandomized, so every run draws the same ones.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invseq import ModelSpec, TruthSpec, posterior, simulate
+from invseq import ModelSpec, Observation, TruthSpec, posterior, simulate
+from invseq.cli import main
 from invseq.empirical_bayes import Loglik
 from invseq.sequence_model import TRUNCATION_CAP
 
@@ -81,3 +86,83 @@ def test_loglik_finite_on_search_interval(case):
     ell = Loglik(obs)
     for alpha in np.linspace(0.0, math.log(obs.n), 7):
         assert math.isfinite(ell(alpha) + ell.offset)
+
+
+MISSING = object()
+OBS = json.loads(Observation(n=1e3, N=3, y=np.array([0.1, 0.2, 0.3]), seed=0,
+                             model=ModelSpec.volterra()).to_json())
+bad_values = st.sampled_from([MISSING, None, [1.0], "x", math.nan, math.inf, -math.inf,
+                              0, -1, TRUNCATION_CAP + 1])
+
+
+@st.composite
+def observation_files(draw):
+    """OBS with one or two fields, top-level or in its model, missing or replaced."""
+    d = json.loads(json.dumps(OBS))
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(["n", "N", "seed", "y", "model", "model.kind", "model.p",
+                                    "model.C", "model.table"]))
+        value = draw(bad_values)
+        target = d
+        if key.startswith("model."):
+            target, key = d["model"], key[len("model."):]
+            if not isinstance(target, dict):
+                continue
+        if value is MISSING:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return d
+
+
+observation_texts = st.one_of(
+    observation_files().map(json.dumps),
+    st.sampled_from([[], [OBS], "x", None, 3.0]).map(json.dumps),  # not an object
+)
+
+specs = st.builds(
+    lambda head, sep, fields: head + "".join(sep + f for f in fields),
+    st.sampled_from(["power", "analytic", "explicit", "paper", "zero", "volterra",
+                     "exponential", "gamma", "inverse_gamma", "fixed"]),
+    st.sampled_from([":", ","]),
+    st.lists(st.sampled_from(["1", "0.5", "0", "", "nan", "inf", "-inf"]), max_size=3),
+)
+
+spec_commands = st.one_of(
+    st.tuples(st.sampled_from(["simulate", "bracket"]), st.sampled_from(["--truth", "--model"]),
+              specs, st.sampled_from(["5", "0", "-1", str(TRUNCATION_CAP + 1)])),
+    st.tuples(st.just("hb-run"), st.just("--hyper"), specs, st.just(None)),
+)
+
+
+def _exit_code_and_output(argv, out):
+    rc = main([*argv, "--out", out])
+    assert rc in (0, 2, 3, 4)
+    if rc == 2:
+        assert not os.path.exists(out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(text=observation_texts, command=st.sampled_from(["eb-fit", "hb-run"]))
+def test_cli_exit_codes_on_malformed_observation_files(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        obs_path = os.path.join(tmp, "obs.json")
+        with open(obs_path, "w") as fh:
+            fh.write(text)
+        iterations = ["--iterations", "20"] if command == "hb-run" else []
+        _exit_code_and_output([command, "--obs", obs_path, *iterations], os.path.join(tmp, "out"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(case=spec_commands)
+def test_cli_exit_codes_on_malformed_specs(case):
+    command, flag, spec, N = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "hb-run":
+            obs_path = os.path.join(tmp, "obs.json")
+            with open(obs_path, "w") as fh:
+                fh.write(json.dumps(OBS))
+            source = ["--obs", obs_path, "--iterations", "20"]
+        else:
+            source = ["--n", "1e4", f"--N={N}"]
+        _exit_code_and_output([command, *source, f"{flag}={spec}"], os.path.join(tmp, "out"))

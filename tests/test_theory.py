@@ -90,20 +90,6 @@ def test_bracket_second_coordinate_cap():
         assert report.alpha_upper <= bound
 
 
-def test_bracket_threshold_validation():
-    with pytest.raises(ConfigError):
-        bracket(np.array([0.0, 1.0]), FLAT, 1e4, l=0.0)
-    with pytest.raises(ConfigError):
-        bracket(np.array([0.0, 1.0]), FLAT, 1e4, L=-1.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ConfigError, match="finite"):
-            bracket(np.array([0.0, 1.0]), FLAT, 1e4, l=bad)
-        with pytest.raises(ConfigError, match="finite"):
-            bracket(np.array([0.0, 1.0]), FLAT, 1e4, L=bad)
-    with pytest.raises(ConfigError):
-        bracket(np.array([0.0, 1.0]), FLAT, 2.0)
-
-
 @pytest.mark.parametrize("n", [1e6, 1e8, 1e11])
 def test_bracket_curve_is_the_diagnostic(n):
     """The scanned curve is bracket_diagnostic at the curve's alphas.
