@@ -13,7 +13,8 @@ import sys
 
 from .empirical_bayes import fit
 from .errors import ConfigError, NumericalError
-from .experiments import ExperimentConfig, run_figure1, run_figure2, run_rate_sweep
+from .experiments import (ExperimentConfig, run_figure1, run_figure2, run_rate_sweep, write_csv,
+                          write_json)
 from .hierarchical_bayes import HbConfig, HyperPrior, run_mwg
 from .sequence_model import (ModelSpec, Observation, TruthSpec, checked_truncation,
                              default_truncation, simulate)
@@ -93,10 +94,9 @@ def _cmd_eb_fit(args) -> None:
         obs = Observation.from_json(fh.read())
     eb = fit(obs)
     os.makedirs(args.out, exist_ok=True)
-    eb.curve.write_csv(os.path.join(args.out, "likelihood.csv"))
-    with open(os.path.join(args.out, "fit.json"), "w") as fh:
-        json.dump({"alpha_hat": eb.alpha_hat, "refined": eb.refined, "n": obs.n, "N": obs.N},
-                  fh, sort_keys=True, indent=1)
+    write_csv(os.path.join(args.out, "likelihood.csv"), eb.curve.columns())
+    write_json(os.path.join(args.out, "fit.json"),
+               {"alpha_hat": eb.alpha_hat, "refined": eb.refined, "n": obs.n, "N": obs.N})
     print(f"alpha_hat = {eb.alpha_hat:.6f}")
 
 
@@ -107,8 +107,8 @@ def _cmd_hb_run(args) -> None:
     cfg = HbConfig(iterations=args.iterations, burn_in=args.burn_in, seed=args.seed)
     chain = run_mwg(obs, hyper, cfg)
     os.makedirs(args.out, exist_ok=True)
-    chain.write_alpha_csv(os.path.join(args.out, "alpha.csv"))
-    chain.write_summary_json(os.path.join(args.out, "hb_summary.json"))
+    write_csv(os.path.join(args.out, "alpha.csv"), {"alpha": chain.alphas})
+    write_json(os.path.join(args.out, "hb_summary.json"), chain.summary())
     print(f"acceptance_rate = {chain.acceptance_rate:.3f}, "
           f"alpha_mean = {float(chain.alphas.mean()):.4f}")
 
@@ -118,7 +118,8 @@ def _cmd_bracket(args) -> None:
     truth = parse_truth(args.truth)
     report = bracket(truth.coefficients(_truncation(args, model)), model, args.n)
     os.makedirs(args.out, exist_ok=True)
-    report.write_curve_csv(os.path.join(args.out, "diagnostic_curve.csv"))
+    write_csv(os.path.join(args.out, "diagnostic_curve.csv"),
+              {"alpha": report.curve_alphas, "diagnostic": report.curve_values})
     with open(os.path.join(args.out, "bracket.json"), "w") as fh:
         fh.write(report.to_json())
     print(f"alpha_lower = {report.alpha_lower:.4f}, alpha_upper = {report.alpha_upper:.4f} "

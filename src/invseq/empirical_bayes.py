@@ -27,7 +27,6 @@ add the term back once.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -51,14 +50,11 @@ class LikelihoodCurve:
     values: np.ndarray
     argmax_index: int
 
-    def write_csv(self, path) -> None:
-        """Columns (alpha, loglik, normalized) with normalized = exp(v - max v)."""
+    def columns(self) -> dict:
+        """Columns alpha, loglik and normalized = exp(v - max v), for `experiments.write_csv`."""
         top = float(np.max(self.values))
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["alpha", "loglik", "normalized"])
-            for a, v in zip(self.alphas, self.values):
-                w.writerow([repr(float(a)), repr(float(v)), repr(math.exp(v - top))])
+        return {"alpha": self.alphas, "loglik": self.values,
+                "normalized": [math.exp(v - top) for v in self.values]}
 
 
 @dataclass(frozen=True)
@@ -123,13 +119,8 @@ def score(alpha: float, obs: Observation) -> float:
     return float(np.sum(ell.design.log_i * (w - w * ell.r * ell.ny2)))
 
 
-def likelihood_curve(obs: Observation) -> LikelihoodCurve:
-    """ell on a uniform grid of GRID_SIZE points over [0, log n]."""
-    return _scan(obs.n, Loglik(obs))[0]
-
-
 def _scan(n: float, ell: Loglik) -> tuple[LikelihoodCurve, np.ndarray]:
-    """The curve and its centred values."""
+    """ell on a uniform grid of GRID_SIZE points over [0, log n], and its centred values."""
     top = math.log(n)
     if top <= 0:
         raise ConfigError("empirical Bayes search needs n > 1")

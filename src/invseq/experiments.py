@@ -56,6 +56,8 @@ class ExperimentConfig:
             raise ConfigError("n_ladder must be strictly increasing")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        # the sampler settings are checked here, before any driver creates output_dir
+        HbConfig(iterations=self.hb_iterations, burn_in=self.hb_burn_in, seed=self.seed)
         if self.N is not None:
             checked_truncation(self.N)
         # the top rung needs the most coordinates
@@ -93,7 +95,7 @@ class ExperimentConfig:
                 hb_iterations=int(d.get("hb_iterations", 2000)),
                 hb_burn_in=int(d["hb_burn_in"]) if d.get("hb_burn_in") is not None else None,
             )
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, OverflowError) as err:
             raise ConfigError(f"bad experiment config: {err}") from err
 
     def config_sha256(self) -> str:
@@ -102,6 +104,24 @@ class ExperimentConfig:
 
     def truncation(self, n: float) -> int:
         return self.N if self.N is not None else default_truncation(n, self.model.p)
+
+
+def write_csv(path, columns: dict) -> None:
+    """A header of the column names, then one row per index with each value as repr(float(v)).
+
+    Columns of unequal length are a ValueError.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        for row in zip(*columns.values(), strict=True):
+            w.writerow([repr(float(v)) for v in row])
+
+
+def write_json(path, obj) -> None:
+    """obj as JSON with sorted keys and an indent of one."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
 
 
 def rung_tag(n: float) -> str:
@@ -152,18 +172,8 @@ class _Ladder:
     def write_manifest(self, prefix: str, **fields) -> dict:
         manifest = {"config": self.cfg.to_dict(), "config_sha256": self.cfg.config_sha256(),
                     "version": __version__, "files": self.files, **fields}
-        with open(os.path.join(self.cfg.output_dir, f"{prefix}_manifest.json"), "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
+        write_json(os.path.join(self.cfg.output_dir, f"{prefix}_manifest.json"), manifest)
         return manifest
-
-
-def _write_function_csv(path, columns: dict) -> None:
-    names = list(columns)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + names)
-        for k in range(GRID_POINTS):
-            w.writerow([repr(float(CURVE_GRID[k]))] + [repr(float(columns[c][k])) for c in names])
 
 
 def run_figure1(cfg: ExperimentConfig) -> dict:
@@ -179,9 +189,9 @@ def run_figure1(cfg: ExperimentConfig) -> dict:
         eb = fit(obs)
         if r == 0:
             mean_f = posterior_mean_function(eb_posterior(obs, eb), CURVE_GRID)
-            _write_function_csv(ladder.output(f"fig1_{rung.tag}_curve.csv"),
-                                {"true_f": rung.true_f, "eb_mean_f": mean_f})
-            eb.curve.write_csv(ladder.output(f"fig1_{rung.tag}_likelihood.csv"))
+            write_csv(ladder.output(f"fig1_{rung.tag}_curve.csv"),
+                      {"t": CURVE_GRID, "true_f": rung.true_f, "eb_mean_f": mean_f})
+            write_csv(ladder.output(f"fig1_{rung.tag}_likelihood.csv"), eb.curve.columns())
         return eb.alpha_hat
 
     seeds = [cfg.seed + r for r in range(cfg.replicates)]
@@ -209,11 +219,11 @@ def run_figure2(cfg: ExperimentConfig) -> dict:
         chain = run_mwg(obs, cfg.hyper, hb_cfg)
         summary = chain.summary()
         if r == 0:
-            chain.write_alpha_csv(ladder.output(f"fig2_{rung.tag}_alpha.csv"))
-            chain.write_summary_json(ladder.output(f"fig2_{rung.tag}_summary.json"))
+            write_csv(ladder.output(f"fig2_{rung.tag}_alpha.csv"), {"alpha": chain.alphas})
+            write_json(ladder.output(f"fig2_{rung.tag}_summary.json"), summary)
             mean_f = synthesize_function(chain.mu_mean, CURVE_GRID)
-            _write_function_csv(ladder.output(f"fig2_{rung.tag}_curve.csv"),
-                                {"true_f": rung.true_f, "hb_mean_f": mean_f})
+            write_csv(ladder.output(f"fig2_{rung.tag}_curve.csv"),
+                      {"t": CURVE_GRID, "true_f": rung.true_f, "hb_mean_f": mean_f})
         return {"seed": obs.seed, "acceptance_rate": summary["acceptance_rate"],
                 "alpha_mean": summary["alpha_mean"], "alpha_mode": summary["alpha_mode"]}
 
@@ -255,15 +265,12 @@ def run_rate_sweep(cfg: ExperimentConfig, beta: float) -> dict:
                      "mean_sq_error": float(np.mean(sq_errs)),
                      "mean_posterior_risk": float(np.mean(risks))})
 
-    with open(ladder.output("rate_sweep.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "mean_sq_error", "mean_posterior_risk"])
-        for row in rows:
-            w.writerow([repr(row["n"]), repr(row["mean_sq_error"]),
-                        repr(row["mean_posterior_risk"])])
+    columns = {key: [row[key] for row in rows]
+               for key in ("n", "mean_sq_error", "mean_posterior_risk")}
+    write_csv(ladder.output("rate_sweep.csv"), columns)
 
-    log_n = np.log([row["n"] for row in rows])
-    log_err = np.log([row["mean_sq_error"] for row in rows])
+    log_n = np.log(columns["n"])
+    log_err = np.log(columns["mean_sq_error"])
     slope = float(np.polyfit(log_n, log_err, 1)[0])
     theoretical = -2.0 * beta / (1.0 + 2.0 * beta + 2.0 * cfg.model.p)
     return ladder.write_manifest("rate", beta=beta, rows=rows, fitted_slope=slope,

@@ -13,13 +13,12 @@ i^(1+2a) is ever formed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .sequence_model import ModelSpec, Observation, design, synthesize_function
+from .sequence_model import Observation, design, synthesize_function
 
 
 @dataclass(frozen=True)
@@ -29,18 +28,6 @@ class CoordinatePosterior:
     alpha: float
     means: np.ndarray
     variances: np.ndarray
-    n: float
-    model: ModelSpec
-
-    def to_json(self) -> str:
-        d = {
-            "alpha": self.alpha,
-            "n": self.n,
-            "model": self.model.to_dict(),
-            "means": [float(v) for v in self.means],
-            "vars": [float(v) for v in self.variances],
-        }
-        return json.dumps(d, sort_keys=True)
 
 
 def posterior(alpha: float, obs: Observation) -> CoordinatePosterior:
@@ -52,13 +39,7 @@ def posterior(alpha: float, obs: Observation) -> CoordinatePosterior:
     d.odds(alpha, w, r)
     w *= np.reciprocal(r, r)  # u*r, as every layer forms w
     return CoordinatePosterior(alpha=float(alpha), means=w * (obs.y / d.kappa),
-                               variances=w / (obs.n * d.kappa**2), n=obs.n, model=obs.model)
-
-
-def sample_posterior(post: CoordinatePosterior, seed: int) -> np.ndarray:
-    """One exact draw of the coordinate vector from the posterior."""
-    z = np.random.default_rng(seed).standard_normal(post.means.size)
-    return post.means + np.sqrt(post.variances) * z
+                               variances=w / (obs.n * d.kappa**2))
 
 
 def posterior_risk(alpha: float, obs: Observation, mu0: np.ndarray) -> float:

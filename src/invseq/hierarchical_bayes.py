@@ -17,8 +17,6 @@ start point; the +1 keeps the step finite where ell is flat.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -109,6 +107,16 @@ class HbConfig:
     seed: int = 0
     alpha_init: float | None = None
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ConfigError("need at least one iteration")
+        if not 0 <= self.resolved_burn_in() < self.iterations:
+            raise ConfigError("burn_in must be in [0, iterations)")
+        if self.alpha_init is not None and self.alpha_init <= 0:
+            raise ConfigError("alpha_init must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+
     def resolved_burn_in(self) -> int:
         return self.iterations // 10 if self.burn_in is None else self.burn_in
 
@@ -124,10 +132,6 @@ class HbChain:
     config: HbConfig
     proposal_sd: float
 
-    @property
-    def mu_second_moment(self) -> np.ndarray:
-        return self.mu_var + self.mu_mean**2
-
     def summary(self) -> dict:
         q = np.quantile(self.alphas, [0.025, 0.5, 0.975])
         return {
@@ -140,17 +144,6 @@ class HbChain:
             "burn_in": self.config.resolved_burn_in(),
             "proposal_sd": self.proposal_sd,
         }
-
-    def write_alpha_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["alpha"])
-            for a in self.alphas:
-                w.writerow([repr(float(a))])
-
-    def write_summary_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, sort_keys=True, indent=1)
 
 
 def mh_log_acceptance(alpha: float, alpha_prime: float, target: float,
@@ -207,17 +200,10 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     With the "fixed" hook, an alpha_init other than its alpha is a
     ConfigError.  Identical configs reproduce identical chains.
     """
-    if cfg.iterations < 1:
-        raise ConfigError("need at least one iteration")
     burn = cfg.resolved_burn_in()
-    if not 0 <= burn < cfg.iterations:
-        raise ConfigError("burn_in must be in [0, iterations)")
-
     pinned = hyper.kind == "fixed"
     alpha = cfg.alpha_init if cfg.alpha_init is not None else (
         hyper.alpha_star if pinned else 1.0)
-    if alpha <= 0:
-        raise ConfigError("alpha_init must be positive")
     if pinned and alpha != hyper.alpha_star:
         raise ConfigError(f"alpha_init {alpha} differs from the fixed hyperprior's "
                           f"alpha {hyper.alpha_star}")

@@ -20,7 +20,6 @@ two blocks held for the whole scan, for the scan that finds it.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -69,13 +68,6 @@ class BracketReport:
             "upper_status": self.upper_status,
         }
         return json.dumps(d, sort_keys=True)
-
-    def write_curve_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["alpha", "diagnostic"])
-            for a, v in zip(self.curve_alphas, self.curve_values):
-                w.writerow([repr(float(a)), repr(float(v))])
 
 
 class _Diagnostic:

@@ -159,7 +159,7 @@ def test_sampler_marginal_matches_quadrature():
     se_mean = np.sqrt(v / M)
     se_second = np.sqrt((2.0 * v**2 + 4.0 * v * m**2) / M)
     ok &= bool(np.all(np.abs(pinned.mu_mean - m) <= 4.0 * se_mean))
-    ok &= bool(np.all(np.abs(pinned.mu_second_moment - (v + m**2))
+    ok &= bool(np.all(np.abs(pinned.mu_var + pinned.mu_mean**2 - (v + m**2))
                       <= 4.0 * se_second))
     _check(6, f"chain marginal within TV {tv:.4f} of quadrature (cap 0.05)", ok)
 

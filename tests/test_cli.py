@@ -14,6 +14,7 @@ import pytest
 from invseq import ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthSpec
 from invseq.cli import main, parse_hyper, parse_model, parse_truth
 from invseq.errors import ConfigError
+from invseq.experiments import write_csv, write_json
 from invseq.sequence_model import TRUNCATION_CAP
 
 
@@ -309,6 +310,36 @@ def test_config_truncation_errors_exit_two(tmp_path, capsys, command, overrides,
     assert main([command, "--config", str(cfg), "--out", str(out), *beta]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["figure1", "figure2", "rate-sweep"])
+@pytest.mark.parametrize("overrides, message", [
+    ({"hb_iterations": 10, "hb_burn_in": 10}, "burn_in must be in [0, iterations)"),
+    ({"hb_iterations": 0}, "need at least one iteration"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"seed": math.inf}, "cannot convert float infinity to integer"),
+    ({"hb_burn_in": -math.inf}, "cannot convert float infinity to integer"),
+], ids=["burn-in-not-below-iterations", "no-iterations", "negative-seed", "infinite-seed",
+        "infinite-burn-in"])
+def test_config_errors_exit_two_before_writing(tmp_path, capsys, command, overrides, message):
+    # figure1 and rate-sweep run no sampler, but reject the sampler settings figure2 would
+    cfg = _write_config(tmp_path / "cfg.json", n_ladder=[1e3, 1e4, 1e5], **overrides)
+    out = tmp_path / "out"
+    beta = ["--beta", "1"] if command == "rate-sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *beta]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_writers_pin_bytes(tmp_path):
+    path = tmp_path / "columns.csv"
+    write_csv(path, {"a": [np.float64(0.1), 3], "b": [-0.0, 1e-300]})
+    assert path.read_bytes() == b"a,b\r\n0.1,-0.0\r\n3.0,1e-300\r\n"
+    with pytest.raises(ValueError):
+        write_csv(path, {"a": [1.0, 2.0], "b": [1.0]})
+    path = tmp_path / "object.json"
+    write_json(path, {"b": [np.float64(0.1), 2], "a": None})
+    assert path.read_bytes() == b'{\n "a": null,\n "b": [\n  0.1,\n  2\n ]\n}'
 
 
 def test_config_ignores_unknown_keys(tmp_path):

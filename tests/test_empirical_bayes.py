@@ -15,7 +15,6 @@ from invseq import (
     TruthSpec,
     eb_posterior,
     fit,
-    likelihood_curve,
     log_likelihood,
     posterior,
     posterior_mean_function,
@@ -23,6 +22,7 @@ from invseq import (
     simulate,
     synthesize_function,
 )
+from invseq.cli import main
 from invseq.empirical_bayes import GOLDEN_TOL, GRID_SIZE, Loglik, _golden_max
 from invseq.errors import ConfigError, NumericalError
 from invseq.sequence_model import default_truncation
@@ -116,7 +116,7 @@ def test_summation_order_stability():
 
 def test_curve_structure():
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e3, 50, 1)
-    curve = likelihood_curve(obs)
+    curve = fit(obs).curve
     assert curve.alphas[0] == 0.0
     assert curve.alphas[-1] == math.log(1e3)
     assert curve.alphas.size == 200
@@ -127,12 +127,14 @@ def test_curve_structure():
 
 def test_curve_csv(tmp_path):
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e3, 50, 1)
-    path = tmp_path / "curve.csv"
-    likelihood_curve(obs).write_csv(path)
-    with open(path, newline="") as fh:
+    obs_path = tmp_path / "obs.json"
+    obs_path.write_text(obs.to_json())
+    assert main(["eb-fit", "--obs", str(obs_path), "--out", str(tmp_path / "fit")]) == 0
+    with open(tmp_path / "fit" / "likelihood.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["alpha", "loglik", "normalized"]
     assert len(rows) == 201
+    assert [float(r[1]) for r in rows[1:]] == list(fit(obs).curve.values)
     norm = [float(r[2]) for r in rows[1:]]
     assert max(norm) == 1.0 and min(norm) >= 0.0
 
@@ -261,7 +263,7 @@ def test_reported_values_add_the_dropped_term_back():
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e6, 100, 4)
     ell = Loglik(obs)
     assert ell.offset == 0.5 * float(np.sum(obs.n * obs.y ** 2))
-    curve = likelihood_curve(obs)
+    curve = fit(obs).curve
     for a, v in zip(curve.alphas[::40], curve.values[::40]):
         assert v == ell(a) + ell.offset == log_likelihood(a, obs)
 

@@ -26,6 +26,7 @@ from invseq import (
     run_mwg,
     simulate,
 )
+from invseq.cli import main
 from invseq.empirical_bayes import Loglik
 from invseq.errors import ConfigError
 from invseq.hierarchical_bayes import _log_ndtr
@@ -205,6 +206,8 @@ def test_run_mwg_validation():
         run_mwg(obs, hyper, HbConfig(iterations=10, burn_in=10))
     with pytest.raises(ConfigError):
         run_mwg(obs, hyper, HbConfig(iterations=10, alpha_init=0.0))
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        run_mwg(obs, hyper, HbConfig(iterations=10, seed=-1))
 
 
 def test_fixed_hyperprior_rejects_another_start():
@@ -254,7 +257,8 @@ def test_run_mwg_fixed_hook_matches_conjugate():
     want_second = ref.variances + ref.means ** 2
     se_second = np.sqrt((2.0 * ref.variances ** 2
                          + 4.0 * ref.variances * ref.means ** 2) / m)
-    assert np.all(np.abs(chain.mu_second_moment - want_second) <= 4.0 * se_second)
+    second_moment = chain.mu_var + chain.mu_mean ** 2
+    assert np.all(np.abs(second_moment - want_second) <= 4.0 * se_second)
 
 
 @pytest.mark.parametrize("n", [1e15, 1e20])
@@ -310,15 +314,16 @@ def test_chain_summary_and_files(tmp_path):
     assert q[0] <= q[1] <= q[2]
     assert s["burn_in"] == 100
 
-    alpha_path = tmp_path / "alpha.csv"
-    chain.write_alpha_csv(alpha_path)
-    with open(alpha_path, newline="") as fh:
+    # hb-run on the same observation and settings writes this chain
+    obs_path = tmp_path / "obs.json"
+    obs_path.write_text(obs.to_json())
+    out = tmp_path / "hb"
+    assert main(["hb-run", "--obs", str(obs_path), "--iterations", "600", "--burn-in", "100",
+                 "--seed", "7", "--out", str(out)]) == 0
+    with open(out / "alpha.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["alpha"]
     assert len(rows) == 501
-    assert float(rows[1][0]) == chain.alphas[0]
-
-    summary_path = tmp_path / "summary.json"
-    chain.write_summary_json(summary_path)
-    with open(summary_path) as fh:
+    assert [float(r[0]) for r in rows[1:]] == list(chain.alphas)
+    with open(out / "hb_summary.json") as fh:
         assert json.load(fh) == s

@@ -3,8 +3,9 @@ to the 1e5 cap, on all three model kinds.
 
 The posterior means and variances stay finite, the variances do not grow
 with alpha, and the marginal log likelihood stays finite on the search
-interval [0, log n].  On malformed input the command line returns one of
-its documented exit codes and writes nothing on a configuration error.
+interval [0, log n].  On a malformed observation file, spec or experiment
+config the command line returns one of its documented exit codes and
+writes nothing on a configuration error.
 The examples are derandomized, so every run draws the same ones.
 """
 
@@ -151,6 +152,32 @@ def test_cli_exit_codes_on_malformed_observation_files(text, command):
             fh.write(text)
         iterations = ["--iterations", "20"] if command == "hb-run" else []
         _exit_code_and_output([command, "--obs", obs_path, *iterations], os.path.join(tmp, "out"))
+
+
+CONFIG = {"model": ModelSpec.volterra().to_dict(), "truth": TruthSpec.paper_example().to_dict(),
+          "n_ladder": [100.0], "replicates": 1, "seed": 0, "hb_iterations": 50, "hb_burn_in": 10}
+
+
+@st.composite
+def config_files(draw):
+    """CONFIG with one or two fields replaced by a malformed value."""
+    d = dict(CONFIG)
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(["model", "truth", "n_ladder", "replicates", "seed", "N",
+                                    "hyper", "hb_iterations", "hb_burn_in"]))
+        d[key] = draw(st.sampled_from([None, [1.0], "x", math.nan, math.inf, -math.inf, 0, -1]))
+    return json.dumps(d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(text=config_files(), command=st.sampled_from(["figure1", "figure2", "rate-sweep"]))
+def test_cli_exit_codes_on_malformed_experiment_configs(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w") as fh:
+            fh.write(text)
+        beta = ["--beta", "1"] if command == "rate-sweep" else []
+        _exit_code_and_output([command, "--config", cfg_path, *beta], os.path.join(tmp, "out"))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)

@@ -17,6 +17,7 @@ from invseq import (
     minimax_rate_sobolev,
     slowly_varying_factor,
 )
+from invseq.cli import main
 from invseq.errors import ConfigError
 from invseq.theory import REFINE_TOL
 
@@ -122,11 +123,12 @@ def test_bracket_pinned_crossings(truth, lower, upper):
 
 
 def test_bracket_curve_csv(tmp_path):
+    out = tmp_path / "br"
+    assert main(["bracket", "--n", "1e4", "--N", "50", "--out", str(out)]) == 0
+    rows = (out / "diagnostic_curve.csv").read_text().splitlines()
+    assert rows[0] == "alpha,diagnostic"
     report = bracket(TruthSpec.paper_example().coefficients(50), VOLTERRA, 1e4)
-    path = tmp_path / "curve.csv"
-    report.write_curve_csv(path)
-    head = path.read_text().splitlines()[0]
-    assert head == "alpha,diagnostic"
+    assert [float(r.split(",")[1]) for r in rows[1:]] == list(report.curve_values)
 
 
 def test_polynomial_truth_brackets_track_regularity():
