@@ -16,8 +16,7 @@ from .errors import ConfigError, NumericalError
 from .experiments import (ExperimentConfig, run_figure1, run_figure2, run_rate_sweep, write_csv,
                           write_json)
 from .hierarchical_bayes import HbConfig, HyperPrior, run_mwg
-from .sequence_model import (ModelSpec, Observation, TruthSpec, checked_truncation,
-                             default_truncation, simulate)
+from .sequence_model import ModelSpec, Observation, TruthSpec, simulate, truncation
 from .theory import bracket
 
 
@@ -74,15 +73,10 @@ def _load_config(path: str, seed: int | None, out: str | None) -> ExperimentConf
     return ExperimentConfig.from_dict(d)
 
 
-def _truncation(args, model: ModelSpec) -> int:
-    """--N if given, else the default truncation at --n."""
-    return default_truncation(args.n, model.p) if args.N is None else checked_truncation(args.N)
-
-
 def _cmd_simulate(args) -> None:
     model = parse_model(args.model)
     truth = parse_truth(args.truth)
-    N = _truncation(args, model)
+    N = truncation(args.n, model, args.N)
     obs = simulate(truth, model, args.n, N, args.seed)
     with open(args.out, "w") as fh:
         fh.write(obs.to_json())
@@ -116,7 +110,7 @@ def _cmd_hb_run(args) -> None:
 def _cmd_bracket(args) -> None:
     model = parse_model(args.model)
     truth = parse_truth(args.truth)
-    report = bracket(truth.coefficients(_truncation(args, model)), model, args.n)
+    report = bracket(truth.coefficients(truncation(args.n, model, args.N)), model, args.n)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "diagnostic_curve.csv"),
               {"alpha": report.curve_alphas, "diagnostic": report.curve_values})

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,8 +27,8 @@ from .empirical_bayes import eb_posterior, fit
 from .errors import ConfigError
 from .gaussian_posterior import posterior_mean_function, posterior_risk
 from .hierarchical_bayes import HbConfig, HyperPrior, run_mwg
-from .sequence_model import (ModelSpec, TruthSpec, checked_truncation, default_truncation,
-                             simulate, synthesize_function)
+from .sequence_model import (ModelSpec, TruthSpec, fields_dict, read_fields, simulate,
+                             synthesize_function, truncation)
 
 GRID_POINTS = 512
 CURVE_GRID = np.linspace(0.0, 1.0, GRID_POINTS)
@@ -43,7 +43,7 @@ class ExperimentConfig:
     seed: int = 0
     N: int | None = None  # None: ceil(n^(1/(1+2p))) per rung, capped
     output_dir: str = "."
-    hyper: HyperPrior = field(default_factory=lambda: HyperPrior.exponential(1.0))
+    hyper: HyperPrior = HyperPrior(kind="exponential")
     hb_iterations: int = 2000
     hb_burn_in: int | None = None
 
@@ -58,52 +58,20 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         # the sampler settings are checked here, before any driver creates output_dir
         HbConfig(iterations=self.hb_iterations, burn_in=self.hb_burn_in, seed=self.seed)
-        if self.N is not None:
-            checked_truncation(self.N)
-        # the top rung needs the most coordinates
-        top = self.truncation(self.n_ladder[-1])
-        if self.model.table is not None and len(self.model.table) < top:
-            raise ConfigError(f"kappa table must be at least N = {top} entries long, "
-                              f"has {len(self.model.table)}")
+        # N and the kappa table are checked at the top rung, which needs the most coordinates
+        truncation(self.n_ladder[-1], self.model, self.N)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "truth": self.truth.to_dict(),
-            "n_ladder": list(self.n_ladder),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "N": self.N,
-            "output_dir": self.output_dir,
-            "hyper": self.hyper.to_dict(),
-            "hb_iterations": self.hb_iterations,
-            "hb_burn_in": self.hb_burn_in,
-        }
+        # manifests have always recorded N and hb_burn_in, as null when unset
+        return {"N": None, "hb_burn_in": None, **fields_dict(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        try:
-            return cls(
-                model=ModelSpec.from_dict(d["model"]),
-                truth=TruthSpec.from_dict(d["truth"]),
-                n_ladder=tuple(float(v) for v in d.get("n_ladder", (1e3, 1e5, 1e7, 1e9, 1e11))),
-                replicates=int(d.get("replicates", 1)),
-                seed=int(d.get("seed", 0)),
-                N=int(d["N"]) if d.get("N") is not None else None,
-                output_dir=str(d.get("output_dir", ".")),
-                hyper=HyperPrior.from_dict(d["hyper"]) if d.get("hyper") else HyperPrior.exponential(1.0),
-                hb_iterations=int(d.get("hb_iterations", 2000)),
-                hb_burn_in=int(d["hb_burn_in"]) if d.get("hb_burn_in") is not None else None,
-            )
-        except (KeyError, TypeError, OverflowError) as err:
-            raise ConfigError(f"bad experiment config: {err}") from err
+        return read_fields(cls, d)
 
     def config_sha256(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-    def truncation(self, n: float) -> int:
-        return self.N if self.N is not None else default_truncation(n, self.model.p)
 
 
 def write_csv(path, columns: dict) -> None:
@@ -156,7 +124,7 @@ class _Ladder:
         os.makedirs(cfg.output_dir, exist_ok=True)
         out = []
         for n in cfg.n_ladder:
-            N = cfg.truncation(n)
+            N = truncation(n, cfg.model, cfg.N)
             mu0 = cfg.truth.coefficients(N)
             true_f = synthesize_function(mu0, CURVE_GRID) if curves else None
             rung = _Rung(n, N, rung_tag(n), mu0, true_f)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .empirical_bayes import Loglik
 from .errors import ConfigError, NumericalError
-from .sequence_model import Observation
+from .sequence_model import Observation, fields_dict, read_fields
 
 MODE_BIN_WIDTH = 0.25
 SQRT2 = math.sqrt(2.0)
@@ -85,14 +85,11 @@ class HyperPrior:
         return 0.0 if alpha == self.alpha_star else -math.inf
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "shape": self.shape, "rate": self.rate,
-                "scale": self.scale, "alpha_star": self.alpha_star}
+        return fields_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperPrior":
-        return cls(kind=d["kind"], shape=float(d.get("shape", 1.0)),
-                   rate=float(d.get("rate", 1.0)), scale=float(d.get("scale", 1.0)),
-                   alpha_star=float(d.get("alpha_star", 1.0)))
+        return read_fields(cls, d)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,11 @@ w = u*r, 1 - w = r and w*(1 - w) = u*r*r.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,8 @@ class ModelSpec:
             raise ConfigError(f"decay order p must be finite and >= 0, got {self.p}")
         if not 1.0 <= self.C < math.inf:
             raise ConfigError(f"sandwich constant C must be finite and >= 1, got {self.C}")
+        if self.kind == "volterra" and self.p != 1.0:
+            raise ConfigError(f"volterra multipliers decay at order p = 1, got p = {self.p}")
         if self.kind == "explicit":
             if not self.table:
                 raise ConfigError("explicit model needs a non-empty kappa table")
@@ -104,19 +108,11 @@ class ModelSpec:
         return np.asarray(self.table[:N], dtype=float)
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "p": self.p, "C": self.C}
-        if self.table is not None:
-            d["table"] = list(self.table)
-        return d
+        return fields_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(
-            kind=d["kind"],
-            p=float(d["p"]),
-            C=float(d.get("C", 1.0)),
-            table=tuple(d["table"]) if d.get("table") is not None else None,
-        )
+        return read_fields(cls, d)
 
 
 @dataclass(frozen=True)
@@ -222,24 +218,11 @@ class TruthSpec:
         return i**-1.5 * np.sin(i)
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "c": self.c}
-        if self.beta is not None:
-            d["beta"] = self.beta
-        if self.gamma is not None:
-            d["gamma"] = self.gamma
-        if self.coeffs is not None:
-            d["coeffs"] = list(self.coeffs)
-        return d
+        return fields_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TruthSpec":
-        return cls(
-            kind=d["kind"],
-            beta=d.get("beta"),
-            gamma=d.get("gamma"),
-            c=float(d.get("c", 1.0)),
-            coeffs=tuple(d["coeffs"]) if d.get("coeffs") is not None else None,
-        )
+        return read_fields(cls, d)
 
 
 @dataclass(frozen=True)
@@ -253,52 +236,122 @@ class Observation:
     model: ModelSpec
 
     def to_json(self) -> str:
-        d = {
-            "n": self.n,
-            "N": self.N,
-            "seed": self.seed,
-            "model": self.model.to_dict(),
-            "y": [float(v) for v in self.y],
-        }
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(fields_dict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Observation":
         """The observation a JSON object of to_json's layout holds.
 
-        A missing field, or one of the wrong type, is a ConfigError.
+        A missing field, one of the wrong type or one out of range is a
+        ConfigError that begins "bad observation file".
         """
-        d = json.loads(text)
         try:
-            N = checked_truncation(d["N"])
-            y = np.asarray(d["y"], dtype=float)
-            if y.shape != (N,):
+            obs = read_fields(cls, json.loads(text))
+            N = truncation(obs.n, obs.model, obs.N)
+            if obs.y.shape != (N,):
                 raise ConfigError("y must be a list of N values")
-            if not np.all(np.isfinite(y)):
+            if not np.all(np.isfinite(obs.y)):
                 raise ConfigError("y must be finite")
-            model = ModelSpec.from_dict(d["model"])
-            if model.table is not None and len(model.table) < N:
-                raise ConfigError(f"kappa table must be at least N = {N} entries long, "
-                                  f"has {len(model.table)}")
-            return cls(n=_checked_noise_scale(float(d["n"])), N=int(N), y=y,
-                       seed=int(d["seed"]), model=model)
-        except (KeyError, TypeError, OverflowError) as err:
-            raise ConfigError(f"bad observation file: {err!r}") from err
+            _checked_noise_scale(obs.n)
+            return obs
+        except ConfigError as err:
+            raise ConfigError(f"bad observation file: {err}") from err
 
 
-def _checked_noise_scale(n: float) -> float:
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+_READERS = {  # annotated type: (test of the JSON value, what the value must be, conversion)
+    float: (_is_number, "a number", float),
+    int: (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), "an integer", int),
+    str: (lambda v: isinstance(v, str), "a string", str),
+    tuple[float, ...]: (_is_numbers, "a list of numbers", lambda v: tuple(map(float, v))),
+    np.ndarray: (_is_numbers, "a list of numbers", lambda v: np.array(v, dtype=float)),
+}
+
+
+def read_fields(cls, d):
+    """The dataclass cls built from the keys of the JSON object d that name its fields.
+
+    Each value is read as its field's annotated type: a float takes a JSON
+    number but not a bool or a string; an int takes an integer, or a float
+    with an integer value such as 4e3; a tuple of floats or an array takes a
+    list of numbers; a nested spec takes an object, read the same way.  Only
+    a field whose type allows None takes null.  Other keys are ignored and
+    missing ones left to the dataclass defaults.  A wrong value, or a missing
+    field that has no default, is a ConfigError that names the field.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {d!r:.80}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.name in d:
+            values[f.name] = _read_value(hints[f.name], d[f.name], f.name)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{cls.__name__} needs a {f.name} field")
+    return cls(**values)
+
+
+def _read_value(tp, v, name: str):
+    """The JSON value v of the field name, read as its annotated type tp."""
+    options = typing.get_args(tp)
+    if type(None) in options:  # X | None
+        if v is None:
+            return None
+        tp = options[0]
+    test, what, convert = _READERS.get(
+        tp, (lambda v: isinstance(v, dict), "a JSON object", lambda v: read_fields(tp, v)))
+    if not test(v):
+        raise ConfigError(f"{name} must be {what}, got {v!r:.80}")
+    try:
+        return convert(v)
+    except OverflowError as err:
+        raise ConfigError(f"{name} must fit in a float: {err}") from err
+
+
+def fields_dict(obj) -> dict:
+    """The fields of the dataclass obj that are not None, as JSON values.
+
+    Tuples and arrays become lists of floats and nested specs are written
+    the same way, so read_fields reads the result back.
+    """
+    return {f.name: _json_value(v) for f in dataclasses.fields(obj)
+            if (v := getattr(obj, f.name)) is not None}
+
+
+def _json_value(v):
+    if dataclasses.is_dataclass(v):
+        return fields_dict(v)
+    if isinstance(v, (tuple, np.ndarray)):
+        return [float(x) for x in v]
+    return v
+
+
+def _checked_noise_scale(n: float) -> None:
     if n <= 0 or not math.isfinite(n):
         raise ConfigError("noise scale n must be positive and finite")
-    return n
 
 
-def checked_truncation(N):
-    """N itself when 1 <= N <= TRUNCATION_CAP, and a ConfigError otherwise.
+def truncation(n: float, model: ModelSpec, N: int | None) -> int:
+    """Coordinates retained at noise level n: N if given, else default_truncation(n, model.p).
 
-    Checked before anything N long is allocated.
+    A given N outside [1, TRUNCATION_CAP], or an explicit model whose kappa
+    table is shorter than the result, is a ConfigError; callers check before
+    anything N long is allocated.
     """
-    if not 1 <= N <= TRUNCATION_CAP:
+    if N is None:
+        N = default_truncation(n, model.p)
+    elif not 1 <= N <= TRUNCATION_CAP:
         raise ConfigError(f"N must be in [1, {TRUNCATION_CAP}], got {N}")
+    if model.table is not None and len(model.table) < N:
+        raise ConfigError(f"kappa table must be at least N = {N} entries long, "
+                          f"has {len(model.table)}")
     return N
 
 

@@ -317,8 +317,8 @@ def test_config_truncation_errors_exit_two(tmp_path, capsys, command, overrides,
     ({"hb_iterations": 10, "hb_burn_in": 10}, "burn_in must be in [0, iterations)"),
     ({"hb_iterations": 0}, "need at least one iteration"),
     ({"seed": -1}, "seed must be >= 0"),
-    ({"seed": math.inf}, "cannot convert float infinity to integer"),
-    ({"hb_burn_in": -math.inf}, "cannot convert float infinity to integer"),
+    ({"seed": math.inf}, "seed must be an integer, got inf"),
+    ({"hb_burn_in": -math.inf}, "hb_burn_in must be an integer, got -inf"),
 ], ids=["burn-in-not-below-iterations", "no-iterations", "negative-seed", "infinite-seed",
         "infinite-burn-in"])
 def test_config_errors_exit_two_before_writing(tmp_path, capsys, command, overrides, message):
@@ -347,6 +347,48 @@ def test_config_ignores_unknown_keys(tmp_path):
     with open(_write_config(tmp_path / "cfg.json", mode="eb", hb_proposal_sd=0.3, hb_thin=50)) as fh:
         cfg = ExperimentConfig.from_dict(json.load(fh))
     assert not {"mode", "hb_proposal_sd", "hb_thin"} & set(cfg.to_dict())
+
+
+@pytest.mark.parametrize("command", ["figure1", "figure2", "rate-sweep"])
+def test_mistyped_config_exits_two_before_writing(tmp_path, capsys, command):
+    # read with float() and int(), this ran a ladder at n = 5 and 9 with seed 2 and 1 replicate
+    cfg = _write_config(tmp_path / "cfg.json", n_ladder="59", seed=2.9, replicates=True)
+    out = tmp_path / "out"
+    beta = ["--beta", "1"] if command == "rate-sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *beta]) == 2
+    assert "n_ladder must be a list of numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+READERS = {  # reader: (a JSON object it reads, the reader)
+    "model": ({"kind": "explicit", "p": 0.5, "C": 2.0, "table": [1.0, 0.7]}, ModelSpec.from_dict),
+    "truth": ({"kind": "power_law", "beta": 1.0, "c": 1.0}, TruthSpec.from_dict),
+    "hyper": ({"kind": "gamma", "shape": 2.0, "rate": 1.0}, HyperPrior.from_dict),
+    "config": ({"model": ModelSpec.volterra().to_dict(), "truth": {"kind": "paper_example"},
+                "n_ladder": [100.0, 1000.0], "replicates": 2, "seed": 0, "N": 5},
+               ExperimentConfig.from_dict),
+    "observation": ({"n": 1e3, "N": 2, "y": [0.1, 0.2], "seed": 0,
+                     "model": ModelSpec.volterra().to_dict()},
+                    lambda d: Observation.from_json(json.dumps(d))),
+}
+
+
+@pytest.mark.parametrize("reader, field, value", [
+    ("model", "p", True), ("model", "C", "1"), ("model", "table", "59"), ("model", "p", None),
+    ("truth", "beta", True), ("truth", "c", "1"), ("truth", "coeffs", "59"),
+    ("truth", "kind", None),
+    ("hyper", "rate", True), ("hyper", "shape", "1"), ("hyper", "kind", None),
+    ("config", "n_ladder", "59"), ("config", "seed", 2.9), ("config", "replicates", True),
+    ("config", "hb_iterations", "1"), ("config", "N", 2.9), ("config", "model", None),
+    ("config", "hyper", None),
+    ("observation", "N", True), ("observation", "n", "1"), ("observation", "y", "59"),
+    ("observation", "seed", 2.9), ("observation", "model", None),
+])
+def test_readers_reject_wrong_json_types(reader, field, value):
+    d, read = READERS[reader]
+    read(d)
+    with pytest.raises(ConfigError, match=rf"\b{field} must be "):
+        read({**d, field: value})
 
 
 @pytest.mark.parametrize("command", ["eb-fit", "hb-run"])

@@ -6,6 +6,7 @@ with alpha, and the marginal log likelihood stays finite on the search
 interval [0, log n].  On a malformed observation file, spec or experiment
 config the command line returns one of its documented exit codes and
 writes nothing on a configuration error.
+Every spec and config reads back what it writes.
 The examples are derandomized, so every run draws the same ones.
 """
 
@@ -20,7 +21,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invseq import ModelSpec, Observation, TruthSpec, posterior, simulate
+from invseq import (ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthSpec, posterior,
+                    simulate)
 from invseq.cli import main
 from invseq.empirical_bayes import Loglik
 from invseq.sequence_model import TRUNCATION_CAP
@@ -193,3 +195,74 @@ def test_cli_exit_codes_on_malformed_specs(case):
         else:
             source = ["--n", "1e4", f"--N={N}"]
         _exit_code_and_output([command, *source, f"{flag}={spec}"], os.path.join(tmp, "out"))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def model_specs(draw, N=None):
+    """A model of any kind.  An explicit table, at least N long, is kappa_i = i^-p * C^u_i
+    with u_i in [-1, 1]."""
+    kind = draw(st.sampled_from(["exact_power", "volterra", "explicit"]))
+    p = 1.0 if kind == "volterra" else draw(st.floats(0.0, 3.0))
+    C = draw(st.floats(1.0, 10.0))
+    if kind != "explicit":
+        return ModelSpec(kind=kind, p=p, C=C)
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=N or 1, max_size=(N or 1) + 5)))
+    return ModelSpec.explicit(np.arange(1, u.size + 1) ** -p * C**u, p=p, C=C)
+
+
+@st.composite
+def truth_specs(draw):
+    kind = draw(st.sampled_from(["explicit", "power_law", "paper_example", "analytic_decay", "zero"]))
+    return TruthSpec(kind=kind,
+                     beta=draw(positive if kind == "power_law" else st.none() | finite),
+                     gamma=draw(positive if kind == "analytic_decay" else st.none() | finite),
+                     c=draw(finite),
+                     coeffs=draw(st.lists(finite).map(tuple) if kind == "explicit"
+                                 else st.none() | st.lists(finite).map(tuple)))
+
+
+hyper_priors = st.builds(HyperPrior, kind=st.sampled_from(["exponential", "gamma", "inverse_gamma",
+                                                           "fixed"]),
+                         shape=positive, rate=positive, scale=positive, alpha_star=positive)
+
+
+@st.composite
+def experiment_configs(draw):
+    """A config with nested specs; an explicit model's table covers its given N."""
+    N = draw(st.integers(1, 30))
+    model = draw(model_specs(N))
+    iterations = draw(st.integers(1, 10_000))
+    return ExperimentConfig(
+        model=model, truth=draw(truth_specs()),
+        n_ladder=tuple(sorted(draw(st.sets(st.floats(1.0, 1e20, exclude_min=True), min_size=1,
+                                           max_size=5)))),
+        replicates=draw(st.integers(1, 100)), seed=draw(st.integers(0, 2**63)),
+        N=N if model.table is not None else draw(st.none() | st.just(N)),
+        output_dir=draw(st.text()), hyper=draw(hyper_priors), hb_iterations=iterations,
+        hb_burn_in=draw(st.none() | st.integers(0, iterations - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(spec=st.one_of(model_specs(), truth_specs(), hyper_priors, experiment_configs()))
+def test_specs_read_back_what_they_write(spec):
+    d = spec.to_dict()
+    back = type(spec).from_dict(json.loads(json.dumps(d)))
+    assert back == spec
+    assert back.to_dict() == d
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data(), N=st.integers(1, 30))
+def test_observation_reads_back_what_it_writes(data, N):
+    y = np.array(data.draw(st.lists(finite, min_size=N, max_size=N)))
+    obs = Observation(n=data.draw(positive), N=N, y=y, seed=data.draw(st.integers(0, 2**63)),
+                      model=data.draw(model_specs(N)))
+    text = obs.to_json()
+    back = Observation.from_json(text)
+    assert (back.n, back.N, back.seed, back.model) == (obs.n, obs.N, obs.seed, obs.model)
+    np.testing.assert_array_equal(back.y, obs.y)
+    assert back.to_json() == text
