@@ -221,7 +221,8 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     inv_nk2 = 1.0 / (obs.n * d.kappa**2)
 
     def conditional():
-        # from the weight of ell's last evaluation
+        # from the weight of ell's last evaluation, over all N coordinates
+        ell.complete()
         np.multiply(ell.u, ell.r, w)
         np.multiply(w, y_over_k, mu_loc)
         np.multiply(w, inv_nk2, mu_scale)

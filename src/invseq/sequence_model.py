@@ -38,8 +38,12 @@ from .errors import ConfigError, NumericalError, OutOfRangeError
 TRUNCATION_CAP = 100_000
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows past this
 # Below about s = -707, numpy's vector exp hands each element to a scalar path
-# 15-200 times slower, while 1 + e^s is exactly 1 from s = -38 down.
+# 15-200 times slower, while 1 + e^s rounds to exactly 1 once e^s <= 2^-53, that
+# is from s = -53 log 2 = -36.737 down.
 S_FLOOR = -700.0
+# A log-odds below this is past that threshold with room for the rounding of s,
+# so its coordinate's 1 + u is exactly 1 (empirical_bayes skips such coordinates).
+S_NEGLIGIBLE = -37.0
 
 
 @dataclass(frozen=True)
@@ -127,12 +131,17 @@ class Design:
         """Fill u with exp(max(s(alpha), S_FLOOR)) and u1 with 1 + u.
 
         alpha is a scalar, or an alpha column (shape (k, 1)) for one row of
-        u and u1 per alpha.  The clamp leaves 1 + u exactly as it was and
-        puts u*r (r = 1/u1) at e^-700 = 1e-304 wherever w was smaller.
-        design() has checked that no alpha >= 0 overflows exp.
+        u and u1 per alpha.  A 1-D u and u1 may be shorter than N: they
+        then hold the first len(u) coordinates, so prefix views of N-long
+        buffers work.  The clamp leaves 1 + u exactly as it was and puts u*r
+        (r = 1/u1) at e^-700 = 1e-304 wherever w was smaller.  design() has
+        checked that no alpha >= 0 overflows exp.
         """
-        np.multiply(self.log_i, 1.0 + 2.0 * alpha, u)
-        np.subtract(self.log_nk2, u, u)
+        log_i, log_nk2 = self.log_i, self.log_nk2
+        if u.size < log_i.size:  # a prefix view
+            log_i, log_nk2 = log_i[:u.size], log_nk2[:u.size]
+        np.multiply(log_i, 1.0 + 2.0 * alpha, u)
+        np.subtract(log_nk2, u, u)
         np.maximum(u, S_FLOOR, out=u)
         np.exp(u, u)
         np.add(u, 1.0, u1)

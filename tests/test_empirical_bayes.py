@@ -84,6 +84,26 @@ def test_score_matches_central_difference():
         assert abs(s - fd) <= 1e-6 * (1.0 + abs(s))
 
 
+@pytest.mark.parametrize("model", [ModelSpec.exact_power(1.0), VOLTERRA,
+                                   ModelSpec.explicit(np.arange(1, 5001) ** -1.0
+                                                      * 2.0 ** np.sin(np.arange(5000)),
+                                                      p=1.0, C=2.0)])
+def test_score_matches_central_difference_past_the_prefix(model):
+    """Where the likelihood evaluates only its first k < N coordinates, score still
+    sums over all N.  The data are pure noise, so the term sum n*y_i^2 that
+    log_likelihood carries is about N/2 and the differences stay accurate."""
+    n, N = 1e15, 5000
+    obs = simulate(TruthSpec.zero(), model, n, N, 23)
+    ell = Loglik(obs)
+    h = 1e-5
+    for alpha in (3.0, 10.0, math.log(n)):
+        ell(alpha)
+        assert ell.active < N
+        fd = (log_likelihood(alpha + h, obs) - log_likelihood(alpha - h, obs)) / (2 * h)
+        s = score(alpha, obs)
+        assert abs(s - fd) <= 1e-6 * (1.0 + abs(s))
+
+
 def test_data_scaling_identity():
     """ell(a; cY) - ell(a; Y) = (c^2-1)/2 * sum n^2 Y_i^2/(i^(1+2a)/k_i^2 + n)."""
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 200.0, 60, 9)
@@ -266,6 +286,29 @@ def test_reported_values_add_the_dropped_term_back():
     curve = fit(obs).curve
     for a, v in zip(curve.alphas[::40], curve.values[::40]):
         assert v == ell(a) + ell.offset == log_likelihood(a, obs)
+
+
+def test_loglik_nan_alpha_gives_nan():
+    """A nan alpha is no prefix length: the call gives nan and raises nothing."""
+    ell = Loglik(simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, 2000, 2))
+    assert ell.alpha_full < math.log(1e15)
+    assert math.isnan(ell(math.nan))
+
+
+def test_loglik_complete_fills_the_tail():
+    """After a prefix call, complete() leaves u and r as a full evaluation would."""
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, 2000, 2)
+    ell, full = Loglik(obs), Loglik(obs)
+    full.alpha_full = math.inf
+    ell(0.0)
+    for alpha in (5.0, math.log(obs.n)):
+        ell(alpha)
+        assert ell.active < obs.N
+        full(alpha)
+        ell.complete()
+        assert ell.active == obs.N
+        np.testing.assert_array_equal(ell.u, full.u)
+        np.testing.assert_array_equal(ell.r, full.r)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, 3.0])

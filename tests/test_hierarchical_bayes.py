@@ -261,6 +261,30 @@ def test_run_mwg_fixed_hook_matches_conjugate():
     assert np.all(np.abs(second_moment - want_second) <= 4.0 * se_second)
 
 
+def test_run_mwg_fixed_hook_reads_every_coordinate_past_the_prefix():
+    """At alpha = 5 and n = 1e15 the likelihood evaluates only the first k = 293 of
+    the N = 2000 coordinates, yet the conditional of mu needs the data weight
+    of all N.
+
+    The checks are those of the test above; with 2000 coordinates and two
+    checks each, a 5-sd bound keeps the chance of a false alarm near 0.2%.
+    """
+    alpha_star = 5.0
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, 2000, 2)
+    chain = run_mwg(obs, HyperPrior.fixed(alpha_star),
+                    HbConfig(iterations=4000, burn_in=0, seed=9))
+    assert np.all(np.isfinite(chain.mu_mean)) and np.all(np.isfinite(chain.mu_var))
+    ref = posterior(alpha_star, obs)
+    m = chain.alphas.size
+    se_mean = np.sqrt(ref.variances / m)
+    assert np.all(np.abs(chain.mu_mean - ref.means) <= 5.0 * se_mean)
+    want_second = ref.variances + ref.means ** 2
+    se_second = np.sqrt((2.0 * ref.variances ** 2
+                         + 4.0 * ref.variances * ref.means ** 2) / m)
+    second_moment = chain.mu_var + chain.mu_mean ** 2
+    assert np.all(np.abs(second_moment - want_second) <= 5.0 * se_second)
+
+
 @pytest.mark.parametrize("n", [1e15, 1e20])
 def test_mu_var_matches_conjugate_at_large_n(n):
     """Draws spread far less than their size; the variance must not cancel away."""

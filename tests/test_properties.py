@@ -3,7 +3,8 @@ to the 1e5 cap, on all three model kinds.
 
 The posterior means and variances stay finite, the variances do not grow
 with alpha, and the marginal log likelihood stays finite on the search
-interval [0, log n].  On a malformed observation file, spec or experiment
+interval [0, log n], where its prefix evaluation agrees with a long-double
+one.  On a malformed observation file, spec or experiment
 config the command line returns one of its documented exit codes and
 writes nothing on a configuration error.
 Every spec and config reads back what it writes.
@@ -26,6 +27,7 @@ from invseq import (ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthS
 from invseq.cli import main
 from invseq.empirical_bayes import Loglik
 from invseq.sequence_model import TRUNCATION_CAP
+from test_empirical_bayes import _long_double_centred
 
 EPS = np.finfo(float).eps
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -52,11 +54,15 @@ def corners(**args):
     return add
 
 
-def _observation(case):
+def _observation(case, edge=False):
     """The paper's truth observed through the drawn model; an explicit table is
-    kappa_i = i^-p times a factor drawn log-uniformly from [1/C, C]."""
+    kappa_i = i^-p times a factor drawn log-uniformly from [1/C, C].  With edge
+    set, the model is an explicit table on its sandwich's upper edge,
+    kappa_i = C * i^-p, whatever the drawn kind."""
     N, p, C = case["N"], case["p"], case["C"]
-    if case["kind"] == "exact_power":
+    if edge:
+        model = ModelSpec.explicit(C * np.arange(1, N + 1) ** -p, p=p, C=C)
+    elif case["kind"] == "exact_power":
         model = ModelSpec.exact_power(p)
     elif case["kind"] == "volterra":
         model = ModelSpec.volterra()
@@ -89,6 +95,39 @@ def test_loglik_finite_on_search_interval(case):
     ell = Loglik(obs)
     for alpha in np.linspace(0.0, math.log(obs.n), 7):
         assert math.isfinite(ell(alpha) + ell.offset)
+
+
+def test_loglik_prefix_matches_long_double():
+    """The likelihood over its active prefix plus the stored suffix sum stays
+    within 64 eps of a long-double evaluation over all N coordinates, and every
+    coordinate it skips has s_i(alpha) below -53 log 2, where 1 + u_i is 1.
+    Half the draws are tables on the edge kappa_i = C i^-p of their sandwich,
+    where the prefix length has the least room; so are the explicit examples
+    at n = 1e15, where k(alpha) runs from N = 1e5 down to a few."""
+    skipped = []
+    edge_case = {"log10_n": 15.0, "N": TRUNCATION_CAP, "kind": "explicit", "p": 1.0, "C": 10.0,
+                 "seed": 1}
+
+    @SETTINGS
+    @corners(edge=True, fraction=1.0)
+    @example(case=edge_case, edge=True, fraction=0.05)
+    @example(case=edge_case, edge=True, fraction=0.1)
+    @example(case=edge_case, edge=True, fraction=0.3)
+    @given(case=cases, edge=st.booleans(), fraction=st.floats(0.0, 1.0))
+    def check(case, edge, fraction):
+        obs = _observation(case, edge)
+        alpha = fraction * math.log(obs.n)
+        ell = Loglik(obs)
+        got = ell(alpha)
+        want = _long_double_centred(obs)(alpha)
+        assert abs(got - want) <= 64 * EPS * abs(want)
+        d = ell.design
+        s = d.log_nk2 - (1.0 + 2.0 * alpha) * d.log_i
+        assert np.all(s[ell.active:] < -53.0 * math.log(2.0))
+        skipped.append(ell.active < obs.N)
+
+    check()
+    assert sum(skipped) >= 10
 
 
 MISSING = object()
