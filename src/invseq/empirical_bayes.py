@@ -235,8 +235,6 @@ def fit(obs: Observation) -> EbFit:
     return EbFit(alpha_hat=alpha_hat, curve=curve, refined=refined)
 
 
-def eb_posterior(obs: Observation, eb_fit: EbFit | None = None) -> CoordinatePosterior:
+def eb_posterior(obs: Observation, eb_fit: EbFit) -> CoordinatePosterior:
     """Plug-in posterior at the fitted alpha."""
-    if eb_fit is None:
-        eb_fit = fit(obs)
     return posterior(eb_fit.alpha_hat, obs)

@@ -15,7 +15,3 @@ class ConfigError(InvseqError, ValueError):
 
 class NumericalError(InvseqError, ArithmeticError):
     """A computation produced a non-finite or otherwise unusable value."""
-
-
-class OutOfRangeError(InvseqError, IndexError):
-    """A coordinate index fell outside a tabulated range."""

@@ -93,7 +93,8 @@ def write_json(path, obj) -> None:
 
 
 def rung_tag(n: float) -> str:
-    s = f"{n:.0e}"
+    """n in the shortest mantissa-exponent form that reads back as n: 1e3, 1.5e3, 2.125e11."""
+    s = next(s for s in (f"{n:.{d}e}" for d in range(17)) if float(s) == n)
     return s.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .empirical_bayes import Loglik
 from .errors import ConfigError, NumericalError
-from .sequence_model import Observation, fields_dict, read_fields
+from .sequence_model import Observation
 
 MODE_BIN_WIDTH = 0.25
 SQRT2 = math.sqrt(2.0)
@@ -83,13 +83,6 @@ class HyperPrior:
             return (self.shape * math.log(self.scale) - math.lgamma(self.shape)
                     - (self.shape + 1.0) * math.log(alpha) - self.scale / alpha)
         return 0.0 if alpha == self.alpha_star else -math.inf
-
-    def to_dict(self) -> dict:
-        return fields_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HyperPrior":
-        return read_fields(cls, d)
 
 
 @dataclass(frozen=True)

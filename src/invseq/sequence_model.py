@@ -5,9 +5,9 @@ Data are coordinatewise observations
     y_i = kappa_i * mu_i + n^(-1/2) * z_i,   z_i iid standard normal,
 
 where the multipliers kappa_i decay polynomially, kappa_i ~ i^(-p).
-This module owns the model/truth descriptions, simulation, norms of
-coefficient sequences, and synthesis back to functions on [0, 1] in the
-shifted cosine basis e_i(t) = sqrt(2) * cos((i - 1/2) * pi * t).
+This module owns the model/truth descriptions, simulation and synthesis
+back to functions on [0, 1] in the shifted cosine basis
+e_i(t) = sqrt(2) * cos((i - 1/2) * pi * t).
 
 It also owns the per-coordinate algebra every inference layer shares.
 All alpha-dependent quantities are functions of the log-odds of the data
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, OutOfRangeError
+from .errors import ConfigError, NumericalError
 
 TRUNCATION_CAP = 100_000
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows past this
@@ -106,17 +106,8 @@ class ModelSpec:
         if self.kind == "volterra":
             return 1.0 / ((i - 0.5) * math.pi)
         if N > len(self.table):
-            raise OutOfRangeError(
-                f"kappa table has {len(self.table)} entries, coordinate {N} requested"
-            )
+            raise ConfigError(f"kappa table has {len(self.table)} entries, coordinate {N} requested")
         return np.asarray(self.table[:N], dtype=float)
-
-    def to_dict(self) -> dict:
-        return fields_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return read_fields(cls, d)
 
 
 @dataclass(frozen=True)
@@ -225,13 +216,6 @@ class TruthSpec:
         if self.kind == "analytic_decay":
             return self.c * np.exp(-self.gamma * i)
         return i**-1.5 * np.sin(i)
-
-    def to_dict(self) -> dict:
-        return fields_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TruthSpec":
-        return read_fields(cls, d)
 
 
 @dataclass(frozen=True)
@@ -388,20 +372,6 @@ def simulate(truth: TruthSpec, model: ModelSpec, n: float, N: int, seed: int) ->
     z = np.random.default_rng(seed).standard_normal(N)
     y = kap * mu + z / math.sqrt(n)
     return Observation(n=float(n), N=int(N), y=y, seed=int(seed), model=model)
-
-
-def sobolev_norm_sq(mu: np.ndarray, beta: float) -> float:
-    """sum_i i^(2*beta) * mu_i^2 for the finite sequence mu."""
-    mu = np.asarray(mu, dtype=float)
-    i = np.arange(1, mu.size + 1, dtype=float)
-    return float(np.sum(i ** (2.0 * beta) * mu**2))
-
-
-def analytic_norm_sq(mu: np.ndarray, gamma: float) -> float:
-    """sum_i exp(2*gamma*i) * mu_i^2 for the finite sequence mu."""
-    mu = np.asarray(mu, dtype=float)
-    i = np.arange(1, mu.size + 1, dtype=float)
-    return float(np.sum(np.exp(2.0 * gamma * i) * mu**2))
 
 
 def synthesize_function(mu: np.ndarray, t_grid: np.ndarray) -> np.ndarray:

@@ -209,22 +209,3 @@ def minimax_rate_analytic(p: float, n: float) -> float:
         raise ConfigError("need p >= 0, n > 1")
     return n**-0.5 * math.log(n) ** (0.5 + p)
 
-
-def slowly_varying_factor(kind: str, p: float, n: float) -> float:
-    """The slack factor in the adaptation guarantee.
-
-    "sobolev": (log n)^2 * (log log n)^(1/2)
-    "analytic": (log n)^((1/2+p)*sqrt(log n)/2 + 1 - p) * (log log n)^(1/2)
-    """
-    if p < 0:
-        raise ConfigError("need p >= 0")
-    # tolerant boundary: e**e and exp(e) differ by a few ulps
-    if n < math.exp(math.e) * (1.0 - 1e-12):
-        raise ConfigError("need n >= e^e so that log log n >= 1")
-    logn = math.log(n)
-    loglogn = math.log(logn)
-    if kind == "sobolev":
-        return logn**2 * math.sqrt(loglogn)
-    if kind == "analytic":
-        return logn ** ((0.5 + p) * math.sqrt(logn) / 2.0 + 1.0 - p) * math.sqrt(loglogn)
-    raise ConfigError(f"unknown kind {kind!r}")

@@ -23,9 +23,7 @@ from invseq import (
     bracket,
     default_truncation,
     fit,
-    histogram_mode,
     log_likelihood,
-    mh_log_acceptance,
     posterior,
     run_mwg,
     run_rate_sweep,
@@ -33,6 +31,7 @@ from invseq import (
     simulate,
     synthesize_function,
 )
+from invseq.hierarchical_bayes import histogram_mode, mh_log_acceptance
 from oracles import volterra_forward
 
 VOLTERRA = ModelSpec.volterra()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from invseq import ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthSp
 from invseq.cli import main, parse_hyper, parse_model, parse_truth
 from invseq.errors import ConfigError
 from invseq.experiments import write_csv, write_json
-from invseq.sequence_model import TRUNCATION_CAP
+from invseq.sequence_model import TRUNCATION_CAP, fields_dict, read_fields
 
 
 def test_import_loads_no_scipy():
@@ -168,8 +169,8 @@ def test_bracket_command(tmp_path):
 
 def _write_config(path, **overrides):
     cfg = {
-        "model": ModelSpec.volterra().to_dict(),
-        "truth": TruthSpec.paper_example().to_dict(),
+        "model": fields_dict(ModelSpec.volterra()),
+        "truth": fields_dict(TruthSpec.paper_example()),
         "n_ladder": [100.0, 1000.0],
         "replicates": 2,
         "seed": 0,
@@ -183,7 +184,7 @@ def _write_config(path, **overrides):
 
 
 def test_figure1_zero_truth_endpoint(tmp_path):
-    cfg = _write_config(tmp_path / "cfg.json", truth=TruthSpec.zero().to_dict())
+    cfg = _write_config(tmp_path / "cfg.json", truth=fields_dict(TruthSpec.zero()))
     out = tmp_path / "fig1"
     rc = main(["figure1", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
@@ -215,9 +216,24 @@ def test_replay_byte_identical(tmp_path, command):
     assert all(name in first for name in expected)
 
 
+@pytest.mark.parametrize("command, prefix, per_rung", [
+    ("figure1", "fig1", ["curve.csv", "likelihood.csv"]),
+    ("figure2", "fig2", ["alpha.csv", "summary.json", "curve.csv"]),
+], ids=["figure1", "figure2"])
+def test_rungs_sharing_a_leading_digit_keep_their_own_files(tmp_path, command, prefix, per_rung):
+    cfg = _write_config(tmp_path / "cfg.json", replicates=1, n_ladder=[1e3, 1.5e3, 2e3])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / f"{prefix}_manifest.json") as fh:
+        files = json.load(fh)["files"]
+    want = [f"{prefix}_{tag}_{kind}" for tag in ("1e3", "1.5e3", "2e3") for kind in per_rung]
+    assert files == want
+    assert sorted(os.listdir(out)) == sorted([*want, f"{prefix}_manifest.json"])
+
+
 def test_figure2_command_and_fixed_hook(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", replicates=1,
-                        hyper=HyperPrior.fixed(0.7).to_dict())
+                        hyper=fields_dict(HyperPrior.fixed(0.7)))
     out = tmp_path / "fig2"
     rc = main(["figure2", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
@@ -241,7 +257,7 @@ def test_figure2_acceptance_rate_band(tmp_path):
 
 def test_rate_sweep_needs_three_rungs(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json",
-                        truth=TruthSpec.power_law(1.0).to_dict())
+                        truth=fields_dict(TruthSpec.power_law(1.0)))
     out = tmp_path / "sweep"
     rc = main(["rate-sweep", "--config", str(cfg), "--beta", "1",
                "--out", str(out)])
@@ -250,7 +266,7 @@ def test_rate_sweep_needs_three_rungs(tmp_path):
 
 def test_rate_sweep_small_ladder(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json",
-                        truth=TruthSpec.power_law(1.0).to_dict(),
+                        truth=fields_dict(TruthSpec.power_law(1.0)),
                         n_ladder=[1e3, 1e4, 1e5])
     out = tmp_path / "sweep"
     rc = main(["rate-sweep", "--config", str(cfg), "--beta", "1", "--out", str(out)])
@@ -266,7 +282,7 @@ def test_rate_sweep_small_ladder(tmp_path):
 
 def test_rate_sweep_beta_mismatch(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json",
-                        truth=TruthSpec.power_law(1.0).to_dict(),
+                        truth=fields_dict(TruthSpec.power_law(1.0)),
                         n_ladder=[1e3, 1e4, 1e5])
     rc = main(["rate-sweep", "--config", str(cfg), "--beta", "2",
                "--out", str(tmp_path / "x")])
@@ -299,7 +315,7 @@ def test_non_finite_rung_is_config_error(tmp_path, rung):
 @pytest.mark.parametrize("command", ["figure1", "figure2", "rate-sweep"])
 @pytest.mark.parametrize("overrides, message", [
     # an explicit model with p = 0 needs 1e5 coordinates at the top rung
-    ({"model": ModelSpec.explicit([1.0] * 3, p=0.0, C=1.0).to_dict()},
+    ({"model": fields_dict(ModelSpec.explicit([1.0] * 3, p=0.0, C=1.0))},
      "kappa table must be at least N = 100000 entries long, has 3"),
     ({"N": TRUNCATION_CAP + 1}, f"N must be in [1, {TRUNCATION_CAP}]"),
 ], ids=["short-table", "N-over-cap"])
@@ -361,14 +377,15 @@ def test_mistyped_config_exits_two_before_writing(tmp_path, capsys, command):
 
 
 READERS = {  # reader: (a JSON object it reads, the reader)
-    "model": ({"kind": "explicit", "p": 0.5, "C": 2.0, "table": [1.0, 0.7]}, ModelSpec.from_dict),
-    "truth": ({"kind": "power_law", "beta": 1.0, "c": 1.0}, TruthSpec.from_dict),
-    "hyper": ({"kind": "gamma", "shape": 2.0, "rate": 1.0}, HyperPrior.from_dict),
-    "config": ({"model": ModelSpec.volterra().to_dict(), "truth": {"kind": "paper_example"},
+    "model": ({"kind": "explicit", "p": 0.5, "C": 2.0, "table": [1.0, 0.7]},
+              partial(read_fields, ModelSpec)),
+    "truth": ({"kind": "power_law", "beta": 1.0, "c": 1.0}, partial(read_fields, TruthSpec)),
+    "hyper": ({"kind": "gamma", "shape": 2.0, "rate": 1.0}, partial(read_fields, HyperPrior)),
+    "config": ({"model": fields_dict(ModelSpec.volterra()), "truth": {"kind": "paper_example"},
                 "n_ladder": [100.0, 1000.0], "replicates": 2, "seed": 0, "N": 5},
                ExperimentConfig.from_dict),
     "observation": ({"n": 1e3, "N": 2, "y": [0.1, 0.2], "seed": 0,
-                     "model": ModelSpec.volterra().to_dict()},
+                     "model": fields_dict(ModelSpec.volterra())},
                     lambda d: Observation.from_json(json.dumps(d))),
 }
 

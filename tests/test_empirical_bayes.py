@@ -212,7 +212,7 @@ def test_eb_posterior_definitional():
 
 def test_eb_posterior_zero_data():
     obs = _obs(100.0, np.zeros(15), model=VOLTERRA)
-    assert not eb_posterior(obs).means.any()
+    assert not eb_posterior(obs, fit(obs)).means.any()
 
 
 def test_adaptive_beats_mismatched_alpha():
@@ -225,7 +225,7 @@ def test_adaptive_beats_mismatched_alpha():
     def grid_err(post):
         return math.sqrt(float(np.mean((posterior_mean_function(post, t) - f_true) ** 2)))
 
-    assert grid_err(eb_posterior(obs)) < grid_err(posterior(0.1, obs))
+    assert grid_err(eb_posterior(obs, fit(obs))) < grid_err(posterior(0.1, obs))
 
 
 def _long_double_centred(obs):

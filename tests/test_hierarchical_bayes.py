@@ -19,9 +19,7 @@ from invseq import (
     Observation,
     TruthSpec,
     fit,
-    histogram_mode,
     log_likelihood,
-    mh_log_acceptance,
     posterior,
     run_mwg,
     simulate,
@@ -29,7 +27,8 @@ from invseq import (
 from invseq.cli import main
 from invseq.empirical_bayes import Loglik
 from invseq.errors import ConfigError
-from invseq.hierarchical_bayes import _log_ndtr
+from invseq.hierarchical_bayes import _log_ndtr, histogram_mode, mh_log_acceptance
+from invseq.sequence_model import fields_dict, read_fields
 
 VOLTERRA = ModelSpec.volterra()
 
@@ -91,9 +90,9 @@ def test_hyperprior_validation_and_round_trip():
     with pytest.raises(ConfigError):
         HyperPrior.fixed(-1.0)
     for hyper, _ in KINDS:
-        assert HyperPrior.from_dict(hyper.to_dict()) == hyper
+        assert read_fields(HyperPrior, fields_dict(hyper)) == hyper
     hook = HyperPrior.fixed(0.7)
-    assert HyperPrior.from_dict(hook.to_dict()) == hook
+    assert read_fields(HyperPrior, fields_dict(hook)) == hook
 
 
 @pytest.mark.parametrize("make, name", [

@@ -6,7 +6,8 @@ with alpha, and the marginal log likelihood stays finite on the search
 interval [0, log n], where its prefix evaluation agrees with a long-double
 one.  On a malformed observation file, spec or experiment
 config the command line returns one of its documented exit codes and
-writes nothing on a configuration error.
+writes nothing on a configuration error.  Where the empirical-Bayes fit
+lands on an end of its search interval, the score points outside it.
 Every spec and config reads back what it writes.
 The examples are derandomized, so every run draws the same ones.
 """
@@ -17,16 +18,17 @@ import json
 import math
 import os
 import tempfile
+from functools import partial
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invseq import (ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthSpec, posterior,
-                    simulate)
+from invseq import (ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthSpec, fit, posterior,
+                    score, simulate)
 from invseq.cli import main
 from invseq.empirical_bayes import Loglik
-from invseq.sequence_model import TRUNCATION_CAP
+from invseq.sequence_model import TRUNCATION_CAP, default_truncation, fields_dict, read_fields
 from test_empirical_bayes import _long_double_centred
 
 EPS = np.finfo(float).eps
@@ -54,11 +56,11 @@ def corners(**args):
     return add
 
 
-def _observation(case, edge=False):
-    """The paper's truth observed through the drawn model; an explicit table is
-    kappa_i = i^-p times a factor drawn log-uniformly from [1/C, C].  With edge
-    set, the model is an explicit table on its sandwich's upper edge,
-    kappa_i = C * i^-p, whatever the drawn kind."""
+def _observation(case, edge=False, truth=TruthSpec.paper_example()):
+    """The truth, the paper's by default, observed through the drawn model; an
+    explicit table is kappa_i = i^-p times a factor drawn log-uniformly from
+    [1/C, C].  With edge set, the model is an explicit table on its sandwich's
+    upper edge, kappa_i = C * i^-p, whatever the drawn kind."""
     N, p, C = case["N"], case["p"], case["C"]
     if edge:
         model = ModelSpec.explicit(C * np.arange(1, N + 1) ** -p, p=p, C=C)
@@ -69,7 +71,7 @@ def _observation(case, edge=False):
     else:
         factor = C ** np.random.default_rng(case["seed"]).uniform(-1.0, 1.0, N)
         model = ModelSpec.explicit(np.arange(1, N + 1) ** -p * factor, p=p, C=C)
-    return simulate(TruthSpec.paper_example(), model, 10.0 ** case["log10_n"], N, case["seed"])
+    return simulate(truth, model, 10.0 ** case["log10_n"], N, case["seed"])
 
 
 @SETTINGS
@@ -128,6 +130,36 @@ def test_loglik_prefix_matches_long_double():
 
     check()
     assert sum(skipped) >= 10
+
+
+endpoint_truths = st.one_of(st.just(TruthSpec.zero()), st.just(TruthSpec.paper_example()),
+                            st.floats(0.05, 3.0).map(TruthSpec.power_law),
+                            st.floats(0.05, 2.0).map(TruthSpec.analytic_decay))
+
+
+def test_score_sign_agrees_with_fit_endpoint():
+    """Where fit lands on an end of [0, log n], the likelihood does not rise
+    into the interval: score(log n) >= 0 when alpha_hat is exactly log n, and
+    score(0) <= 0 when it is exactly 0.  Draws run at the default truncation
+    for n in [3, 1e15]; some must land on each end, so the check is not vacuous."""
+    ends = []
+
+    @SETTINGS
+    @given(case=cases, truth=endpoint_truths, log10_n=st.floats(math.log10(3.0), 15.0))
+    def check(case, truth, log10_n):
+        p = 1.0 if case["kind"] == "volterra" else case["p"]
+        N = default_truncation(10.0 ** log10_n, p)
+        obs = _observation({**case, "log10_n": log10_n, "N": N}, truth=truth)
+        top = math.log(obs.n)
+        alpha_hat = fit(obs).alpha_hat
+        if alpha_hat == top:
+            assert score(top, obs) >= 0.0
+        elif alpha_hat == 0.0:
+            assert score(0.0, obs) <= 0.0
+        ends.append(alpha_hat / top)
+
+    check()
+    assert ends.count(1.0) >= 5 and ends.count(0.0) >= 5
 
 
 MISSING = object()
@@ -195,7 +227,7 @@ def test_cli_exit_codes_on_malformed_observation_files(text, command):
         _exit_code_and_output([command, "--obs", obs_path, *iterations], os.path.join(tmp, "out"))
 
 
-CONFIG = {"model": ModelSpec.volterra().to_dict(), "truth": TruthSpec.paper_example().to_dict(),
+CONFIG = {"model": fields_dict(ModelSpec.volterra()), "truth": fields_dict(TruthSpec.paper_example()),
           "n_ladder": [100.0], "replicates": 1, "seed": 0, "hb_iterations": 50, "hb_burn_in": 10}
 
 
@@ -288,10 +320,14 @@ def experiment_configs(draw):
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
 @given(spec=st.one_of(model_specs(), truth_specs(), hyper_priors, experiment_configs()))
 def test_specs_read_back_what_they_write(spec):
-    d = spec.to_dict()
-    back = type(spec).from_dict(json.loads(json.dumps(d)))
+    if isinstance(spec, ExperimentConfig):
+        write, read = ExperimentConfig.to_dict, ExperimentConfig.from_dict
+    else:
+        write, read = fields_dict, partial(read_fields, type(spec))
+    d = write(spec)
+    back = read(json.loads(json.dumps(d)))
     assert back == spec
-    assert back.to_dict() == d
+    assert write(back) == d
 
 
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)

@@ -12,14 +12,12 @@ from invseq import (
     ModelSpec,
     Observation,
     TruthSpec,
-    analytic_norm_sq,
     default_truncation,
     simulate,
-    sobolev_norm_sq,
     synthesize_function,
 )
-from invseq.errors import ConfigError, OutOfRangeError
-from invseq.sequence_model import S_FLOOR, Design
+from invseq.errors import ConfigError
+from invseq.sequence_model import S_FLOOR, Design, fields_dict, read_fields
 from oracles import sandwich_constant, volterra_forward
 
 VOLTERRA = ModelSpec.volterra()
@@ -65,9 +63,9 @@ def test_kappa_inverse_power():
 def test_kappa_explicit_table_and_range():
     m = ModelSpec.explicit([1.0, 0.4, 0.35], p=0.5, C=2.0)
     assert m.kappa_vector(2)[1] == 0.4
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ConfigError):
         m.kappa_vector(4)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ConfigError):
         m.kappa_vector(10)
 
 
@@ -102,7 +100,7 @@ def test_volterra_sandwich_order_one():
 def test_model_round_trip():
     for m in (VOLTERRA, ModelSpec.exact_power(1.5),
               ModelSpec.explicit([0.9, 0.5, 0.3], p=0.5, C=3.0)):
-        assert ModelSpec.from_dict(m.to_dict()) == m
+        assert read_fields(ModelSpec, fields_dict(m)) == m
 
 
 def test_truth_coefficients():
@@ -173,32 +171,6 @@ def test_simulate_validation():
         simulate(TruthSpec.zero(), FLAT, 0.0, 5, 0)
     with pytest.raises(ConfigError):
         simulate(TruthSpec.zero(), FLAT, 10.0, 0, 0)
-
-
-def test_sobolev_norm_values():
-    assert sobolev_norm_sq(np.array([1.0, 0.0, 0.0]), 3.7) == 1.0
-    assert math.isclose(sobolev_norm_sq(np.array([1.0, 0.5]), 1.0), 2.0, rel_tol=1e-15)
-
-
-def test_sobolev_norm_against_direct_sum():
-    mu = TruthSpec.power_law(1.0).coefficients(10_000)
-    got = sobolev_norm_sq(mu, 0.9)
-    want = math.fsum(i ** 1.8 * mu[i - 1] ** 2 for i in range(1, 10_001))
-    assert math.isclose(got, want, rel_tol=1e-12)
-
-
-def test_analytic_norm_values():
-    assert math.isclose(analytic_norm_sq(np.array([1.0, 0.0]), 1.0),
-                        math.e ** 2, rel_tol=1e-14)
-    assert analytic_norm_sq(np.zeros(8), 0.3) == 0.0
-
-
-def test_analytic_norm_geometric_series():
-    # coefficients e^{-0.5 i} against the gamma = 0.4 weight leave e^{-0.2 i}
-    mu = TruthSpec.analytic_decay(0.5, c=1.0).coefficients(100)
-    q = math.exp(-0.2)
-    want = q * (1.0 - q ** 100) / (1.0 - q)
-    assert math.isclose(analytic_norm_sq(mu, 0.4), want, rel_tol=1e-12)
 
 
 def test_synthesize_trivial():

@@ -7,19 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invseq import (
-    ModelSpec,
-    TruthSpec,
-    bracket,
-    bracket_diagnostic,
-    default_truncation,
-    minimax_rate_analytic,
-    minimax_rate_sobolev,
-    slowly_varying_factor,
-)
+from invseq import ModelSpec, TruthSpec, bracket, default_truncation
 from invseq.cli import main
 from invseq.errors import ConfigError
-from invseq.theory import REFINE_TOL
+from invseq.theory import (REFINE_TOL, bracket_diagnostic, minimax_rate_analytic,
+                           minimax_rate_sobolev)
 
 VOLTERRA = ModelSpec.volterra()
 FLAT = ModelSpec.exact_power(0.0)
@@ -176,41 +168,6 @@ def test_minimax_analytic_examples():
 def test_minimax_analytic_domain():
     with pytest.raises(ConfigError):
         minimax_rate_analytic(0.0, 1.0)
-
-
-def test_slowly_varying_sobolev_values():
-    assert math.isclose(slowly_varying_factor("sobolev", 0.0, math.e ** math.e),
-                        math.e ** 2, rel_tol=1e-12)
-    logn = math.log(1e6)
-    want = logn ** 2 * math.sqrt(math.log(logn))
-    got = slowly_varying_factor("sobolev", 1.0, 1e6)
-    assert math.isclose(got, want, rel_tol=1e-12)
-    assert math.isclose(got, 309.3, rel_tol=0.0, abs_tol=0.05)
-
-
-def test_slowly_varying_analytic_formula():
-    for p in (0.0, 1.0):
-        n = 1e6
-        logn = math.log(n)
-        want = logn ** ((0.5 + p) * math.sqrt(logn) / 2.0 + 1.0 - p) \
-            * math.sqrt(math.log(logn))
-        got = slowly_varying_factor("analytic", p, n)
-        assert math.isclose(got, want, rel_tol=1e-12)
-
-
-def test_slowly_varying_is_subpolynomial():
-    """(log n)^2 (loglog n)^(1/2) / n^0.01 eventually decays; the turnover
-    sits far beyond desk scale, so the check runs at astronomically large n."""
-    ratios = [slowly_varying_factor("sobolev", 0.0, n) / n ** 0.01
-              for n in (1e100, 1e200, 1e300)]
-    assert ratios[0] > ratios[1] > ratios[2]
-
-
-def test_slowly_varying_domain_and_kind():
-    with pytest.raises(ConfigError):
-        slowly_varying_factor("sobolev", 0.0, 10.0)
-    with pytest.raises(ConfigError):
-        slowly_varying_factor("hoelder", 0.0, 1e6)
 
 
 def test_bracket_scan_peak_memory():
