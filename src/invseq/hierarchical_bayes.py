@@ -1,11 +1,13 @@
-"""Hierarchical Bayes: a hyperprior on alpha, sampled by partially collapsed Gibbs.
+"""Hierarchical Bayes: a hyperprior on alpha, sampled with mu integrated out.
 
 The marginal posterior of alpha is lambda(alpha) * exp(ell(alpha)), where
 ell is the marginal likelihood of all N observed coordinates, the function
 empirical Bayes maximizes.  Each sweep moves alpha by a random-walk
-Metropolis step on that density, with mu integrated out, and then draws
-mu_1..mu_N exactly from the conjugate conditional at the new alpha, so each
-kept (alpha, mu) pair is a joint posterior draw (van Dyk & Park 2008).
+Metropolis step on that density, so each kept alpha is a draw from its
+exact marginal (van Dyk & Park 2008).  Given alpha, mu_1..mu_N are
+conjugate, so the chain reports their posterior moments as the mixture of
+the conjugate posteriors at its kept alphas (Rao-Blackwellised, Gelfand &
+Smith 1990) and never draws mu.
 Proposals are normal steps truncated to (0, inf), so the acceptance ratio
 carries the Phi(alpha/sd)/Phi(alpha'/sd) correction that keeps the kernel
 reversible.  log Phi comes from the standard library's complementary error
@@ -24,7 +26,7 @@ import numpy as np
 
 from .empirical_bayes import Loglik
 from .errors import ConfigError, NumericalError
-from .sequence_model import Observation
+from .sequence_model import Design, Observation
 
 MODE_BIN_WIDTH = 0.25
 SQRT2 = math.sqrt(2.0)
@@ -102,8 +104,8 @@ class HbConfig:
             raise ConfigError("need at least one iteration")
         if not 0 <= self.resolved_burn_in() < self.iterations:
             raise ConfigError("burn_in must be in [0, iterations)")
-        if self.alpha_init is not None and self.alpha_init <= 0:
-            raise ConfigError("alpha_init must be positive")
+        if self.alpha_init is not None and not 0.0 < self.alpha_init < math.inf:
+            raise ConfigError(f"alpha_init must be positive and finite, got {self.alpha_init}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -113,7 +115,12 @@ class HbConfig:
 
 @dataclass(frozen=True)
 class HbChain:
-    """Post-burn-in output of one sampler run."""
+    """Post-burn-in output of one sampler run.
+
+    alphas holds the kept draws of alpha; mu_mean and mu_var are the
+    posterior moments of mu under the mixture of the conjugate posteriors
+    at those alphas, each weighted by how many kept sweeps it held.
+    """
 
     alphas: np.ndarray
     acceptance_rate: float
@@ -181,14 +188,44 @@ def histogram_mode(draws: np.ndarray) -> float:
     return float(0.5 * (edges[k] + edges[k + 1]))
 
 
+def _mixture_moments(obs: Observation, d: Design,
+                     alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of mu under the conjugate posteriors at alphas, equally weighted.
+
+    At alpha the posterior of mu_i has mean m_i = w_i y_i/kappa_i and variance
+    w_i/(n kappa_i^2), with w = u/(1 + u) from Design.odds (see
+    gaussian_posterior).  The mixture has mean E[m] and variance
+    E[w]/(n kappa^2) + Var(m).  Each distinct alpha enters once, weighted by
+    its count, through a weighted running-mean update: at large n the m_i
+    spread far less than their size, and raw sums of m_i^2 would cancel.
+    """
+    u, r = np.empty(obs.N), np.empty(obs.N)
+    y_over_k = obs.y / d.kappa
+    mean, w_mean, dev_sq = np.zeros(obs.N), np.zeros(obs.N), np.zeros(obs.N)
+    seen = 0
+    for alpha, count in zip(*np.unique(alphas, return_counts=True)):
+        d.odds(alpha, u, r)
+        # u*r, as posterior() forms w, so a single alpha reproduces it exactly
+        w = u * np.reciprocal(r, r)
+        seen += count
+        share = count / seen
+        delta = w * y_over_k - mean
+        mean += share * delta
+        dev_sq += count * (1.0 - share) * delta * delta
+        w_mean += share * (w - w_mean)
+    return mean, w_mean / (obs.n * d.kappa**2) + dev_sq / seen
+
+
 def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     """Run the sampler.
 
-    Runs cfg.iterations sweeps; each sweep moves alpha on its marginal
-    posterior (skipped for the "fixed" hyperprior hook), then draws
-    mu_1..mu_N exactly from the conjugate conditional at the new alpha.
-    With the "fixed" hook, an alpha_init other than its alpha is a
-    ConfigError.  Identical configs reproduce identical chains.
+    Runs cfg.iterations sweeps, each a Metropolis step of alpha on its
+    marginal posterior, and keeps the alphas past burn-in; the "fixed"
+    hyperprior hook pins alpha and runs none.  mu is never drawn: its
+    moments are the conjugate mixture over the kept alphas, so under the
+    hook they are exactly those of posterior(alpha_star, obs).  With the
+    "fixed" hook, an alpha_init other than its alpha is a ConfigError.
+    Identical configs reproduce identical chains.
     """
     burn = cfg.resolved_burn_in()
     pinned = hyper.kind == "fixed"
@@ -200,62 +237,27 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
 
     rng = np.random.default_rng(cfg.seed)
     ell = Loglik(obs)
-    d = ell.design
     start = ell(alpha)
     if not math.isfinite(start):
         raise NumericalError(f"log likelihood non-finite at the start point alpha={alpha}")
     # targets and ratios use ell's centred value; the dropped term cancels
     target = hyper.log_density(alpha) + start
-    # the conjugate mu draw at data weight w = u/(1+u) has mean w*y/kappa and
-    # sd sqrt(w/(n kappa^2)) (see gaussian_posterior); all three live in held buffers
-    N = obs.N
-    w, mu_loc, mu_scale = np.empty(N), np.empty(N), np.empty(N)
-    y_over_k = obs.y / d.kappa
-    inv_nk2 = 1.0 / (obs.n * d.kappa**2)
-
-    def conditional():
-        # from the weight of ell's last evaluation, over all N coordinates
-        ell.complete()
-        np.multiply(ell.u, ell.r, w)
-        np.multiply(w, y_over_k, mu_loc)
-        np.multiply(w, inv_nk2, mu_scale)
-        np.sqrt(mu_scale, mu_scale)
-
-    conditional()
-    sd = _step_size(d.log_i, w)
-    kept = cfg.iterations - burn
-    alphas = np.empty(kept)
-    # moments are accumulated about the first kept draw: at large n the draws
-    # spread far less than their size, and raw sums of mu^2 would cancel
-    mu_sum = np.zeros(N)
-    dev_sq_sum = np.zeros(N)
+    ell.complete()
+    sd = _step_size(ell.design.log_i, ell.u * ell.r)
+    alphas = np.full(cfg.iterations - burn, alpha)
     accepted = 0
 
-    for it in range(cfg.iterations):
-        if not pinned:
-            cand = _propose_positive(alpha, sd, rng)
-            cand_target = hyper.log_density(cand) + ell(cand)
-            log_acc = mh_log_acceptance(alpha, cand, target, cand_target, sd)
-            if math.isnan(log_acc):
-                raise NumericalError(f"iteration {it}: non-finite MH acceptance ratio")
-            if math.log(rng.random()) < log_acc:
-                alpha, target = cand, cand_target
-                conditional()
-                accepted += 1
-
-        mu = mu_loc + mu_scale * rng.standard_normal(N)
-
+    for it in range(0 if pinned else cfg.iterations):
+        cand = _propose_positive(alpha, sd, rng)
+        cand_target = hyper.log_density(cand) + ell(cand)
+        log_acc = mh_log_acceptance(alpha, cand, target, cand_target, sd)
+        if math.isnan(log_acc):
+            raise NumericalError(f"iteration {it}: non-finite MH acceptance ratio")
+        if math.log(rng.random()) < log_acc:
+            alpha, target = cand, cand_target
+            accepted += 1
         if it >= burn:
-            k = it - burn
-            alphas[k] = alpha
-            if k == 0:
-                ref = mu
-            mu_sum += mu
-            dev = mu - ref
-            dev *= dev
-            dev_sq_sum += dev
+            alphas[it - burn] = alpha
 
-    mu_mean = mu_sum / kept
-    mu_var = np.maximum(dev_sq_sum / kept - (mu_mean - ref)**2, 0.0)
-    acceptance_rate = 0.0 if pinned else accepted / cfg.iterations
-    return HbChain(alphas, acceptance_rate, mu_mean, mu_var, cfg, sd)
+    mu_mean, mu_var = _mixture_moments(obs, ell.design, alphas)
+    return HbChain(alphas, accepted / cfg.iterations, mu_mean, mu_var, cfg, sd)

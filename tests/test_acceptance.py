@@ -150,7 +150,7 @@ def test_sampler_marginal_matches_quadrature():
                 + abs(empirical_over - target_over))
     ok = tv <= 0.05
 
-    # pinned-regularity sub-chain draws the exact coordinate posterior
+    # a pinned-regularity chain reports the exact coordinate posterior
     pinned = run_mwg(obs, HyperPrior.fixed(0.7),
                      HbConfig(iterations=10**4, burn_in=0, seed=5))
     post = posterior(0.7, obs)

@@ -203,8 +203,9 @@ def test_run_mwg_validation():
     hyper = HyperPrior.exponential(1.0)
     with pytest.raises(ConfigError):
         run_mwg(obs, hyper, HbConfig(iterations=10, burn_in=10))
-    with pytest.raises(ConfigError):
-        run_mwg(obs, hyper, HbConfig(iterations=10, alpha_init=0.0))
+    for start in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="alpha_init must be positive"):
+            run_mwg(obs, hyper, HbConfig(iterations=10, alpha_init=start))
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         run_mwg(obs, hyper, HbConfig(iterations=10, seed=-1))
 
@@ -242,7 +243,11 @@ def test_run_mwg_basic_chain_properties():
 
 
 def test_run_mwg_fixed_hook_matches_conjugate():
-    """With alpha pinned the sweeps draw iid from the fixed-alpha posterior."""
+    """With alpha pinned the moments are those of the fixed-alpha posterior.
+
+    The bounds are those a Monte Carlo estimate from as many iid draws as
+    kept sweeps would meet.
+    """
     alpha_star = 0.7
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 50.0, 4, 2)
     chain = run_mwg(obs, HyperPrior.fixed(alpha_star),
@@ -262,7 +267,7 @@ def test_run_mwg_fixed_hook_matches_conjugate():
 
 def test_run_mwg_fixed_hook_reads_every_coordinate_past_the_prefix():
     """At alpha = 5 and n = 1e15 the likelihood evaluates only the first k = 293 of
-    the N = 2000 coordinates, yet the conditional of mu needs the data weight
+    the N = 2000 coordinates, yet the posterior of mu needs the data weight
     of all N.
 
     The checks are those of the test above; with 2000 coordinates and two
@@ -286,14 +291,40 @@ def test_run_mwg_fixed_hook_reads_every_coordinate_past_the_prefix():
 
 @pytest.mark.parametrize("n", [1e15, 1e20])
 def test_mu_var_matches_conjugate_at_large_n(n):
-    """Draws spread far less than their size; the variance must not cancel away."""
+    """Posterior means spread far less than their size; the variance must not cancel away."""
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, 50, 4)
     chain = run_mwg(obs, HyperPrior.fixed(1.0),
                     HbConfig(iterations=20_000, burn_in=0, seed=8))
     m = chain.alphas.size
     ratio = chain.mu_var / posterior(1.0, obs).variances
-    # the sample variance of m iid normal draws has relative sd sqrt(2/(m-1))
+    # the bound a sample variance of m iid normal draws meets: relative sd sqrt(2/(m-1))
     assert np.all(np.abs(ratio - 1.0) <= 5.0 * math.sqrt(2.0 / (m - 1)))
+
+
+@pytest.mark.parametrize("n, N, hyper", [
+    (1e3, 10, HyperPrior.exponential(1.0)),
+    (1e11, 4642, HyperPrior.exponential(1.0)),
+    (1e15, 2000, HyperPrior.exponential(1.0)),
+    (1e3, 10, HyperPrior.fixed(0.7)),
+], ids=["exponential-1e3", "exponential-1e11", "exponential-1e15", "fixed-1e3"])
+def test_chain_moments_are_the_mixture_over_kept_alphas(n, N, hyper):
+    """mu_mean and mu_var are the moments of the conjugate posteriors at the kept alphas.
+
+    The oracle forms posterior(a, obs) at every kept alpha, repeats included,
+    and combines them by the law of total variance.
+    """
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, N, 5)
+    warm = None if hyper.kind == "fixed" else max(fit(obs).alpha_hat, 1e-3)
+    chain = run_mwg(obs, hyper, HbConfig(iterations=2000, seed=6, alpha_init=warm))
+    posts = [posterior(float(a), obs) for a in chain.alphas]
+    means = np.array([p.means for p in posts])
+    m = np.mean(means, axis=0)
+    v = np.mean([p.variances for p in posts], axis=0) + np.var(means, axis=0)
+    assert np.all(np.abs(chain.mu_mean - m) <= 1e-12 * (np.abs(m) + np.sqrt(v)))
+    assert np.all(np.abs(chain.mu_var - v) <= 1e-12 * v)
+    if hyper.kind == "fixed":  # one alpha: the moments are the conjugate posterior's own
+        np.testing.assert_array_equal(chain.mu_mean, posts[0].means)
+        np.testing.assert_array_equal(chain.mu_var, posts[0].variances)
 
 
 @pytest.mark.parametrize("n, J", [(1e7, 215), (1e11, 4642)])
