@@ -14,8 +14,9 @@ zero exactly when the truth lives on the first coordinate alone.
 
 One evaluator, built once per (truth, model, n), computes diag wherever
 it is needed: at a single alpha for bracket_diagnostic and for the
-bisection that refines a crossing, and at CHUNK alphas at a time, into
-two blocks held for the whole scan, for the scan that finds it.
+bisection that refines a crossing, and at a block of alphas for the scan
+that finds it.  The scan checks CHUNK alphas at a time, each chunk filled
+in cache-sized row blocks of about BLOCK floats held for the whole scan.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ LOWER_THRESHOLD = 0.01  # l
 UPPER_COEFF = 1.0  # L, of the upper threshold L*(log n)^2
 SCAN_STEP = 1e-3
 REFINE_TOL = 1e-6
-CHUNK = 512  # alphas per scanned block
+CHUNK = 512  # alphas per scanned chunk, where the crossings are checked
+BLOCK = 2**17  # floats per row block, of which each chunk is filled
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,10 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
     the upper bracket is the first crossing of UPPER_COEFF*(log n)^2,
     scanned up to log n / (2*log 2) (beyond which a crossing is guaranteed
     whenever the second coordinate of the truth is non-zero).  Grid step
-    1e-3, scanned CHUNK alphas at a time in two held blocks; each crossing
-    refined by bisection to 1e-6.
+    1e-3; the crossings are checked CHUNK alphas at a time, and each chunk
+    is filled in cache-sized row blocks held for the whole scan.  Each
+    crossing is refined by bisection to 1e-6.  An identically-zero
+    diagnostic is not scanned: its curve is zero over the whole grid.
     """
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.size < 1:
@@ -135,7 +139,12 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
     scan_hi = max(cap, sqrt_logn)
 
     alphas = np.arange(SCAN_STEP, scan_hi + SCAN_STEP, SCAN_STEP)
-    u_blk, r_blk = np.empty((2, min(CHUNK, alphas.size), mu0.size))
+    zero = not np.any(diag.terms)
+    # rows per block: the largest power of two in [4, CHUNK] with rows*N <= BLOCK.
+    # A power of two divides CHUNK, and BLAS gemv sums four rows at a time, so
+    # each alpha gets the same bits as in one CHUNK-row block.
+    rows = min(CHUNK, 1 << (max(4, BLOCK // mu0.size).bit_length() - 1))
+    u_blk, r_blk = np.empty((2, rows, mu0.size))  # the grid has over 1000 alphas (log n > 1)
 
     def crossing(threshold: float, limit: float) -> float | None:
         """First alpha of the current chunk above threshold, refined to REFINE_TOL.
@@ -157,11 +166,14 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
                 lo = mid
         return hi
 
-    curve_v = []
+    curve_v = [np.zeros(alphas.size)] if zero else []
     lower_cross = upper_cross = None
-    for start in range(0, alphas.size, CHUNK):
+    for start in range(0, 0 if zero else alphas.size, CHUNK):
         a_blk = alphas[start:start + CHUNK]
-        vals = diag(a_blk, (u_blk[:a_blk.size], r_blk[:a_blk.size]))
+        vals = np.empty(a_blk.size)
+        for s in range(0, a_blk.size, rows):
+            a = a_blk[s:s + rows]
+            vals[s:s + a.size] = diag(a, (u_blk[:a.size], r_blk[:a.size]))
         curve_v.append(vals)
         if lower_cross is None:
             lower_cross = crossing(LOWER_THRESHOLD, math.inf)
@@ -175,7 +187,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
     alpha_upper = math.inf if upper_cross is None else upper_cross
     if upper_cross is not None:
         status = "crossed"
-    elif not np.any(diag.terms):
+    elif zero:
         status = "identically-zero"
     else:
         status = "no-crossing-below-cap"

@@ -10,8 +10,8 @@ import pytest
 from invseq import ModelSpec, TruthSpec, bracket, default_truncation
 from invseq.cli import main
 from invseq.errors import ConfigError
-from invseq.theory import (REFINE_TOL, bracket_diagnostic, minimax_rate_analytic,
-                           minimax_rate_sobolev)
+from invseq.theory import (REFINE_TOL, SCAN_STEP, _Diagnostic, bracket_diagnostic,
+                           minimax_rate_analytic, minimax_rate_sobolev)
 
 VOLTERRA = ModelSpec.volterra()
 FLAT = ModelSpec.exact_power(0.0)
@@ -171,14 +171,43 @@ def test_minimax_analytic_domain():
 
 
 def test_bracket_scan_peak_memory():
-    """The scan holds about two 512 x N blocks at once: the u and 1 + u blocks
-    Design.odds fills."""
-    N = default_truncation(1e11, 1.0)
-    mu0 = TruthSpec.paper_example().coefficients(N)
-    tracemalloc.start()
-    try:
-        bracket(mu0, VOLTERRA, 1e11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * 512 * N * 8
+    """The scan holds one pair of row blocks of about theory.BLOCK floats
+    (at least four rows each), not a pair of 512 x N blocks: at N = 4642
+    and 1e5 those held 36.6 and 785 MiB.
+
+    The curve keeps its extent, set by the 512-alpha chunks the scan checks:
+    every step-th point up to the end of the chunk where both crossings are
+    found.
+    """
+    for n, bound_mib, points, last in ((1e11, 4, 1024, 3.07), (1e15, 16, 1280, 2.559)):
+        N = default_truncation(n, 1.0)
+        mu0 = TruthSpec.paper_example().coefficients(N)
+        tracemalloc.start()
+        try:
+            report = bracket(mu0, VOLTERRA, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, (n, peak)
+        assert report.curve_alphas.size == report.curve_values.size == points
+        assert math.isclose(report.curve_alphas[-1], last, rel_tol=1e-12)
+
+
+def test_bracket_zero_truth_is_not_scanned(monkeypatch):
+    """An identically-zero diagnostic evaluates no block, and reports the
+    curve a full scan gives: zero over the whole grid, every step-th point."""
+    calls = []
+    call = _Diagnostic.__call__
+    monkeypatch.setattr(_Diagnostic, "__call__", lambda self, *a: calls.append(1) or call(self, *a))
+    n = 1e11
+    report = bracket(np.zeros(4642), VOLTERRA, n)
+    assert not calls
+    logn = math.log(n)
+    grid = np.arange(SCAN_STEP, max(logn / (2.0 * math.log(2.0)), math.sqrt(logn)) + SCAN_STEP,
+                     SCAN_STEP)
+    grid = grid[::max(1, grid.size // 1024)]
+    assert report.curve_alphas.tobytes() == grid.tobytes()
+    assert report.curve_values.tobytes() == np.zeros(grid.size).tobytes()
+    assert report.alpha_lower == math.sqrt(logn)
+    assert math.isinf(report.alpha_upper)
+    assert report.upper_status == "identically-zero"
