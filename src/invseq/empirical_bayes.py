@@ -155,9 +155,9 @@ class Loglik:
 
 
 def log_likelihood(alpha: float, obs: Observation) -> float:
-    """Marginal log likelihood of alpha given the observation."""
-    if alpha < 0:
-        raise ConfigError("alpha must be >= 0")
+    """Marginal log likelihood of alpha, finite and >= 0, given the observation."""
+    if not 0 <= alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     ell = Loglik(obs)
     return ell(alpha) + ell.offset
 
@@ -166,10 +166,10 @@ def score(alpha: float, obs: Observation) -> float:
     """Derivative of the marginal log likelihood in alpha.
 
     Written with the data weight w_i = n/(i^(1+2a)*kappa_i^-2 + n):
-    sum_i log(i) * (w_i - w_i * (1 - w_i) * n * y_i^2).
+    sum_i log(i) * (w_i - w_i * (1 - w_i) * n * y_i^2).  alpha must be finite and >= 0.
     """
-    if alpha < 0:
-        raise ConfigError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     ell = Loglik(obs)
     ell(alpha)
     ell.complete()

@@ -9,16 +9,22 @@ which is the textbook form n*kappa_i^-1*y_i/(i^(1+2a)*kappa_i^-2 + n) and
 kappa_i^-2/(i^(1+2a)*kappa_i^-2 + n) multiplied through by kappa_i^2.
 Written through the data weight w_i (see sequence_model) no large power
 i^(1+2a) is ever formed.
+
+`mixture` is the one place these moments are formed.  It mixes the
+posteriors of a column of alphas under given weights, as hierarchical
+Bayes needs; `posterior` is its one-alpha case, the empirical-Bayes
+plug-in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .sequence_model import Observation, design, synthesize_function
+from .sequence_model import Design, Observation, block_rows, design, synthesize_function
 
 
 @dataclass(frozen=True)
@@ -30,16 +36,54 @@ class CoordinatePosterior:
     variances: np.ndarray
 
 
+def mixture(obs: Observation, d: Design, alphas, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of mu under the conjugate posteriors at alphas, mixed by weights.
+
+    d is the design of obs, and alphas and weights are 1-D arrays of one
+    length.  The alphas must be finite and >= 0, the weights >= 0 with a
+    positive sum; they need not sum to 1, and a zero weight contributes
+    nothing.  Every posterior has mean w y/kappa and variance
+    w/(n kappa^2), so the mixture has mean E[w] y/kappa and, by total
+    variance, variance E[w]/(n kappa^2) + Var(w) (y/kappa)^2, with E and Var
+    taken over alpha.  The w of block_rows(N) alphas come from one
+    `Design.odds` call, and each block's weighted mean and spread of w join
+    the running ones by the pairwise update of Chan, Golub & LeVeque (1983):
+    at large n the w_i of nearby alphas agree to many digits, and raw sums
+    of w_i^2 would cancel.  A one-alpha block forms no spread, so a single
+    alpha gives exactly the conjugate posterior.
+    """
+    alphas, q = alphas[weights > 0], weights[weights > 0]
+    u_blk, r_blk = np.empty((2, min(block_rows(obs.N), alphas.size), obs.N))
+    mean, spread, total = 0.0, 0.0, 0.0
+    for s in range(0, alphas.size, len(u_blk)):
+        p = q[s:s + len(u_blk)]
+        w, r = u_blk[:p.size], r_blk[:p.size]
+        d.odds(alphas[s:s + p.size, None], w, r)
+        w *= np.reciprocal(r, r)  # u*r, as every layer forms w
+        t = float(p.sum())
+        w_b = w[0] if p.size == 1 else (p @ w) / t  # the block's mean
+        if p.size > 1:
+            w -= w_b
+            w *= w
+            spread = spread + p @ w
+        if s:  # merge the block into the running mean and spread
+            delta = w_b - mean
+            w_b = mean + delta * (t / (total + t))
+            spread = spread + delta * delta * (total * t / (total + t))
+        mean, total = w_b, total + t
+    y_over_k = obs.y / d.kappa
+    var = mean / (obs.n * d.kappa**2)
+    if alphas.size > 1:
+        var += spread / total * y_over_k**2
+    return mean * y_over_k, var
+
+
 def posterior(alpha: float, obs: Observation) -> CoordinatePosterior:
-    """Exact conjugate posterior at prior regularity alpha."""
-    if alpha < 0:
-        raise ConfigError("alpha must be >= 0")
-    d = design(obs.model, obs.n, obs.N)
-    w, r = np.empty(obs.N), np.empty(obs.N)
-    d.odds(alpha, w, r)
-    w *= np.reciprocal(r, r)  # u*r, as every layer forms w
-    return CoordinatePosterior(alpha=float(alpha), means=w * (obs.y / d.kappa),
-                               variances=w / (obs.n * d.kappa**2))
+    """Exact conjugate posterior at prior regularity alpha, finite and >= 0."""
+    if not 0 <= alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+    means, variances = mixture(obs, design(obs.model, obs.n, obs.N), np.array([alpha]), np.ones(1))
+    return CoordinatePosterior(alpha=float(alpha), means=means, variances=variances)
 
 
 def posterior_risk(alpha: float, obs: Observation, mu0: np.ndarray) -> float:

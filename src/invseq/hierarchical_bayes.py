@@ -7,7 +7,8 @@ Metropolis step on that density, so each kept alpha is a draw from its
 exact marginal (van Dyk & Park 2008).  Given alpha, mu_1..mu_N are
 conjugate, so the chain reports their posterior moments as the mixture of
 the conjugate posteriors at its kept alphas (Rao-Blackwellised, Gelfand &
-Smith 1990) and never draws mu.
+Smith 1990) and never draws mu: `gaussian_posterior.mixture` over the
+distinct kept alphas, each weighted by its count.
 Proposals are normal steps truncated to (0, inf), so the acceptance ratio
 carries the Phi(alpha/sd)/Phi(alpha'/sd) correction that keeps the kernel
 reversible.  log Phi comes from the standard library's complementary error
@@ -26,7 +27,8 @@ import numpy as np
 
 from .empirical_bayes import Loglik
 from .errors import ConfigError, NumericalError
-from .sequence_model import Design, Observation
+from .gaussian_posterior import mixture
+from .sequence_model import Observation
 
 MODE_BIN_WIDTH = 0.25
 SQRT2 = math.sqrt(2.0)
@@ -119,7 +121,8 @@ class HbChain:
 
     alphas holds the kept draws of alpha; mu_mean and mu_var are the
     posterior moments of mu under the mixture of the conjugate posteriors
-    at those alphas, each weighted by how many kept sweeps it held.
+    at those alphas (`gaussian_posterior.mixture`), each distinct alpha
+    weighted by how many kept sweeps it held.
     """
 
     alphas: np.ndarray
@@ -188,34 +191,6 @@ def histogram_mode(draws: np.ndarray) -> float:
     return float(0.5 * (edges[k] + edges[k + 1]))
 
 
-def _mixture_moments(obs: Observation, d: Design,
-                     alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of mu under the conjugate posteriors at alphas, equally weighted.
-
-    At alpha the posterior of mu_i has mean m_i = w_i y_i/kappa_i and variance
-    w_i/(n kappa_i^2), with w = u/(1 + u) from Design.odds (see
-    gaussian_posterior).  The mixture has mean E[m] and variance
-    E[w]/(n kappa^2) + Var(m).  Each distinct alpha enters once, weighted by
-    its count, through a weighted running-mean update: at large n the m_i
-    spread far less than their size, and raw sums of m_i^2 would cancel.
-    """
-    u, r = np.empty(obs.N), np.empty(obs.N)
-    y_over_k = obs.y / d.kappa
-    mean, w_mean, dev_sq = np.zeros(obs.N), np.zeros(obs.N), np.zeros(obs.N)
-    seen = 0
-    for alpha, count in zip(*np.unique(alphas, return_counts=True)):
-        d.odds(alpha, u, r)
-        # u*r, as posterior() forms w, so a single alpha reproduces it exactly
-        w = u * np.reciprocal(r, r)
-        seen += count
-        share = count / seen
-        delta = w * y_over_k - mean
-        mean += share * delta
-        dev_sq += count * (1.0 - share) * delta * delta
-        w_mean += share * (w - w_mean)
-    return mean, w_mean / (obs.n * d.kappa**2) + dev_sq / seen
-
-
 def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     """Run the sampler.
 
@@ -259,5 +234,5 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
         if it >= burn:
             alphas[it - burn] = alpha
 
-    mu_mean, mu_var = _mixture_moments(obs, ell.design, alphas)
+    mu_mean, mu_var = mixture(obs, ell.design, *np.unique(alphas, return_counts=True))
     return HbChain(alphas, accepted / cfg.iterations, mu_mean, mu_var, cfg, sd)

@@ -19,7 +19,8 @@ weight,
 so powers are taken in log space (i^(1+2a) is exactly 1 at i = 1) and a
 large alpha never overflows.  `Design.odds` is the one place s is
 exponentiated: from u = exp(s) and r = 1/(1 + u), every layer reads
-w = u*r, 1 - w = r and w*(1 - w) = u*r*r.
+w = u*r, 1 - w = r and w*(1 - w) = u*r*r.  A layer that needs many alphas
+fills them as an alpha column, `block_rows(N)` rows per call.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ S_FLOOR = -700.0
 # A log-odds below this is past that threshold with room for the rounding of s,
 # so its coordinate's 1 + u is exactly 1 (empirical_bayes skips such coordinates).
 S_NEGLIGIBLE = -37.0
+BLOCK = 2**17  # floats per row block of an alpha column (see block_rows)
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,17 @@ class Design:
         np.maximum(u, S_FLOOR, out=u)
         np.exp(u, u)
         np.add(u, 1.0, u1)
+
+
+def block_rows(N: int) -> int:
+    """Alphas per block of an alpha column over N coordinates.
+
+    The largest power of two in [4, 512] with rows * N <= BLOCK, so a block
+    pair of u and 1 + u stays cache-sized.  A power of two divides the
+    bracket scan's 512-alpha chunks, and BLAS gemv sums four rows at a time,
+    so each alpha's row sums to the same bits as in one 512-row block.
+    """
+    return min(512, 1 << (max(4, BLOCK // N).bit_length() - 1))
 
 
 def design(model: ModelSpec, n: float, N: int) -> Design:

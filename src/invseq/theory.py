@@ -16,7 +16,8 @@ One evaluator, built once per (truth, model, n), computes diag wherever
 it is needed: at a single alpha for bracket_diagnostic and for the
 bisection that refines a crossing, and at a block of alphas for the scan
 that finds it.  The scan checks CHUNK alphas at a time, each chunk filled
-in cache-sized row blocks of about BLOCK floats held for the whole scan.
+in cache-sized row blocks of `sequence_model.block_rows(N)` alphas, held
+for the whole scan.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sequence_model import ModelSpec, design
+from .sequence_model import ModelSpec, block_rows, design
 
 LOWER_THRESHOLD = 0.01  # l
 UPPER_COEFF = 1.0  # L, of the upper threshold L*(log n)^2
 SCAN_STEP = 1e-3
 REFINE_TOL = 1e-6
 CHUNK = 512  # alphas per scanned chunk, where the crossings are checked
-BLOCK = 2**17  # floats per row block, of which each chunk is filled
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
 
     alphas = np.arange(SCAN_STEP, scan_hi + SCAN_STEP, SCAN_STEP)
     zero = not np.any(diag.terms)
-    # rows per block: the largest power of two in [4, CHUNK] with rows*N <= BLOCK.
-    # A power of two divides CHUNK, and BLAS gemv sums four rows at a time, so
-    # each alpha gets the same bits as in one CHUNK-row block.
-    rows = min(CHUNK, 1 << (max(4, BLOCK // mu0.size).bit_length() - 1))
+    rows = block_rows(mu0.size)  # divides CHUNK, so each alpha gets a CHUNK-row block's bits
     u_blk, r_blk = np.empty((2, rows, mu0.size))  # the grid has over 1000 alphas (log n > 1)
 
     def crossing(threshold: float, limit: float) -> float | None:

@@ -64,6 +64,18 @@ def test_negative_alpha_rejected():
         score(-0.5, _obs(2.0, [0.1]))
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_log_likelihood_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ConfigError, match="alpha must be finite"):
+        log_likelihood(alpha, _obs(2.0, [0.1, 0.3]))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_score_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ConfigError, match="alpha must be finite"):
+        score(alpha, _obs(2.0, [0.1, 0.3]))
+
+
 def test_score_single_coordinate_zero():
     obs = _obs(3.0, [1.7])
     for alpha in (0.0, 0.9, 4.0):

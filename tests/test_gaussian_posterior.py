@@ -16,6 +16,8 @@ from invseq import (
     synthesize_function,
 )
 from invseq.errors import ConfigError
+from invseq.gaussian_posterior import mixture
+from invseq.sequence_model import block_rows, design
 
 FLAT = ModelSpec.exact_power(0.0)
 VOLTERRA = ModelSpec.volterra()
@@ -52,6 +54,69 @@ def test_prior_limit_small_n():
 def test_negative_alpha_rejected():
     with pytest.raises(ConfigError):
         posterior(-0.1, _obs(10.0, [1.0]))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_non_finite_alpha_rejected(alpha):
+    with pytest.raises(ConfigError, match="alpha must be finite"):
+        posterior(alpha, _obs(10.0, [1.0, 0.5]))
+
+
+def _mixture_oracle(obs, alphas, weights):
+    """posterior() at each alpha, combined by total variance under the normalised weights."""
+    p = weights / np.sum(weights)
+    posts = [posterior(float(a), obs) for a in alphas]
+    means = np.array([post.means for post in posts])
+    m = p @ means
+    return m, p @ np.array([post.variances for post in posts]) + p @ (means - m) ** 2
+
+
+@pytest.mark.parametrize("n, N, k, rows", [
+    (10.0, 3, 40, 512),  # one block
+    (1e11, 4642, 37, 16),  # two full blocks and a partial one
+    (1e15, 100_000, 6, 4),  # a block of four and one of two
+])
+def test_mixture_matches_per_alpha_oracle(n, N, k, rows):
+    """Fractional weights, as a quadrature grid over alpha gives them, on alphas
+    clustered as a posterior of alpha clusters: at n = 1e15 their w_i agree to
+    many digits, where raw second moments would cancel."""
+    assert block_rows(N) == rows
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, N, 11)
+    rng = np.random.default_rng(int(math.log10(n)))
+    alphas = 1.0 + 0.05 * rng.standard_normal(k)
+    weights = rng.uniform(0.0, 1.0, k) ** 2
+    mean, var = mixture(obs, design(VOLTERRA, n, N), alphas, weights)
+    m, v = _mixture_oracle(obs, alphas, weights)
+    assert np.all(np.abs(mean - m) <= 1e-12 * (np.abs(m) + np.sqrt(v)))
+    assert np.all(np.abs(var - v) <= 1e-12 * v)
+
+
+def test_mixture_zero_weight_block_contributes_nothing():
+    """A block of 16 alphas (the rows at N = 4642) that all have weight 0, as
+    the first block or a later one, leaves every bit of the moments as
+    without it."""
+    n, N = 1e11, 4642
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, N, 11)
+    d = design(VOLTERRA, n, N)
+    rng = np.random.default_rng(5)
+    alphas, weights = rng.uniform(0.5, 1.5, 21), rng.uniform(0.1, 1.0, 21)
+    want = mixture(obs, d, alphas, weights)
+    for at in (0, 16):
+        got = mixture(obs, d, np.insert(alphas, at, rng.uniform(0.5, 1.5, 16)),
+                      np.insert(weights, at, np.zeros(16)))
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_mixture_of_one_alpha_is_the_posterior():
+    """One alpha, at any weight, gives the conjugate posterior bit for bit."""
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e11, 4642, 11)
+    post = posterior(0.8, obs)
+    for weight in (1.0, 0.3, 7.0):
+        mean, var = mixture(obs, design(VOLTERRA, 1e11, 4642), np.array([0.8]),
+                            np.array([weight]))
+        np.testing.assert_array_equal(mean, post.means)
+        np.testing.assert_array_equal(var, post.variances)
 
 
 def test_shrinkage_bound():

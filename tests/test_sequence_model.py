@@ -17,7 +17,8 @@ from invseq import (
     synthesize_function,
 )
 from invseq.errors import ConfigError
-from invseq.sequence_model import S_FLOOR, Design, fields_dict, read_fields
+from invseq.sequence_model import S_FLOOR, Design, block_rows, fields_dict, read_fields
+from invseq.theory import CHUNK
 from oracles import sandwich_constant, volterra_forward
 
 VOLTERRA = ModelSpec.volterra()
@@ -46,6 +47,22 @@ def test_odds_matches_expit():
         # numpy's exp against libm's, with the rounding of 1 + u, 1/(1 + u) and the products
         assert np.max(np.abs(got[big] - ref[big]) / ref[big]) <= 4.0 * EPS
     assert np.all(w[s < S_FLOOR] == floor) and np.all(wp[s < S_FLOOR] == floor)
+
+
+def test_block_rows_rule():
+    """Rows per alpha-column block: 512 up to N = 256, then the largest power
+    of two with rows * N <= 2^17, but never below 4; always a divisor of the
+    bracket scan's chunk."""
+    for N in (1, 3, 10, 255, 256):
+        assert block_rows(N) == 512
+    assert block_rows(257) == 256
+    assert block_rows(4642) == 16
+    assert block_rows(32768) == 4
+    assert block_rows(100_000) == 4
+    for N in range(1, 100_001, 37):
+        rows = block_rows(N)
+        assert 4 <= rows <= 512 and rows & (rows - 1) == 0 and CHUNK % rows == 0
+        assert rows * N <= 2**17 or rows == 4
 
 
 def test_kappa_flat_model():

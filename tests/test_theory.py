@@ -171,7 +171,7 @@ def test_minimax_analytic_domain():
 
 
 def test_bracket_scan_peak_memory():
-    """The scan holds one pair of row blocks of about theory.BLOCK floats
+    """The scan holds one pair of row blocks of about sequence_model.BLOCK floats
     (at least four rows each), not a pair of 512 x N blocks: at N = 4642
     and 1e5 those held 36.6 and 785 MiB.
 
