@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import CoordinatePosterior, posterior
-from .sequence_model import S_NEGLIGIBLE, Observation, design
+from .sequence_model import S_NEGLIGIBLE, Observation, block_rows, design
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
@@ -98,8 +98,9 @@ class Loglik:
     2N-long dot.  It leaves u and r = 1/(1 + u) of `Design.odds` in `u[:k]`
     and `r[:k]`, and k in `active`, so a caller can form the data weight
     w = u * r without another exponential; `complete()` fills the rest of
-    u and r.  Every call reuses the same buffers.  `ny2` holds n*y_i^2 and
-    `offset` is the dropped term 1/2 * sum_i n*y_i^2.
+    u and r.  Every call reuses the same buffers.  `column` evaluates a
+    whole array of alphas at once, for the sampler.  `ny2` holds n*y_i^2
+    and `offset` is the dropped term 1/2 * sum_i n*y_i^2.
     """
 
     def __init__(self, obs: Observation):
@@ -131,20 +132,50 @@ class Loglik:
 
     def __call__(self, alpha) -> float:
         u, r = self.u, self.r
-        if not alpha > self.alpha_full:  # all N; a nan alpha lands here too and gives nan
-            self.active = self._N
+        k = self.active = self._active(alpha)
+        if k == self._N:  # a nan alpha lands here too and gives nan
             self.design.odds(alpha, u, r)
             np.log(r, self._log1p_u)
             np.reciprocal(r, r)
             return -0.5 * float(np.dot(self._terms, self._coef))
-        k = min(self._N, int(math.exp(self._reach / (self._slope + 2.0 * alpha))) + 1)
-        self.active, self._alpha = k, alpha
+        self._alpha = alpha
         u, r, log1p_u = u[:k], r[:k], self._log1p_u[:k]
         self.design.odds(alpha, u, r)
         np.log(r, log1p_u)
         np.reciprocal(r, r)
         return -0.5 * float(np.dot(log1p_u, self._coef[:k]) + np.dot(r, self.ny2[:k])
                             + self._suffix[k])
+
+    def _active(self, alpha) -> int:
+        """k(alpha) past alpha_full, else N."""
+        if not alpha > self.alpha_full:
+            return self._N
+        return min(self._N, int(math.exp(self._reach / (self._slope + 2.0 * alpha))) + 1)
+
+    def column(self, alphas: np.ndarray) -> np.ndarray:
+        """The centred value at each alpha >= 0 of a 1-D array.
+
+        block_rows(N) alphas share one `Design.odds` call over the active
+        prefix of the block's smallest alpha, and one gemv of their rows
+        [log(1 + u) | r] against (1, ..., 1, n*y^2) sums each of them.  The
+        buffers of scalar calls are left as they were.
+        """
+        N = self._N
+        rows = min(block_rows(N), alphas.size)
+        u, terms = np.empty(rows * N), np.empty(rows * 2 * N)
+        out = np.empty(alphas.size)
+        for s in range(0, alphas.size, rows):
+            a = alphas[s:s + rows]
+            k = self._active(float(a.min()))
+            t = terms[:a.size * 2 * k].reshape(a.size, 2 * k)
+            log1p_u, r = t[:, :k], t[:, k:]
+            self.design.odds(a[:, None], u[:a.size * k].reshape(a.size, k), r)
+            np.log(r, log1p_u)
+            np.reciprocal(r, r)
+            coef = self._coef if k == N else np.concatenate([self._coef[:k], self.ny2[:k]])
+            np.add(t @ coef, self._suffix[k], out[s:s + a.size])
+        out *= -0.5
+        return out
 
     def complete(self) -> None:
         """Fill u and r past the active prefix of the last call, so all N hold its alpha."""

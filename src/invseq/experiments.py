@@ -222,10 +222,8 @@ def run_rate_sweep(cfg: ExperimentConfig, beta: float) -> dict:
     ladder = _Ladder(cfg)
 
     def replicate(rung, r, obs):
-        eb = fit(obs)
-        post = eb_posterior(obs, eb)
-        return (float(np.sum((post.means - rung.mu0) ** 2)),
-                posterior_risk(eb.alpha_hat, obs, rung.mu0))
+        post = eb_posterior(obs, fit(obs))
+        return float(np.sum((post.means - rung.mu0) ** 2)), posterior_risk(post, rung.mu0)
 
     rows = []
     for rung, errs in ladder.run(replicate, curves=False):

@@ -86,15 +86,14 @@ def posterior(alpha: float, obs: Observation) -> CoordinatePosterior:
     return CoordinatePosterior(alpha=float(alpha), means=means, variances=variances)
 
 
-def posterior_risk(alpha: float, obs: Observation, mu0: np.ndarray) -> float:
-    """Squared-error risk proxy: ||mean - mu0||^2 + sum of posterior variances.
+def posterior_risk(post: CoordinatePosterior, mu0: np.ndarray) -> float:
+    """Squared-error risk proxy of a posterior: ||mean - mu0||^2 + sum of posterior variances.
 
-    mu0 may be shorter than N; missing entries count as zero.
+    mu0 may be shorter than the posterior; missing entries count as zero.
     """
-    post = posterior(alpha, obs)
     mu0 = np.asarray(mu0, dtype=float)
-    ref = np.zeros(obs.N)
-    k = min(obs.N, mu0.size)
+    ref = np.zeros(post.means.size)
+    k = min(ref.size, mu0.size)
     ref[:k] = mu0[:k]
     return float(np.sum((post.means - ref) ** 2) + np.sum(post.variances))
 

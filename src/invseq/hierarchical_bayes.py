@@ -1,21 +1,26 @@
 """Hierarchical Bayes: a hyperprior on alpha, sampled with mu integrated out.
 
-The marginal posterior of alpha is lambda(alpha) * exp(ell(alpha)), where
-ell is the marginal likelihood of all N observed coordinates, the function
-empirical Bayes maximizes.  Each sweep moves alpha by a random-walk
-Metropolis step on that density, so each kept alpha is a draw from its
-exact marginal (van Dyk & Park 2008).  Given alpha, mu_1..mu_N are
-conjugate, so the chain reports their posterior moments as the mixture of
-the conjugate posteriors at its kept alphas (Rao-Blackwellised, Gelfand &
-Smith 1990) and never draws mu: `gaussian_posterior.mixture` over the
-distinct kept alphas, each weighted by its count.
-Proposals are normal steps truncated to (0, inf), so the acceptance ratio
-carries the Phi(alpha/sd)/Phi(alpha'/sd) correction that keeps the kernel
-reversible.  log Phi comes from the standard library's complementary error
-function: log1p(-erfc(x/sqrt 2)/2) for x >= 0, which is every call the
-sampler makes, and log(erfc(-x/sqrt 2)/2) below 0.  The step is
-sd = 2.4/sqrt(I + 1), where I is the Fisher information of ell at the
-start point; the +1 keeps the step finite where ell is flat.
+The marginal posterior of alpha is pi(alpha) = lambda(alpha) * exp(ell(alpha)),
+where ell is the marginal likelihood of all N observed coordinates, the
+function empirical Bayes maximizes.  The chain walks pi by independence
+Metropolis-Hastings (Tierney 1994) on (0, ALPHA_MAX].  Its proposal q
+comes from a grid: a scan of log(alpha * pi), the density of log alpha,
+finds the window where it is within WINDOW of its peak, extending to the
+right as far as it must; GRID_CELLS cells, equal in log(alpha +
+CELL_SHIFT), cover the window, and cell g carries the mass p_g of pi over
+it by a one-point rule that integrates a gamma prior's power of alpha
+exactly.  q spreads (1 - PRIOR_SHARE) of its mass evenly inside the cells
+by those masses and draws the rest from lambda itself, a defensive
+mixture (Hesterberg 1995), so q > 0 wherever pi > 0 and the ratio
+pi(a') q(a) / (pi(a) q(a')) keeps the chain exact whatever the grid.
+Proposals do not depend on the state, so CHUNK of them are drawn at a
+time and `Loglik.column` fills their targets in alpha-column blocks; the
+accept loop then only compares the precomputed log weights log pi - log q.
+
+Given alpha, mu_1..mu_N are conjugate, so the chain never draws mu.  Its
+moments are the grid's quadrature of the exact posterior:
+`gaussian_posterior.mixture` of the conjugate posteriors at the cells'
+nodes, weighted by p_g.
 """
 
 from __future__ import annotations
@@ -31,7 +36,14 @@ from .gaussian_posterior import mixture
 from .sequence_model import Observation
 
 MODE_BIN_WIDTH = 0.25
-SQRT2 = math.sqrt(2.0)
+# where log(alpha * pi) is first scanned for the grid window: 5 points a decade up to 0.1, then 0.1 apart
+SCAN_ALPHAS = np.concatenate([np.geomspace(1e-12, 0.1, 56)[:-1], np.linspace(0.1, 40.0, 400)])
+ALPHA_MAX = 1e30  # the chain's target is pi on (0, ALPHA_MAX]; the window must close below it
+WINDOW = 40.0  # the window keeps the scan points within this of the scan's peak
+GRID_CELLS = 256  # cells of the proposal grid
+CELL_SHIFT = 0.1  # cells are equal in log(alpha + CELL_SHIFT): even near 0, geometric past it
+PRIOR_SHARE = 0.05  # the proposal's share drawn from the hyperprior
+CHUNK = 1024  # proposals drawn, evaluated and accepted at a time
 
 
 @dataclass(frozen=True)
@@ -75,18 +87,33 @@ class HyperPrior:
     def fixed(cls, alpha_star: float) -> "HyperPrior":
         return cls(kind="fixed", alpha_star=float(alpha_star))
 
-    def log_density(self, alpha: float) -> float:
-        if alpha <= 0:
-            return -math.inf
+    def log_density(self, alpha):
+        """log lambda at a scalar alpha (a float) or elementwise on an array; -inf at alpha <= 0."""
+        a = np.asarray(alpha, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):  # alpha <= 0 is masked below
+            if self.kind == "exponential":
+                v = math.log(self.rate) - self.rate * a
+            elif self.kind == "gamma":
+                v = (self.shape * math.log(self.rate) - math.lgamma(self.shape)
+                     + (self.shape - 1.0) * np.log(a) - self.rate * a)
+            elif self.kind == "inverse_gamma":
+                v = (self.shape * math.log(self.scale) - math.lgamma(self.shape)
+                     - (self.shape + 1.0) * np.log(a) - self.scale / a)
+            else:
+                v = np.where(a == self.alpha_star, 0.0, -math.inf)
+        v = np.where(a > 0, v, -math.inf)
+        return v if v.ndim else float(v)
+
+    def draw(self, rng, size: int) -> np.ndarray:
+        """size independent draws of alpha."""
         if self.kind == "exponential":
-            return math.log(self.rate) - self.rate * alpha
+            return rng.exponential(1.0 / self.rate, size)
         if self.kind == "gamma":
-            return (self.shape * math.log(self.rate) - math.lgamma(self.shape)
-                    + (self.shape - 1.0) * math.log(alpha) - self.rate * alpha)
+            return rng.gamma(self.shape, 1.0 / self.rate, size)
         if self.kind == "inverse_gamma":
-            return (self.shape * math.log(self.scale) - math.lgamma(self.shape)
-                    - (self.shape + 1.0) * math.log(alpha) - self.scale / alpha)
-        return 0.0 if alpha == self.alpha_star else -math.inf
+            with np.errstate(divide="ignore", over="ignore"):  # a gamma draw near 0 gives inf
+                return self.scale / rng.gamma(self.shape, 1.0, size)
+        return np.full(size, self.alpha_star)
 
 
 @dataclass(frozen=True)
@@ -116,13 +143,154 @@ class HbConfig:
 
 
 @dataclass(frozen=True)
+class Proposal:
+    """The independence proposal: the grid density mixed with the hyperprior.
+
+    edges are the GRID_CELLS + 1 edges of the window's cells, nodes the
+    cells' quadrature nodes and masses their p_g, summing to 1.  The
+    density is q(a) = (1 - PRIOR_SHARE) * p_g / (cell g's width) +
+    PRIOR_SHARE * lambda(a) for a in cell g, and PRIOR_SHARE * lambda(a)
+    outside the window.
+    """
+
+    hyper: HyperPrior
+    edges: np.ndarray
+    nodes: np.ndarray
+    masses: np.ndarray
+
+    def draw(self, rng, size: int) -> np.ndarray:
+        """size independent draws from q."""
+        cdf = np.concatenate([[0.0], np.cumsum(self.masses)])
+        # the grid part's CDF is linear inside each cell, so interpolation inverts it
+        out = np.interp(rng.random(size) * cdf[-1], cdf, self.edges)
+        prior = rng.random(size) < PRIOR_SHARE
+        out[prior] = self.hyper.draw(rng, int(np.count_nonzero(prior)))
+        return out
+
+    def log_density(self, alphas: np.ndarray) -> np.ndarray:
+        """log q elementwise."""
+        g = np.searchsorted(self.edges, alphas, side="right") - 1
+        inside = (g >= 0) & (g < self.masses.size)
+        dens = np.zeros(alphas.shape)
+        dens[inside] = self.masses[g[inside]] / np.diff(self.edges)[g[inside]]
+        with np.errstate(divide="ignore"):  # log 0 outside the window
+            return np.logaddexp(math.log1p(-PRIOR_SHARE) + np.log(dens),
+                                math.log(PRIOR_SHARE) + self.hyper.log_density(alphas))
+
+
+def grid_proposal(ell: Loglik, hyper: HyperPrior) -> Proposal:
+    """The proposal for the target lambda * exp(ell) (see the module docstring)."""
+    lo, hi = _window(ell, hyper)
+    edges = np.exp(np.linspace(math.log(lo + CELL_SHIFT), math.log(hi + CELL_SHIFT),
+                               GRID_CELLS + 1)) - CELL_SHIFT
+    edges[[0, -1]] = lo, hi
+    nodes, log_w = _cell_rule(hyper, edges)
+    lp = log_w + hyper.log_density(nodes) + ell.column(nodes)
+    masses = np.exp(lp - lp.max())
+    return Proposal(hyper, edges, nodes, masses / masses.sum())
+
+
+def _window(ell: Loglik, hyper: HyperPrior) -> tuple[float, float]:
+    """The interval [lo, hi] outside which log(alpha * pi) is WINDOW below its peak.
+
+    alpha * pi is the density of log alpha, so even a power-law tail like
+    the inverse gamma's leaves no mass of note past hi.  The scan starts on
+    SCAN_ALPHAS and doubles its right end, 400 points at a time, until its
+    last point is out of the window; lo is 0 when its first point is in it.
+    A log density still within WINDOW of its peak at ALPHA_MAX is an error.
+    """
+    def log_alpha_pi(a):
+        return np.log(a) + hyper.log_density(a) + ell.column(a)
+
+    scan = SCAN_ALPHAS
+    lp = log_alpha_pi(scan)
+    while lp[-1] > lp.max() - WINDOW:
+        if 2.0 * scan[-1] > ALPHA_MAX:
+            raise NumericalError(f"log posterior of alpha still within {WINDOW:g} of its peak "
+                                 f"at alpha = {scan[-1]:.3g}: its tail is too heavy for the grid")
+        more = np.linspace(scan[-1], 2.0 * scan[-1], 401)[1:]
+        scan, lp = np.concatenate([scan, more]), np.concatenate([lp, log_alpha_pi(more)])
+    if not np.all(np.isfinite(lp)):
+        raise NumericalError("log posterior of alpha non-finite on the grid scan")
+    live = np.nonzero(lp > lp.max() - WINDOW)[0]
+    return (0.0 if live[0] == 0 else float(scan[live[0] - 1])), float(scan[live[-1] + 1])
+
+
+def _cell_rule(hyper: HyperPrior, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's quadrature node and log weight for an integrand lambda * exp(ell).
+
+    The rule integrates the factor alpha^k of lambda exactly over the cell
+    (k is the gamma kind's shape - 1, else 0) and puts the node at the
+    cell's centroid under that factor, so it is exact for alpha^k times a
+    linear function, and a gamma prior's singularity at 0 (shape < 1)
+    costs it nothing.  The returned log weight is that of alpha^k's
+    integral less k log(node), so weight * lambda(node) * exp(ell(node))
+    is the cell's share.  With k = 0 the rule is the midpoint rule.
+    """
+    t = hyper.shape if hyper.kind == "gamma" else 1.0  # k + 1
+    e0, e1 = edges[:-1], edges[1:]
+    with np.errstate(divide="ignore"):  # log 0 = -inf for a cell starting at 0
+        r = np.log(e0 / e1)
+    # e1^t - e0^t and e1^(t+1) - e0^(t+1) over e1^t and e1^(t+1), without cancellation
+    p, p1 = -np.expm1(t * r), -np.expm1((t + 1.0) * r)
+    nodes = e1 * (t / (t + 1.0)) * (p1 / p)
+    return nodes, t * np.log(e1) + np.log(p) - math.log(t) - (t - 1.0) * np.log(nodes)
+
+
+def log_weights(ell: Loglik, hyper: HyperPrior, prop: Proposal, alphas: np.ndarray) -> np.ndarray:
+    """log pi - log q at each alpha, with pi taken as lambda * exp(ell's centred value).
+
+    The log acceptance probability of a move a -> a' is w(a') - w(a), that
+    is log [pi(a') q(a) / (pi(a) q(a'))]; the dropped term of ell cancels.
+    The target is pi on (0, ALPHA_MAX]: elsewhere, as where pi is 0, the
+    weight is -inf, so such a proposal (an inverse-gamma draw can overflow
+    to inf) is never taken.
+    """
+    w = np.full(alphas.shape, -math.inf)
+    ok = (alphas > 0.0) & (alphas <= ALPHA_MAX)
+    a = alphas[ok]
+    target = hyper.log_density(a) + ell.column(a)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where lambda and q vanish together
+        w[ok] = np.where(target == -math.inf, -math.inf, target - prop.log_density(a))
+    return w
+
+
+def effective_sample_size(draws: np.ndarray) -> float:
+    """Draws over their integrated autocorrelation time, Geyer's (1992) initial monotone estimate.
+
+    Sums of adjacent pairs of the (biased) autocovariance are taken while
+    they stay positive, each capped at its predecessor.  Each lag is one
+    dot product, so a well-mixed chain stops after a few lags and no
+    transform of the whole chain is held.  A chain that never moves
+    carries one effective draw.
+    """
+    d = np.asarray(draws, dtype=float)
+    n = d.size
+    d = d - d.mean()
+    gamma0 = float(d @ d) / n
+    if gamma0 <= 0.0:
+        return 1.0
+    total, prev = 0.0, math.inf
+    for k in range(0, 2 * (n // 2), 2):
+        pair = (float(d[:n - k] @ d[k:]) + float(d[:n - k - 1] @ d[k + 1:])) / n
+        if pair <= 0.0:
+            break
+        prev = min(prev, pair)
+        total += prev
+    tau = (2.0 * total - gamma0) / gamma0
+    return n / min(max(tau, 1.0 / n), n)
+
+
+@dataclass(frozen=True)
 class HbChain:
     """Post-burn-in output of one sampler run.
 
-    alphas holds the kept draws of alpha; mu_mean and mu_var are the
-    posterior moments of mu under the mixture of the conjugate posteriors
-    at those alphas (`gaussian_posterior.mixture`), each distinct alpha
-    weighted by how many kept sweeps it held.
+    alphas holds the kept draws of alpha and proposal the grid they were
+    proposed from (None under the "fixed" hook, which proposes nothing).
+    mu_mean and mu_var are the posterior moments of mu by the grid's
+    quadrature: the mixture of the conjugate posteriors at the cells'
+    nodes, weighted by the cells' masses (`gaussian_posterior.mixture`).
+    Under the hook they are those of the conjugate posterior at its alpha.
     """
 
     alphas: np.ndarray
@@ -130,53 +298,24 @@ class HbChain:
     mu_mean: np.ndarray
     mu_var: np.ndarray
     config: HbConfig
-    proposal_sd: float
+    proposal: Proposal | None
 
     def summary(self) -> dict:
         q = np.quantile(self.alphas, [0.025, 0.5, 0.975])
+        prop = self.proposal
         return {
             "acceptance_rate": self.acceptance_rate,
             "alpha_mean": float(np.mean(self.alphas)),
             "alpha_quantiles": [float(v) for v in q],
             "alpha_mode": histogram_mode(self.alphas),
+            "alpha_ess": effective_sample_size(self.alphas),
             "mu_mean": [float(v) for v in self.mu_mean],
             "mu_var": [float(v) for v in self.mu_var],
             "burn_in": self.config.resolved_burn_in(),
-            "proposal_sd": self.proposal_sd,
+            "proposal": None if prop is None else {
+                "window": [float(prop.edges[0]), float(prop.edges[-1])],
+                "cells": int(prop.masses.size), "prior_share": PRIOR_SHARE},
         }
-
-
-def mh_log_acceptance(alpha: float, alpha_prime: float, target: float,
-                      target_prime: float, proposal_sd: float) -> float:
-    """Log acceptance probability (uncapped) of the truncated-normal step alpha -> alpha'.
-
-    target and target_prime are log lambda + ell at alpha and alpha'.
-    The normal kernel itself is symmetric and cancels, leaving
-    log Phi(a/sd) - log Phi(a'/sd) from the truncation.
-    """
-    return (target_prime - target
-            + _log_ndtr(alpha / proposal_sd) - _log_ndtr(alpha_prime / proposal_sd))
-
-
-def _log_ndtr(x: float) -> float:
-    """log Phi(x), the log of the standard normal distribution function."""
-    if x >= 0.0:
-        return math.log1p(-0.5 * math.erfc(x / SQRT2))
-    return math.log(0.5 * math.erfc(-x / SQRT2))
-
-
-def _propose_positive(alpha: float, sd: float, rng) -> float:
-    """Normal step truncated to (0, inf), drawn by rejection."""
-    while True:
-        cand = alpha + sd * rng.standard_normal()
-        if cand > 0.0:
-            return cand
-
-
-def _step_size(log_i: np.ndarray, w: np.ndarray) -> float:
-    """2.4/sqrt(I + 1), with I = 2 * sum_i (log i * w_i)^2 the Fisher information of ell at w."""
-    g = log_i * w
-    return 2.4 / math.sqrt(2.0 * float(np.dot(g, g)) + 1.0)
 
 
 def histogram_mode(draws: np.ndarray) -> float:
@@ -194,13 +333,14 @@ def histogram_mode(draws: np.ndarray) -> float:
 def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     """Run the sampler.
 
-    Runs cfg.iterations sweeps, each a Metropolis step of alpha on its
-    marginal posterior, and keeps the alphas past burn-in; the "fixed"
-    hyperprior hook pins alpha and runs none.  mu is never drawn: its
-    moments are the conjugate mixture over the kept alphas, so under the
-    hook they are exactly those of posterior(alpha_star, obs).  With the
-    "fixed" hook, an alpha_init other than its alpha is a ConfigError.
-    Identical configs reproduce identical chains.
+    Runs cfg.iterations independence Metropolis-Hastings steps of alpha on
+    its marginal posterior, from cfg.alpha_init (1 by default), and keeps
+    the alphas past burn-in; the "fixed" hyperprior hook pins alpha and
+    runs none.  mu is never drawn: its moments are the grid quadrature of
+    its posterior, and under the hook exactly those of
+    posterior(alpha_star, obs).  With the "fixed" hook, an alpha_init
+    other than its alpha is a ConfigError.  Identical configs reproduce
+    identical chains.
     """
     burn = cfg.resolved_burn_in()
     pinned = hyper.kind == "fixed"
@@ -210,29 +350,35 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
         raise ConfigError(f"alpha_init {alpha} differs from the fixed hyperprior's "
                           f"alpha {hyper.alpha_star}")
 
-    rng = np.random.default_rng(cfg.seed)
     ell = Loglik(obs)
-    start = ell(alpha)
-    if not math.isfinite(start):
-        raise NumericalError(f"log likelihood non-finite at the start point alpha={alpha}")
-    # targets and ratios use ell's centred value; the dropped term cancels
-    target = hyper.log_density(alpha) + start
-    ell.complete()
-    sd = _step_size(ell.design.log_i, ell.u * ell.r)
     alphas = np.full(cfg.iterations - burn, alpha)
+    if pinned:
+        mu_mean, mu_var = mixture(obs, ell.design, np.array([alpha]), np.ones(1))
+        return HbChain(alphas, 0.0, mu_mean, mu_var, cfg, None)
+
+    prop = grid_proposal(ell, hyper)
+    current = float(log_weights(ell, hyper, prop, np.array([alpha]))[0])
+    if not math.isfinite(current):
+        raise NumericalError(f"log posterior of alpha non-finite at the start point alpha={alpha}")
+    rng = np.random.default_rng(cfg.seed)
     accepted = 0
+    for s in range(0, cfg.iterations, CHUNK):
+        m = min(CHUNK, cfg.iterations - s)
+        cand = prop.draw(rng, m)
+        w = log_weights(ell, hyper, prop, cand)
+        if np.isnan(w).any():
+            raise NumericalError(f"iteration {s + int(np.argmax(np.isnan(w)))}: "
+                                 "non-finite MH acceptance ratio")
+        # accept a candidate when log U < w - current, i.e. when w - log U > current
+        states = []
+        for a, wa, ta in zip(cand.tolist(), w.tolist(), (w - np.log(rng.random(m))).tolist()):
+            if ta > current:
+                alpha, current = a, wa
+                accepted += 1
+            states.append(alpha)
+        if s + m > burn:
+            keep = max(burn - s, 0)
+            alphas[s + keep - burn:s + m - burn] = states[keep:]
 
-    for it in range(0 if pinned else cfg.iterations):
-        cand = _propose_positive(alpha, sd, rng)
-        cand_target = hyper.log_density(cand) + ell(cand)
-        log_acc = mh_log_acceptance(alpha, cand, target, cand_target, sd)
-        if math.isnan(log_acc):
-            raise NumericalError(f"iteration {it}: non-finite MH acceptance ratio")
-        if math.log(rng.random()) < log_acc:
-            alpha, target = cand, cand_target
-            accepted += 1
-        if it >= burn:
-            alphas[it - burn] = alpha
-
-    mu_mean, mu_var = mixture(obs, ell.design, *np.unique(alphas, return_counts=True))
-    return HbChain(alphas, accepted / cfg.iterations, mu_mean, mu_var, cfg, sd)
+    mu_mean, mu_var = mixture(obs, ell.design, prop.nodes, prop.masses)
+    return HbChain(alphas, accepted / cfg.iterations, mu_mean, mu_var, cfg, prop)

@@ -124,15 +124,16 @@ class Design:
         """Fill u with exp(max(s(alpha), S_FLOOR)) and u1 with 1 + u.
 
         alpha is a scalar, or an alpha column (shape (k, 1)) for one row of
-        u and u1 per alpha.  A 1-D u and u1 may be shorter than N: they
-        then hold the first len(u) coordinates, so prefix views of N-long
-        buffers work.  The clamp leaves 1 + u exactly as it was and puts u*r
+        u and u1 per alpha.  Rows of u and u1 may be shorter than N: they
+        then hold the first coordinates, so prefix views of N-long buffers
+        work.  The clamp leaves 1 + u exactly as it was and puts u*r
         (r = 1/u1) at e^-700 = 1e-304 wherever w was smaller.  design() has
         checked that no alpha >= 0 overflows exp.
         """
         log_i, log_nk2 = self.log_i, self.log_nk2
-        if u.size < log_i.size:  # a prefix view
-            log_i, log_nk2 = log_i[:u.size], log_nk2[:u.size]
+        k = u.shape[-1]
+        if k < log_i.size:  # a prefix view
+            log_i, log_nk2 = log_i[:k], log_nk2[:k]
         np.multiply(log_i, 1.0 + 2.0 * alpha, u)
         np.subtract(log_nk2, u, u)
         np.maximum(u, S_FLOOR, out=u)

@@ -31,8 +31,9 @@ from invseq import (
     simulate,
     synthesize_function,
 )
-from invseq.hierarchical_bayes import histogram_mode, mh_log_acceptance
-from oracles import volterra_forward
+from invseq.empirical_bayes import Loglik
+from invseq.hierarchical_bayes import grid_proposal, histogram_mode, log_weights
+from oracles import grid_log_q, volterra_forward
 
 VOLTERRA = ModelSpec.volterra()
 
@@ -177,16 +178,17 @@ def test_mh_acceptance_matches_oracle_and_balances():
         # an observation of J coordinates at n log-uniform in [10, 1e4]
         z = rng.standard_normal(J)
         n = float(10.0 ** rng.uniform(1.0, 4.0))
-        sd = float(rng.uniform(0.1, 1.0))
+        rng.uniform(0.1, 1.0)  # a step size once; drawn still, so the 100 cases stay the same
         kap = VOLTERRA.kappa_vector(J)
         y = kap * TruthSpec.paper_example().coefficients(J) + z / math.sqrt(n)
         obs = Observation(n=n, N=J, y=y, seed=k, model=VOLTERRA)
         hyper, dist = hypers[k % 3], dists[k % 3]
 
-        def impl_target(a):  # what run_mwg evaluates
-            return hyper.log_density(a) + log_likelihood(a, obs)
-
-        impl = mh_log_acceptance(a1, a2, impl_target(a1), impl_target(a2), sd)
+        # what run_mwg evaluates: log weights log pi - log q, whose difference is the ratio
+        ell = Loglik(obs)
+        prop = grid_proposal(ell, hyper)
+        w = log_weights(ell, hyper, prop, np.array([a1, a2]))
+        impl = w[1] - w[0]
         j = np.arange(1, J + 1, dtype=float)
 
         def logtarget(a):
@@ -195,10 +197,7 @@ def test_mh_acceptance_matches_oracle_and_balances():
                 y, scale=np.sqrt(kap**2 * j ** (-1.0 - 2.0 * a) + 1.0 / n))))
 
         oracle = (logtarget(a2) - logtarget(a1)
-                  + stats.norm.logpdf(a1, loc=a2, scale=sd)
-                  - stats.norm.logcdf(a2 / sd)
-                  - stats.norm.logpdf(a2, loc=a1, scale=sd)
-                  + stats.norm.logcdf(a1 / sd))
+                  + grid_log_q(prop, dist, a1) - grid_log_q(prop, dist, a2))
         ok &= abs(impl - oracle) <= 1e-10 * (1.0 + abs(impl))
 
     # empirical detailed balance of the accept rule on a 3-point target

@@ -251,8 +251,9 @@ def test_figure2_acceptance_rate_band(tmp_path):
     assert main(["figure2", "--config", str(cfg), "--out", str(out)]) == 0
     with open(out / "fig2_manifest.json") as fh:
         manifest = json.load(fh)
+    # the independence proposal fits its target, so nearly every move is taken, but not all
     rate = manifest["rungs"][0]["replicates"][0]["acceptance_rate"]
-    assert 0.1 < rate < 0.9
+    assert 0.8 <= rate < 1.0
 
 
 def test_rate_sweep_needs_three_rungs(tmp_path):

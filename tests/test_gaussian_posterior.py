@@ -139,25 +139,24 @@ def test_variance_decreasing_in_alpha():
 
 def test_risk_hand_value():
     # N=1, kappa=1, alpha=0, n=1, y=2, mu0=1: (1-1)^2 + 1/2
-    assert math.isclose(posterior_risk(0.0, _obs(1.0, [2.0]), np.array([1.0])),
+    assert math.isclose(posterior_risk(posterior(0.0, _obs(1.0, [2.0])), np.array([1.0])),
                         0.5, rel_tol=1e-15)
 
 
 def test_risk_pure_spread_at_zero():
     obs = _obs(30.0, np.zeros(12), model=VOLTERRA)
-    got = posterior_risk(1.2, obs, np.zeros(12))
-    want = float(np.sum(posterior(1.2, obs).variances))
-    assert got == want
+    post = posterior(1.2, obs)
+    assert posterior_risk(post, np.zeros(12)) == float(np.sum(post.variances))
 
 
 def test_risk_noiseless_consistency():
     N = 1000
     mu0 = TruthSpec.paper_example().coefficients(N)
     kap = VOLTERRA.kappa_vector(N)
-    small = posterior_risk(1.0, Observation(n=1e12, N=N, y=kap * mu0, seed=0,
-                                            model=VOLTERRA), mu0)
-    big = posterior_risk(1.0, Observation(n=1e3, N=N, y=kap * mu0, seed=0,
-                                          model=VOLTERRA), mu0)
+    small = posterior_risk(posterior(1.0, Observation(n=1e12, N=N, y=kap * mu0, seed=0,
+                                                      model=VOLTERRA)), mu0)
+    big = posterior_risk(posterior(1.0, Observation(n=1e3, N=N, y=kap * mu0, seed=0,
+                                                    model=VOLTERRA)), mu0)
     assert small < 1e-3
     assert small < big / 100.0
 
@@ -173,21 +172,22 @@ def test_risk_matches_monte_carlo():
         return post.means + np.sqrt(post.variances) * np.random.default_rng(seed).standard_normal(20)
 
     sq = np.array([float(np.sum((draw(40_000 + k) - mu0) ** 2)) for k in range(r)])
-    want = posterior_risk(0.9, obs, mu0)
+    want = posterior_risk(post, mu0)
     assert abs(sq.mean() - want) <= 4.0 * sq.std(ddof=1) / math.sqrt(r)
 
 
 def test_risk_short_mu0_padded():
     obs = _obs(10.0, [0.4, -0.2, 0.1])
-    assert math.isclose(posterior_risk(0.5, obs, np.array([0.4])),
-                        posterior_risk(0.5, obs, np.array([0.4, 0.0, 0.0])),
+    post = posterior(0.5, obs)
+    assert math.isclose(posterior_risk(post, np.array([0.4])),
+                        posterior_risk(post, np.array([0.4, 0.0, 0.0])),
                         rel_tol=1e-15)
 
 
 def test_risk_finite_on_dense_grid():
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e6, 1000, 8)
     mu0 = TruthSpec.paper_example().coefficients(1000)
-    vals = [posterior_risk(a, obs, mu0)
+    vals = [posterior_risk(posterior(a, obs), mu0)
             for a in np.linspace(0.0, math.log(1e6), 200)]
     assert np.all(np.isfinite(vals))
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad, trapezoid
-from scipy.special import log_ndtr
 
 from invseq import (
     HbConfig,
@@ -24,16 +23,20 @@ from invseq import (
     run_mwg,
     simulate,
 )
+from invseq import hierarchical_bayes
 from invseq.cli import main
 from invseq.empirical_bayes import Loglik
-from invseq.errors import ConfigError
-from invseq.hierarchical_bayes import _log_ndtr, histogram_mode, mh_log_acceptance
+from invseq.errors import ConfigError, NumericalError
+from invseq.hierarchical_bayes import (ALPHA_MAX, PRIOR_SHARE, effective_sample_size,
+                                       grid_proposal, histogram_mode, log_weights)
 from invseq.sequence_model import fields_dict, read_fields
+from oracles import grid_log_q
 
 VOLTERRA = ModelSpec.volterra()
 
 
 def _effective_sample_size():
+    """The benchmark's own estimator, loaded from perfbench/benchstats.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "benchstats.py"
     spec = importlib.util.spec_from_file_location("perfbench_benchstats", path)
     benchstats = importlib.util.module_from_spec(spec)
@@ -58,6 +61,26 @@ def test_log_density_vanishes_left_of_zero():
     for hyper, _ in KINDS:
         assert hyper.log_density(0.0) == -math.inf
         assert hyper.log_density(-1.0) == -math.inf
+
+
+def test_log_density_is_elementwise():
+    grid = np.array([-1.0, 0.0, 1e-3, 0.3, 1.0, 4.2, 40.0])
+    for hyper, _ in KINDS + [(HyperPrior.fixed(0.3), None)]:
+        got = hyper.log_density(grid)
+        assert got.shape == grid.shape
+        np.testing.assert_array_equal(got, [hyper.log_density(float(a)) for a in grid])
+
+
+@pytest.mark.parametrize("k", range(3), ids=["exponential", "gamma", "inverse_gamma"])
+def test_draws_follow_the_density(k):
+    hyper, dist = KINDS[k]
+    draws = hyper.draw(np.random.default_rng(17), 20_000)
+    assert draws.shape == (20_000,) and np.all(draws > 0.0)
+    assert stats.kstest(draws, dist.cdf).pvalue > 1e-3
+
+
+def test_fixed_draws_are_its_alpha():
+    np.testing.assert_array_equal(HyperPrior.fixed(0.3).draw(np.random.default_rng(1), 4), 0.3)
 
 
 def test_density_normalizes():
@@ -109,26 +132,37 @@ def test_hyperprior_rejects_non_finite(make, name, v):
 
 
 def test_mh_acceptance_no_move_is_unit():
-    assert mh_log_acceptance(1.0, 1.0, -3.2, -3.2, 0.5) == 0.0
+    """An alpha has the same weight, bit for bit, wherever it falls in a proposal column
+    (first, middle or last of a 16-row block, or in the short last block), so a move
+    that stays put has log acceptance exactly 0."""
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e11, 4642, 3)
+    hyper = HyperPrior.gamma(2.0, 1.5)
+    ell = Loglik(obs)
+    prop = grid_proposal(ell, hyper)
+    alphas = np.random.default_rng(0).uniform(0.5, 1.5, 40)
+    alphas[[1, 6, 15, 22, 39]] = 1.1
+    w = log_weights(ell, hyper, prop, alphas)
+    assert np.all(w[[6, 15, 22, 39]] - w[1] == 0.0)
 
 
 def test_mh_acceptance_hand_value():
-    """Far from the boundary the ratio collapses to the target difference."""
-    got = mh_log_acceptance(5.0, 6.0, -2.5, -3.5, 0.5)
-    assert math.isclose(math.exp(got), math.exp(-1.0), rel_tol=1e-12)
-
-
-def test_mh_acceptance_boundary_correction_sign():
-    # with equal targets, moving toward the boundary picks up a positive Phi correction
-    down = mh_log_acceptance(0.5, 0.1, 0.0, 0.0, 0.5)
-    up = mh_log_acceptance(0.1, 0.5, 0.0, 0.0, 0.5)
-    assert down > 0.0 > up
+    """Outside the grid window only the hyperprior proposes, q = PRIOR_SHARE * lambda,
+    so the prior cancels and the ratio is the likelihood ratio."""
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e7, 215, 2)
+    hyper = HyperPrior.exponential(1.0)
+    ell = Loglik(obs)
+    prop = grid_proposal(ell, hyper)
+    a1, a2 = prop.edges[-1] + 0.5, prop.edges[-1] + 2.0
+    w = log_weights(ell, hyper, prop, np.array([a1, a2]))
+    want = log_likelihood(a2, obs) - log_likelihood(a1, obs)
+    assert math.isclose(w[1] - w[0], want, rel_tol=1e-12)
+    assert math.isclose(w[0], ell(a1) - math.log(PRIOR_SHARE), rel_tol=1e-12)
 
 
 def test_acceptance_ratio_matches_oracle_at_large_n():
     """Criterion 7's oracle and cases, with n log-uniform in [10, 1e12] instead of [10, 1e4].
 
-    The targets come from the evaluator run_mwg uses.  Were ell carried with
+    The weights come from the evaluator run_mwg uses.  Were ell carried with
     its alpha-free term n*y_1^2 (about 1e11 here), rounding alone would put the
     ratio 4e-6 off.
     """
@@ -144,14 +178,15 @@ def test_acceptance_ratio_matches_oracle_at_large_n():
         J = int(rng.integers(1, 21))
         z = rng.standard_normal(J)
         n = float(10.0 ** rng.uniform(1.0, 12.0))
-        sd = float(rng.uniform(0.1, 1.0))
+        rng.uniform(0.1, 1.0)  # a step size once; drawn still, so the 100 cases stay the same
         kap = VOLTERRA.kappa_vector(J)
         y = kap * TruthSpec.paper_example().coefficients(J) + z / math.sqrt(n)
         obs = Observation(n=n, N=J, y=y, seed=k, model=VOLTERRA)
         hyper, dist = hypers[k % 3], dists[k % 3]
         ell = Loglik(obs)
-        impl = mh_log_acceptance(a1, a2, hyper.log_density(a1) + ell(a1),
-                                 hyper.log_density(a2) + ell(a2), sd)
+        prop = grid_proposal(ell, hyper)
+        w = log_weights(ell, hyper, prop, np.array([a1, a2]))
+        impl = w[1] - w[0]
         j = np.arange(1, J + 1, dtype=float)
 
         def logtarget(a):
@@ -159,33 +194,9 @@ def test_acceptance_ratio_matches_oracle_at_large_n():
                 y, scale=np.sqrt(kap**2 * j ** (-1.0 - 2.0 * a) + 1.0 / n))))
 
         oracle = (logtarget(a2) - logtarget(a1)
-                  + stats.norm.logpdf(a1, loc=a2, scale=sd) - stats.norm.logcdf(a2 / sd)
-                  - stats.norm.logpdf(a2, loc=a1, scale=sd) + stats.norm.logcdf(a1 / sd))
+                  + grid_log_q(prop, dist, a1) - grid_log_q(prop, dist, a2))
         worst = max(worst, abs(impl - oracle) / (1.0 + abs(impl)))
     assert worst <= 1e-10
-
-
-def test_log_ndtr_matches_scipy():
-    x = np.linspace(-30.0, 40.0, 70_001)
-    got = np.array([_log_ndtr(float(v)) for v in x])
-    ref = log_ndtr(x)
-    # the sampler's half, x >= 0, where |log Phi| <= log 2
-    pos = x >= 0.0
-    assert np.max(np.abs(got[pos] - ref[pos])) <= 1e-15
-    # below 0, |log Phi| reaches 454 at x = -30, where one ulp is 5.7e-14
-    neg = ~pos
-    assert np.all(np.abs(got[neg] - ref[neg])
-                  <= 1e-15 + 4.0 * np.finfo(float).eps * np.abs(ref[neg]))
-
-
-def test_step_is_fisher_information_rule():
-    # J = 2, kappa = 1, n = 8, alpha = 1: w_2 = 8/(2^3 + 8) = 1/2 and log 1 = 0,
-    # so I = 2*(log(2)/2)^2 and the step is 2.4/sqrt(I + 1)
-    obs = Observation(n=8.0, N=2, y=np.array([0.3, -0.2]), seed=0, model=ModelSpec.exact_power(0.0))
-    chain = run_mwg(obs, HyperPrior.exponential(1.0),
-                    HbConfig(iterations=10, seed=1, alpha_init=1.0))
-    fisher = 2.0 * (math.log(2.0) / 2.0) ** 2
-    assert math.isclose(chain.proposal_sd, 2.4 / math.sqrt(fisher + 1.0), rel_tol=1e-14)
 
 
 def test_histogram_mode():
@@ -301,30 +312,99 @@ def test_mu_var_matches_conjugate_at_large_n(n):
     assert np.all(np.abs(ratio - 1.0) <= 5.0 * math.sqrt(2.0 / (m - 1)))
 
 
-@pytest.mark.parametrize("n, N, hyper", [
-    (1e3, 10, HyperPrior.exponential(1.0)),
-    (1e11, 4642, HyperPrior.exponential(1.0)),
-    (1e15, 2000, HyperPrior.exponential(1.0)),
-    (1e3, 10, HyperPrior.fixed(0.7)),
-], ids=["exponential-1e3", "exponential-1e11", "exponential-1e15", "fixed-1e3"])
-def test_chain_moments_are_the_mixture_over_kept_alphas(n, N, hyper):
-    """mu_mean and mu_var are the moments of the conjugate posteriors at the kept alphas.
+@pytest.mark.parametrize("n, N, k", [
+    (10.0, 3, 0), (1e3, 10, 0), (1e11, 1000, 0), (1e15, 2000, 0),
+    (10.0, 3, 1), (1e3, 10, 1), (1e11, 1000, 1),
+    (10.0, 3, 2), (1e3, 10, 2), (1e11, 1000, 2),
+    (1e3, 10, None),
+], ids=["exponential-1e1", "exponential-1e3", "exponential-1e11", "exponential-1e15",
+        "gamma-1e1", "gamma-1e3", "gamma-1e11",
+        "inverse_gamma-1e1", "inverse_gamma-1e3", "inverse_gamma-1e11", "fixed-1e3"])
+def test_chain_moments_are_the_grid_quadrature(n, N, k):
+    """mu_mean and mu_var are the moments of mu's hierarchical-Bayes posterior.
 
-    The oracle forms posterior(a, obs) at every kept alpha, repeats included,
-    and combines them by the law of total variance.
+    The oracle integrates the conjugate posteriors `posterior(a, obs)`
+    against lambda(a) times the marginal normal density of y (scipy's, as
+    in criterion 7) by the trapezoid rule on 4001 points equally spaced in
+    log a, and combines them by total variance.  The points span [1e-6, 1e7]
+    at n <= 1e3, where the inverse gamma's tail reaches far, and [1e-6, 1e3]
+    above, where alpha's posterior is narrow and needs the finer spacing.
+    `log_likelihood` is not used for the weights: it carries the alpha-free
+    1/2 sum n y_i^2 (about 2.5e10 at n = 1e11), whose rounding alone would
+    put the oracle 3e-8 sd off.  The chain's grid cells are a small
+    fraction of alpha's posterior sd at n <= 1e3, so its quadrature is held
+    to 1e-4 sd in the mean and 1e-3 in the variance there, far below the
+    Monte Carlo error of a chain's own estimate.  At n >= 1e7 the window holds
+    alpha's posterior many times over and both rules agree to 1e-9, plus
+    a few ulps of the mean (one ulp of mu_1 is 2e-9 sd at n = 1e15).
+    Under the fixed hook the moments are posterior(0.7, obs)'s own, bit
+    for bit.
     """
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, N, 5)
-    warm = None if hyper.kind == "fixed" else max(fit(obs).alpha_hat, 1e-3)
-    chain = run_mwg(obs, hyper, HbConfig(iterations=2000, seed=6, alpha_init=warm))
-    posts = [posterior(float(a), obs) for a in chain.alphas]
+    if k is None:
+        chain = run_mwg(obs, HyperPrior.fixed(0.7), HbConfig(iterations=10, seed=6))
+        np.testing.assert_array_equal(chain.mu_mean, posterior(0.7, obs).means)
+        np.testing.assert_array_equal(chain.mu_var, posterior(0.7, obs).variances)
+        return
+    hyper, dist = KINDS[k]
+    chain = run_mwg(obs, hyper, HbConfig(iterations=10, seed=6))
+    mean, var = _hb_moments(obs, dist, np.geomspace(1e-6, 1e7 if n <= 1e3 else 1e3, 4001))
+
+    tol_mean, tol_var = (1e-4, 1e-3) if n <= 1e3 else (1e-9, 1e-9)
+    ulps = 4.0 * np.finfo(float).eps * np.abs(mean)
+    assert np.all(np.abs(chain.mu_mean - mean) <= tol_mean * np.sqrt(var) + ulps)
+    assert np.all(np.abs(chain.mu_var - var) <= tol_var * var)
+
+
+@pytest.mark.parametrize("n, N, shape, rate, truth, lo, hi", [
+    (10.0, 3, 0.5, 1.0, TruthSpec.paper_example(), 1e-30, 1e3),
+    (1e3, 10, 0.5, 1.0, TruthSpec.paper_example(), 1e-30, 1e3),
+    (10.0, 3, 2.0, 0.01, TruthSpec(kind="zero"), 1e-6, 1e5),
+    (1e3, 10, 2.0, 0.01, TruthSpec(kind="zero"), 1e-6, 1e5),
+    (1e15, 10, 2.0, 0.01, TruthSpec(kind="zero"), 1e-6, 1e5),
+], ids=["singular-1e1", "singular-1e3", "far-1e1", "far-1e3", "far-1e15"])
+def test_chain_moments_of_wide_posteriors(n, N, shape, rate, truth, lo, hi):
+    """The grid quadrature where alpha's posterior reaches 0 or far past 40.
+
+    A gamma hyperprior of shape 1/2 has an integrable singularity at 0, which
+    the cells' rule integrates exactly.  Under gamma(2, 0.01) and zero data
+    the likelihood rises with alpha to a plateau, so the posterior follows
+    the prior's tail out to thousands; at n = 1e15 most of its mass lies
+    past 40, and the scan must extend to find it.  Each oracle is the
+    trapezoid rule of `test_chain_moments_are_the_grid_quadrature` on 4001
+    points over [lo, hi].  The posteriors are broad, so the bounds are
+    those of n <= 1e3 there: 1e-4 sd in the mean and 1e-3 in the variance.
+    """
+    obs = simulate(truth, VOLTERRA, n, N, 5)
+    hyper, dist = HyperPrior.gamma(shape, rate), stats.gamma(shape, scale=1.0 / rate)
+    chain = run_mwg(obs, hyper, HbConfig(iterations=10, seed=6))
+    mean, var = _hb_moments(obs, dist, np.geomspace(lo, hi, 4001))
+    if n == 1e15:
+        assert chain.proposal.edges[-1] > 1e3 and chain.proposal.edges[0] > 1.0
+        assert np.mean(run_mwg(obs, hyper, HbConfig(iterations=4000, seed=6)).alphas > 40.0) > 0.8
+    assert np.all(np.abs(chain.mu_mean - mean) <= 1e-4 * np.sqrt(var))
+    assert np.all(np.abs(chain.mu_var - var) <= 1e-3 * var)
+
+
+def _hb_moments(obs, dist, alphas):
+    """Mean and variance of mu under the hierarchical-Bayes posterior, by the trapezoid rule in log alpha.
+
+    The nodes are alphas, log-spaced; the hyperprior is the scipy distribution dist.
+    """
+    n, N = obs.n, obs.N
+    kap, j = VOLTERRA.kappa_vector(N), np.arange(1, N + 1, dtype=float)
+    logpost = np.array([dist.logpdf(a) + np.sum(stats.norm.logpdf(
+        obs.y, scale=np.sqrt(kap**2 * j ** (-1.0 - 2.0 * a) + 1.0 / n))) for a in alphas])
+    weights = np.exp(logpost - logpost.max()) * alphas  # d alpha = alpha d log alpha
+    weights[[0, -1]] *= 0.5
+    live = np.nonzero(weights > 0.0)[0]
+    assert weights[live[0]] < 1e-12 * weights.max() or live[0] == 0
+    assert weights[-1] < 1e-12 * weights.max()
+    weights = weights[live] / weights[live].sum()
+    posts = [posterior(float(a), obs) for a in alphas[live]]
     means = np.array([p.means for p in posts])
-    m = np.mean(means, axis=0)
-    v = np.mean([p.variances for p in posts], axis=0) + np.var(means, axis=0)
-    assert np.all(np.abs(chain.mu_mean - m) <= 1e-12 * (np.abs(m) + np.sqrt(v)))
-    assert np.all(np.abs(chain.mu_var - v) <= 1e-12 * v)
-    if hyper.kind == "fixed":  # one alpha: the moments are the conjugate posterior's own
-        np.testing.assert_array_equal(chain.mu_mean, posts[0].means)
-        np.testing.assert_array_equal(chain.mu_var, posts[0].variances)
+    mean = weights @ means
+    return mean, weights @ (np.array([p.variances for p in posts]) + (means - mean) ** 2)
 
 
 @pytest.mark.parametrize("n, J", [(1e7, 215), (1e11, 4642)])
@@ -350,6 +430,76 @@ def test_alpha_chain_mixes(n, J):
     assert abs(float(np.mean(chain.alphas)) - mean) <= 0.25 * sd
 
 
+def test_vague_inverse_gamma_chain_is_finite():
+    """Under inverse_gamma(1e-3, 1e-3) about 47% of the hyperprior's draws overflow to inf.
+
+    Such a proposal weighs -inf and is refused, so the chain runs on.  Here
+    the data bound alpha's posterior; with next to none they do not, and
+    its tail, near alpha^-1, is too heavy for any window below ALPHA_MAX:
+    that is an error, not a truncated grid.
+    """
+    hyper = HyperPrior.inverse_gamma(1e-3, 1e-3)
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e7, 215, 2)
+    chain = run_mwg(obs, hyper, HbConfig(iterations=10_000, seed=3))
+    assert np.all(np.isfinite(chain.alphas)) and 0.5 < chain.acceptance_rate < 1.0
+    assert np.all(np.isfinite(chain.mu_mean)) and np.all(chain.mu_var > 0.0)
+    assert np.isinf(chain.proposal.draw(np.random.default_rng(3), 10_000)).any()
+
+    w = log_weights(Loglik(obs), hyper, chain.proposal,
+                    np.array([-1.0, 0.0, math.inf, 2.0 * ALPHA_MAX, 1.0]))
+    assert np.all(w[:4] == -math.inf) and math.isfinite(w[4])
+
+    weak = simulate(TruthSpec.paper_example(), VOLTERRA, 10.0, 3, 2)
+    with pytest.raises(NumericalError, match="tail is too heavy"):
+        run_mwg(weak, hyper, HbConfig(iterations=100, seed=3))
+
+
+def test_coarse_proposal_chain_matches_quadrature(monkeypatch):
+    """Criterion 6's chain and TV bar, with a 4-cell proposal grid.
+
+    The 256-cell proposal is nearly the quadrature the oracle uses, so
+    criterion 6 alone would pass on the proposal's draws, whatever the
+    accept rule did.  The 4-cell proposal's own draws miss the bar three
+    times over, so only the Metropolis-Hastings correction brings the
+    chain to its target.
+    """
+    monkeypatch.setattr(hierarchical_bayes, "GRID_CELLS", 4)
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 10.0, 3, seed=3)
+    hyper = HyperPrior.exponential(1.0)
+    chain = run_mwg(obs, hyper, HbConfig(iterations=10**6, burn_in=10**5, seed=7))
+    assert chain.proposal.masses.size == 4
+
+    grid = np.linspace(1e-6, 15.0, 30001)
+    logpost = np.array([hyper.log_density(a) + log_likelihood(a, obs) for a in grid])
+    dens = np.exp(logpost - logpost.max())
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    cdf /= cdf[-1]
+    edges = np.linspace(0.0, 5.0, 21)
+    target = np.diff(np.interp(edges, grid, cdf))
+
+    def tv(draws):
+        empirical = np.histogram(draws, bins=edges)[0] / draws.size
+        return 0.5 * (np.abs(empirical - target).sum()
+                      + abs(np.mean(draws > 5.0) - (1.0 - np.interp(5.0, grid, cdf))))
+
+    assert tv(chain.proposal.draw(np.random.default_rng(1), chain.alphas.size)) > 0.15
+    assert tv(chain.alphas) <= 0.05
+
+
+def test_effective_sample_size_matches_benchmark():
+    """The library's Geyer estimate is the benchmark's, on three chains of different mixing."""
+    rng = np.random.default_rng(21)
+    ar = np.zeros(5000)
+    for t in range(1, ar.size):
+        ar[t] = 0.9 * ar[t - 1] + rng.standard_normal()
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e7, 215, 2)
+    hb = run_mwg(obs, HyperPrior.exponential(1.0), HbConfig(iterations=3000, seed=4)).alphas
+    for draws in (rng.standard_normal(4001), ar, hb):
+        assert math.isclose(effective_sample_size(draws), _effective_sample_size()(draws),
+                            rel_tol=1e-12)
+    assert effective_sample_size(np.full(10, 0.7)) == 1.0
+
+
 def test_burn_in_default_is_tenth():
     cfg = HbConfig(iterations=1000)
     assert cfg.resolved_burn_in() == 100
@@ -361,12 +511,14 @@ def test_chain_summary_and_files(tmp_path):
     chain = run_mwg(obs, HyperPrior.exponential(1.0),
                     HbConfig(iterations=600, burn_in=100, seed=7))
     s = chain.summary()
-    for key in ("acceptance_rate", "alpha_mean", "alpha_quantiles", "alpha_mode",
-                "mu_mean", "mu_var", "burn_in", "proposal_sd"):
-        assert key in s
+    assert set(s) == {"acceptance_rate", "alpha_mean", "alpha_quantiles", "alpha_mode",
+                      "alpha_ess", "mu_mean", "mu_var", "burn_in", "proposal"}
     q = s["alpha_quantiles"]
     assert q[0] <= q[1] <= q[2]
     assert s["burn_in"] == 100
+    assert s["alpha_ess"] == effective_sample_size(chain.alphas)
+    assert s["proposal"] == {"window": [float(chain.proposal.edges[0]), float(chain.proposal.edges[-1])],
+                             "cells": 256, "prior_share": PRIOR_SHARE}
 
     # hb-run on the same observation and settings writes this chain
     obs_path = tmp_path / "obs.json"
