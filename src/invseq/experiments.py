@@ -75,15 +75,23 @@ class ExperimentConfig:
 
 
 def write_csv(path, columns: dict) -> None:
-    """A header of the column names, then one row per index with each value as repr(float(v)).
+    """A header row of the column names, then one row per index: each value as repr(float(v)).
 
-    Columns of unequal length are a ValueError.
+    The header is written by `csv.writer`, so a name that needs quoting is
+    quoted; the values are float reprs, which never need it.  Every line
+    ends in CRLF.  Each column is converted once to a 1-D float64 array;
+    a column that is not 1-D, or columns of unequal length, are a
+    ValueError raised before the file is opened, so no byte is written.
     """
+    cols = [np.asarray(c, dtype=float) for c in columns.values()]
+    if any(c.ndim != 1 for c in cols):
+        raise ValueError("every column must be 1-D")
+    if len({c.size for c in cols}) > 1:
+        raise ValueError("columns differ in length: " + ", ".join(str(c.size) for c in cols))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for row in zip(*columns.values(), strict=True):
-            w.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(columns)
+        reprs = [map(repr, c.tolist()) for c in cols]
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*reprs))
 
 
 def write_json(path, obj) -> None:

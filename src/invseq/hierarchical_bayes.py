@@ -309,8 +309,8 @@ class HbChain:
             "alpha_quantiles": [float(v) for v in q],
             "alpha_mode": histogram_mode(self.alphas),
             "alpha_ess": effective_sample_size(self.alphas),
-            "mu_mean": [float(v) for v in self.mu_mean],
-            "mu_var": [float(v) for v in self.mu_var],
+            "mu_mean": self.mu_mean.tolist(),
+            "mu_var": self.mu_var.tolist(),
             "burn_in": self.config.resolved_burn_in(),
             "proposal": None if prop is None else {
                 "window": [float(prop.edges[0]), float(prop.edges[-1])],
@@ -319,15 +319,14 @@ class HbChain:
 
 
 def histogram_mode(draws: np.ndarray) -> float:
-    """Midpoint of the fullest of the bins [k/4, (k+1)/4), k = 0, 1, ..., reaching past every draw.
+    """Midpoint of the fullest of the bins [k/4, (k+1)/4), k = 0, 1, ..., that hold the draws.
 
-    Ties go to the lowest bin.
+    Ties go to the lowest bin.  Only bins that hold a draw are counted, so
+    the cost does not grow with the largest draw.
     """
-    draws = np.asarray(draws, dtype=float)
-    bins = math.floor(float(np.max(draws)) / MODE_BIN_WIDTH) + 1
-    counts, edges = np.histogram(draws, bins=bins, range=(0.0, bins * MODE_BIN_WIDTH))
-    k = int(np.argmax(counts))
-    return float(0.5 * (edges[k] + edges[k + 1]))
+    bins, counts = np.unique(np.floor(np.asarray(draws, dtype=float) / MODE_BIN_WIDTH),
+                             return_counts=True)
+    return float((bins[np.argmax(counts)] + 0.5) * MODE_BIN_WIDTH)
 
 
 def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:

@@ -207,6 +207,9 @@ def test_histogram_mode():
     assert histogram_mode(np.full(5, 7.0)) == 7.125
     draws = np.concatenate([np.full(90, 6.1), np.full(10, 1.1)])
     assert histogram_mode(draws) == 6.125
+    # only bins that hold draws are counted, not the 4e12 bins from 0 up to 1e12
+    assert histogram_mode(np.array([1.0, 1.1, 1e12, 1e12, 1e12])) == 1e12 + 0.125
+    assert histogram_mode(np.array([1e12, 1.1])) == 1.125
 
 
 def test_run_mwg_validation():

@@ -8,19 +8,23 @@ one.  On a malformed observation file, spec or experiment
 config the command line returns one of its documented exit codes and
 writes nothing on a configuration error.  Where the empirical-Bayes fit
 lands on an end of its search interval, the score points outside it.
-Every spec and config reads back what it writes.
+Every spec and config reads back what it writes, and the CSV writer gives
+the bytes of its reference encoding.
 The examples are derandomized, so every run draws the same ones.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import tempfile
 from functools import partial
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +32,7 @@ from invseq import (ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthS
                     score, simulate)
 from invseq.cli import main
 from invseq.empirical_bayes import Loglik
+from invseq.experiments import write_csv
 from invseq.sequence_model import TRUNCATION_CAP, default_truncation, fields_dict, read_fields
 from test_empirical_bayes import _long_double_centred
 
@@ -341,3 +346,56 @@ def test_observation_reads_back_what_it_writes(data, N):
     assert (back.n, back.N, back.seed, back.model) == (obs.n, obs.N, obs.seed, obs.model)
     np.testing.assert_array_equal(back.y, obs.y)
     assert back.to_json() == text
+
+
+def _reference_csv(path, columns):
+    """The writer's contract as the csv module writes it: one row per index, each value repr(float(v))."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        for row in zip(*columns.values(), strict=True):
+            w.writerow([repr(float(v)) for v in row])
+
+
+csv_floats = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.225073858507201e-308,
+                     1e16, 1e16 + 2.0, 9007199254740993.0, 1e-5, 1.0000000000000002e-5, 0.1]),
+    st.floats(), st.floats(1e15, 1e17), st.floats(-1e-4, -1e-6), st.floats(-1e-307, 1e-307))
+
+
+def csv_columns(rows):
+    """A column of the given length: float64, float32 or int64 arrays, or lists of Python floats or ints."""
+    def of(elements):
+        return st.lists(elements, min_size=rows, max_size=rows)
+    return st.one_of(of(csv_floats).map(np.array), of(csv_floats),
+                     of(st.floats(width=32)).map(lambda v: np.array(v, dtype=np.float32)),
+                     of(st.integers(-2**63, 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+                     of(st.integers(-2**70, 2**70)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(columns=st.integers(0, 20).flatmap(
+    lambda rows: st.lists(csv_columns(rows), min_size=1, max_size=4)),
+    names=st.lists(st.sampled_from(["alpha", "a,b", 'q"uote', " x"]), min_size=4, max_size=4))
+@example(columns=[np.array([]), []], names=["alpha", "a,b", "alpha", "alpha"])  # a header alone
+def test_write_csv_matches_reference_encoding(columns, names):
+    columns = {f"{name}{k}": col for k, (name, col) in enumerate(zip(names, columns))}
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        write_csv(got, columns)
+        _reference_csv(want, columns)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": [1.0, 2.0], "b": [1.0]},
+    {"a": [], "b": [0.5]},
+    {"a": np.zeros((2, 2))},
+    {"a": [1.0, 2.0], "b": np.zeros((2, 1))},
+    {"a": 1.0},
+], ids=["shorter", "empty-beside-one", "2-D", "column-vector", "0-D"])
+def test_write_csv_rejects_misshapen_columns_before_opening(tmp_path, columns):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, columns)
+    assert not path.exists()
