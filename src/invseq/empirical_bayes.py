@@ -19,10 +19,12 @@ Every search and every ratio works on this centred value.  The dropped
 term is free of alpha but large: at n = 1e15 and N = 1e5 it is about
 1.5e14, where one ulp is 0.03, so ell itself cannot resolve the
 differences a golden-section search compares near its maximum.  The
-centred value is about 1e6 there.  `Loglik` evaluates it from
-`Design.odds` with one logarithm and one reciprocal more per coordinate,
-into buffers it holds, and reported values (`log_likelihood`, the curve)
-add the term back once.
+centred value is about 1e6 there.  `Loglik.column` evaluates it at a
+whole array of alphas, from `Design.odds` with one logarithm and one
+reciprocal more per coordinate; the grid scan is one such column, the
+golden-section search and `log_likelihood` columns of one alpha, and the
+sampler's targets columns of proposals.  Reported values
+(`log_likelihood`, the curve) add the term back once.
 
 Most coordinates need no evaluation at most alphas.  Where u_i <= 2^-53,
 that is s_i <= -53 log 2 = -36.74, 1 + u_i rounds to exactly 1: the
@@ -32,7 +34,8 @@ other.  Every model kind has kappa_i <= C i^-p, so
     s_i(alpha) <= log(n C^2) - (1 + 2a + 2p) * log i,
 
 which is below S_NEGLIGIBLE = -37 for every i > exp((log(n C^2) + 37)/(1 + 2a + 2p)).
-A call therefore evaluates only the active prefix, the first
+A block of alphas therefore evaluates only the active prefix of its
+smallest alpha, the first
 
     k(alpha) = min(N, floor(exp((log(n C^2) + 37)/(1 + 2a + 2p))) + 1)
 
@@ -41,7 +44,7 @@ once in long double and stored rounded.  The coordinates it skips are the
 ones a full evaluation would have added as exact 0s and n*y_i^2s, so only
 the order of summation changes.  Where k would skip fewer than
 PREFIX_MIN_SKIP coordinates, that is up to an alpha_full fixed by n, C, p
-and N, a call evaluates all N as before.  At n = 1e15 (Volterra, C = pi)
+and N, a block evaluates all N.  At n = 1e15 (Volterra, C = pi)
 and N = 1e5, alpha_full is 1.7, and k is 3653 at alpha = 3, 293 at
 alpha = 5 and 25 at alpha = 10.
 """
@@ -61,8 +64,10 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
 GRID_SIZE = 200  # points of the search grid over [0, log n], both endpoints included
 GOLDEN_TOL = 1e-4  # bracket width at which golden-section refinement stops
-# A prefix call costs about 3 us more than a full one (its slices and second dot),
-# the work of some 250 coordinates, so it runs only where it skips at least this many.
+# A prefix block copies its 2k coefficients, so it runs only where it skips at least this
+# many coordinates.  With one BLAS thread that copy costs the work of about 1 of a block's
+# coordinates at N = 1000, 50 at N = 4642, 600 at N = 2e4 and 5000 at N = 1e5, so from
+# N of about 2e4 up, blocks just past alpha_full cost a little more than full ones.
 PREFIX_MIN_SKIP = 512
 
 
@@ -91,28 +96,22 @@ class EbFit:
 class Loglik:
     """ell(alpha) - 1/2 * sum_i n*y_i^2 over all N coordinates of an observation.
 
-    A call at alpha >= 0 returns the centred value.  Past `alpha_full` it
-    evaluates only the active prefix, the first k(alpha) coordinates (see
-    the module docstring), and adds the precomputed sum of n*y_i^2 over the
-    rest; up to `alpha_full` it evaluates all N and sums them with a single
-    2N-long dot.  It leaves u and r = 1/(1 + u) of `Design.odds` in `u[:k]`
-    and `r[:k]`, and k in `active`, so a caller can form the data weight
-    w = u * r without another exponential; `complete()` fills the rest of
-    u and r.  Every call reuses the same buffers.  `column` evaluates a
-    whole array of alphas at once, for the sampler.  `ny2` holds n*y_i^2
-    and `offset` is the dropped term 1/2 * sum_i n*y_i^2.
+    `column` evaluates the centred value at an array of alphas >= 0, and a
+    call is its one-alpha case.  Past `alpha_full` a block of alphas
+    evaluates only the active prefix of its smallest alpha, the first
+    k(alpha) coordinates (see the module docstring), and adds the
+    precomputed sum of n*y_i^2 over the rest; up to `alpha_full` it
+    evaluates all N.  `ny2` holds n*y_i^2 and `offset` is the dropped term
+    1/2 * sum_i n*y_i^2.
     """
 
     def __init__(self, obs: Observation):
         N = obs.N
         model = obs.model
         self.design = design(model, obs.n, N)
-        # log(1 + u) and r share one block, so a single dot with (1, ..., 1, n*y^2) sums both terms
-        self._terms = np.empty(2 * N)
-        self._log1p_u, self.r = self._terms[:N], self._terms[N:]
-        self.u = np.empty(N)
         with np.errstate(over="ignore"):  # inf here is the NumericalError below
             ny2 = obs.n * obs.y**2
+        # one gemv of rows [log(1 + u) | r] against (1, ..., 1, n*y^2) sums both terms
         self._coef = np.concatenate([np.ones(N), ny2])
         self.ny2 = self._coef[N:]
         self.offset = 0.5 * float(np.sum(ny2))
@@ -128,26 +127,13 @@ class Loglik:
         # k(alpha) <= N - PREFIX_MIN_SKIP once alpha > alpha_full
         self.alpha_full = (math.inf if N <= PREFIX_MIN_SKIP + 1 else
                            0.5 * (self._reach / math.log(N - PREFIX_MIN_SKIP) - self._slope))
-        self._N = self.active = N
+        self._N = N
 
     def __call__(self, alpha) -> float:
-        u, r = self.u, self.r
-        k = self.active = self._active(alpha)
-        if k == self._N:  # a nan alpha lands here too and gives nan
-            self.design.odds(alpha, u, r)
-            np.log(r, self._log1p_u)
-            np.reciprocal(r, r)
-            return -0.5 * float(np.dot(self._terms, self._coef))
-        self._alpha = alpha
-        u, r, log1p_u = u[:k], r[:k], self._log1p_u[:k]
-        self.design.odds(alpha, u, r)
-        np.log(r, log1p_u)
-        np.reciprocal(r, r)
-        return -0.5 * float(np.dot(log1p_u, self._coef[:k]) + np.dot(r, self.ny2[:k])
-                            + self._suffix[k])
+        return float(self.column(np.array([alpha], dtype=float))[0])
 
     def _active(self, alpha) -> int:
-        """k(alpha) past alpha_full, else N."""
+        """k(alpha) past alpha_full, else N (a nan alpha too, which gives nan)."""
         if not alpha > self.alpha_full:
             return self._N
         return min(self._N, int(math.exp(self._reach / (self._slope + 2.0 * alpha))) + 1)
@@ -157,32 +143,29 @@ class Loglik:
 
         block_rows(N) alphas share one `Design.odds` call over the active
         prefix of the block's smallest alpha, and one gemv of their rows
-        [log(1 + u) | r] against (1, ..., 1, n*y^2) sums each of them.  The
-        buffers of scalar calls are left as they were.
+        [log(1 + u) | r] against (1, ..., 1, n*y^2) sums each of them.
+        `odds` writes u into the log(1 + u) half of each row, where
+        log(1 + u) then overwrites it: u is read only through 1 + u, so a
+        call holds the one block buffer.
         """
         N = self._N
-        rows = min(block_rows(N), alphas.size)
-        u, terms = np.empty(rows * N), np.empty(rows * 2 * N)
         out = np.empty(alphas.size)
+        if not alphas.size:  # a proposal chunk whose candidates all lie outside the target
+            return out
+        rows = min(block_rows(N), alphas.size)
+        terms = np.empty(rows * 2 * N)
         for s in range(0, alphas.size, rows):
             a = alphas[s:s + rows]
             k = self._active(float(a.min()))
             t = terms[:a.size * 2 * k].reshape(a.size, 2 * k)
             log1p_u, r = t[:, :k], t[:, k:]
-            self.design.odds(a[:, None], u[:a.size * k].reshape(a.size, k), r)
+            self.design.odds(a[:, None], log1p_u, r)
             np.log(r, log1p_u)
             np.reciprocal(r, r)
             coef = self._coef if k == N else np.concatenate([self._coef[:k], self.ny2[:k]])
             np.add(t @ coef, self._suffix[k], out[s:s + a.size])
         out *= -0.5
         return out
-
-    def complete(self) -> None:
-        """Fill u and r past the active prefix of the last call, so all N hold its alpha."""
-        if self.active < self._N:
-            self.design.odds(self._alpha, self.u, self.r)
-            np.reciprocal(self.r, self.r)
-            self.active = self._N
 
 
 def log_likelihood(alpha: float, obs: Observation) -> float:
@@ -202,10 +185,11 @@ def score(alpha: float, obs: Observation) -> float:
     if not 0 <= alpha < math.inf:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     ell = Loglik(obs)
-    ell(alpha)
-    ell.complete()
-    w = ell.u * ell.r
-    return float(np.sum(ell.design.log_i * (w - w * ell.r * ell.ny2)))
+    u, r = np.empty(obs.N), np.empty(obs.N)
+    ell.design.odds(alpha, u, r)
+    np.reciprocal(r, r)
+    w = u * r
+    return float(np.sum(ell.design.log_i * (w - w * r * ell.ny2)))
 
 
 def _scan(n: float, ell: Loglik) -> tuple[LikelihoodCurve, np.ndarray]:
@@ -214,7 +198,7 @@ def _scan(n: float, ell: Loglik) -> tuple[LikelihoodCurve, np.ndarray]:
     if top <= 0:
         raise ConfigError("empirical Bayes search needs n > 1")
     alphas = np.linspace(0.0, top, GRID_SIZE)
-    centred = np.array([ell(a) for a in alphas])
+    centred = ell.column(alphas)
     if not np.all(np.isfinite(centred)):
         bad = alphas[~np.isfinite(centred)][0]
         raise NumericalError(f"log likelihood non-finite at alpha={bad}")

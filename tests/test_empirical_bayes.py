@@ -25,7 +25,7 @@ from invseq import (
 from invseq.cli import main
 from invseq.empirical_bayes import GOLDEN_TOL, GRID_SIZE, Loglik, _golden_max
 from invseq.errors import ConfigError, NumericalError
-from invseq.sequence_model import default_truncation
+from invseq.sequence_model import block_rows, default_truncation
 
 FLAT = ModelSpec.exact_power(0.0)
 VOLTERRA = ModelSpec.volterra()
@@ -109,8 +109,7 @@ def test_score_matches_central_difference_past_the_prefix(model):
     ell = Loglik(obs)
     h = 1e-5
     for alpha in (3.0, 10.0, math.log(n)):
-        ell(alpha)
-        assert ell.active < N
+        assert ell._active(alpha) < N
         fd = (log_likelihood(alpha + h, obs) - log_likelihood(alpha - h, obs)) / (2 * h)
         s = score(alpha, obs)
         assert abs(s - fd) <= 1e-6 * (1.0 + abs(s))
@@ -276,19 +275,25 @@ def test_fit_matches_long_double_search(n, N):
     assert abs(fit(obs).alpha_hat - want) <= 1e-6
 
 
-def test_loglik_evaluates_in_place():
-    """After its first call the evaluator allocates no coordinate-sized block."""
+def test_loglik_column_footprint():
+    """A column over the search grid holds one [log(1 + u) | r] block of
+    block_rows(N) rows, its output and a prefix's coefficients, and no
+    second coordinate-sized buffer."""
     N = 10**5
     ell = Loglik(simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, N, 2))
-    ell(0.5)
+    alphas = np.linspace(0.0, math.log(1e15), GRID_SIZE)
     tracemalloc.start()
     try:
-        for alpha in (0.7, 1.1, 2.3):
-            ell(alpha)
+        ell.column(alphas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * N
+    assert peak < 8 * (2 * block_rows(N) + 1) * N
+
+
+def test_loglik_column_of_no_alphas_is_empty():
+    ell = Loglik(simulate(TruthSpec.paper_example(), VOLTERRA, 1e3, 10, 2))
+    assert ell.column(np.array([])).shape == (0,)
 
 
 def test_reported_values_add_the_dropped_term_back():
@@ -296,8 +301,9 @@ def test_reported_values_add_the_dropped_term_back():
     ell = Loglik(obs)
     assert ell.offset == 0.5 * float(np.sum(obs.n * obs.y ** 2))
     curve = fit(obs).curve
-    for a, v in zip(curve.alphas[::40], curve.values[::40]):
-        assert v == ell(a) + ell.offset == log_likelihood(a, obs)
+    np.testing.assert_array_equal(curve.values, ell.column(curve.alphas) + ell.offset)
+    for a in curve.alphas[::40]:
+        assert ell(a) + ell.offset == log_likelihood(a, obs)
 
 
 def test_loglik_nan_alpha_gives_nan():
@@ -305,22 +311,6 @@ def test_loglik_nan_alpha_gives_nan():
     ell = Loglik(simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, 2000, 2))
     assert ell.alpha_full < math.log(1e15)
     assert math.isnan(ell(math.nan))
-
-
-def test_loglik_complete_fills_the_tail():
-    """After a prefix call, complete() leaves u and r as a full evaluation would."""
-    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, 2000, 2)
-    ell, full = Loglik(obs), Loglik(obs)
-    full.alpha_full = math.inf
-    ell(0.0)
-    for alpha in (5.0, math.log(obs.n)):
-        ell(alpha)
-        assert ell.active < obs.N
-        full(alpha)
-        ell.complete()
-        assert ell.active == obs.N
-        np.testing.assert_array_equal(ell.u, full.u)
-        np.testing.assert_array_equal(ell.r, full.r)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, 3.0])

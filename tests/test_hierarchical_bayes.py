@@ -457,6 +457,15 @@ def test_vague_inverse_gamma_chain_is_finite():
         run_mwg(weak, hyper, HbConfig(iterations=100, seed=3))
 
 
+def test_chain_whose_last_chunk_is_one_inf_draw():
+    """1025 sweeps leave a 1-candidate last chunk; at seed 12 it is an inverse-gamma
+    draw that overflowed to inf, so no alpha of that chunk reaches the likelihood."""
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e7, 200, 1)
+    chain = run_mwg(obs, HyperPrior.inverse_gamma(1e-3, 1e-3), HbConfig(iterations=1025, seed=12))
+    assert chain.alphas.size == 1025 - HbConfig(iterations=1025).resolved_burn_in()
+    assert np.all(np.isfinite(chain.alphas)) and np.all(np.isfinite(chain.mu_mean))
+
+
 def test_coarse_proposal_chain_matches_quadrature(monkeypatch):
     """Criterion 6's chain and TV bar, with a 4-cell proposal grid.
 

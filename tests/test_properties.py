@@ -130,8 +130,9 @@ def test_loglik_prefix_matches_long_double():
         assert abs(got - want) <= 64 * EPS * abs(want)
         d = ell.design
         s = d.log_nk2 - (1.0 + 2.0 * alpha) * d.log_i
-        assert np.all(s[ell.active:] < -53.0 * math.log(2.0))
-        skipped.append(ell.active < obs.N)
+        k = ell._active(alpha)
+        assert np.all(s[k:] < -53.0 * math.log(2.0))
+        skipped.append(k < obs.N)
 
     check()
     assert sum(skipped) >= 10
