@@ -54,11 +54,9 @@ def parse_hyper(text: str) -> HyperPrior:
         return HyperPrior.gamma(parts[0], parts[1])
     if head == "inverse_gamma" and len(parts) == 2:
         return HyperPrior.inverse_gamma(parts[0], parts[1])
-    if head == "fixed" and len(parts) == 1:
-        return HyperPrior.fixed(parts[0])
     raise ConfigError(
         f"cannot parse hyperprior {text!r} "
-        "(exponential[:RATE] | gamma:SHAPE:RATE | inverse_gamma:SHAPE:SCALE | fixed:ALPHA)")
+        "(exponential[:RATE] | gamma:SHAPE:RATE | inverse_gamma:SHAPE:SCALE)")
 
 
 def _load_config(path: str, seed: int | None, out: str | None) -> ExperimentConfig:

@@ -64,10 +64,9 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
 GRID_SIZE = 200  # points of the search grid over [0, log n], both endpoints included
 GOLDEN_TOL = 1e-4  # bracket width at which golden-section refinement stops
-# A prefix block copies its 2k coefficients, so it runs only where it skips at least this
-# many coordinates.  With one BLAS thread that copy costs the work of about 1 of a block's
-# coordinates at N = 1000, 50 at N = 4642, 600 at N = 2e4 and 5000 at N = 1e5, so from
-# N of about 2e4 up, blocks just past alpha_full cost a little more than full ones.
+# A block evaluates a prefix only where it skips at least this many coordinates.  A prefix
+# costs nothing a full block does not (its coefficients are a view), but a smaller value
+# would move alpha_full, and with it the summation order and the bits of every curve.
 PREFIX_MIN_SKIP = 512
 
 
@@ -162,8 +161,8 @@ class Loglik:
             self.design.odds(a[:, None], log1p_u, r)
             np.log(r, log1p_u)
             np.reciprocal(r, r)
-            coef = self._coef if k == N else np.concatenate([self._coef[:k], self.ny2[:k]])
-            np.add(t @ coef, self._suffix[k], out[s:s + a.size])
+            # _coef[:N] is all ones, so its slice [N - k, N + k) is (1, ..., 1, n*y^2[:k])
+            np.add(t @ self._coef[N - k:N + k], self._suffix[k], out[s:s + a.size])
         out *= -0.5
         return out
 

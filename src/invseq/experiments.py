@@ -188,9 +188,7 @@ def run_figure2(cfg: ExperimentConfig) -> dict:
     ladder = _Ladder(cfg)
 
     def replicate(rung, r, obs):
-        warm = None
-        if cfg.hyper.kind != "fixed":
-            warm = max(fit(obs).alpha_hat, 1e-3)
+        warm = max(fit(obs).alpha_hat, 1e-3)
         hb_cfg = HbConfig(iterations=cfg.hb_iterations, burn_in=cfg.hb_burn_in,
                           seed=obs.seed, alpha_init=warm)
         chain = run_mwg(obs, cfg.hyper, hb_cfg)

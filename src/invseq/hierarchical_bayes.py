@@ -50,23 +50,22 @@ CHUNK = 1024  # proposals drawn, evaluated and accepted at a time
 class HyperPrior:
     """Prior density for alpha on (0, inf).
 
-    Kinds: "exponential" (rate), "gamma" (shape, rate), "inverse_gamma"
-    (shape, scale) and "fixed" (point mass; a test hook that pins alpha).
-    The first three all have exponentially-or-polynomially decaying tails
-    of the envelope form alpha^-c3 * exp(-c2*alpha) required for the
-    adaptation guarantees.
+    Kinds: "exponential" (rate), "gamma" (shape, rate) and "inverse_gamma"
+    (shape, scale).  All three have exponentially-or-polynomially decaying
+    tails of the envelope form alpha^-c3 * exp(-c2*alpha) required for the
+    adaptation guarantees.  The posterior at one fixed alpha is
+    `gaussian_posterior.posterior`.
     """
 
     kind: str
     shape: float = 1.0
     rate: float = 1.0
     scale: float = 1.0
-    alpha_star: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "gamma", "inverse_gamma", "fixed"):
+        if self.kind not in ("exponential", "gamma", "inverse_gamma"):
             raise ConfigError(f"unknown hyperprior kind {self.kind!r}")
-        for name in ("shape", "rate", "scale", "alpha_star"):
+        for name in ("shape", "rate", "scale"):
             v = getattr(self, name)
             if not 0.0 < v < math.inf:
                 raise ConfigError(f"hyperprior {name} must be positive and finite, got {v}")
@@ -83,10 +82,6 @@ class HyperPrior:
     def inverse_gamma(cls, shape: float, scale: float) -> "HyperPrior":
         return cls(kind="inverse_gamma", shape=float(shape), scale=float(scale))
 
-    @classmethod
-    def fixed(cls, alpha_star: float) -> "HyperPrior":
-        return cls(kind="fixed", alpha_star=float(alpha_star))
-
     def log_density(self, alpha):
         """log lambda at a scalar alpha (a float) or elementwise on an array; -inf at alpha <= 0."""
         a = np.asarray(alpha, dtype=float)
@@ -96,11 +91,9 @@ class HyperPrior:
             elif self.kind == "gamma":
                 v = (self.shape * math.log(self.rate) - math.lgamma(self.shape)
                      + (self.shape - 1.0) * np.log(a) - self.rate * a)
-            elif self.kind == "inverse_gamma":
+            else:
                 v = (self.shape * math.log(self.scale) - math.lgamma(self.shape)
                      - (self.shape + 1.0) * np.log(a) - self.scale / a)
-            else:
-                v = np.where(a == self.alpha_star, 0.0, -math.inf)
         v = np.where(a > 0, v, -math.inf)
         return v if v.ndim else float(v)
 
@@ -110,15 +103,13 @@ class HyperPrior:
             return rng.exponential(1.0 / self.rate, size)
         if self.kind == "gamma":
             return rng.gamma(self.shape, 1.0 / self.rate, size)
-        if self.kind == "inverse_gamma":
-            with np.errstate(divide="ignore", over="ignore"):  # a gamma draw near 0 gives inf
-                return self.scale / rng.gamma(self.shape, 1.0, size)
-        return np.full(size, self.alpha_star)
+        with np.errstate(divide="ignore", over="ignore"):  # a gamma draw near 0 gives inf
+            return self.scale / rng.gamma(self.shape, 1.0, size)
 
 
 @dataclass(frozen=True)
 class HbConfig:
-    """Sampler settings.  alpha_init of None means "pick a default".
+    """Sampler settings.  alpha_init of None starts the chain at alpha = 1.
 
     The chain always covers every coordinate of the observation it runs on.
     """
@@ -286,11 +277,9 @@ class HbChain:
     """Post-burn-in output of one sampler run.
 
     alphas holds the kept draws of alpha and proposal the grid they were
-    proposed from (None under the "fixed" hook, which proposes nothing).
-    mu_mean and mu_var are the posterior moments of mu by the grid's
-    quadrature: the mixture of the conjugate posteriors at the cells'
-    nodes, weighted by the cells' masses (`gaussian_posterior.mixture`).
-    Under the hook they are those of the conjugate posterior at its alpha.
+    proposed from.  mu_mean and mu_var are the posterior moments of mu by
+    the grid's quadrature: the mixture of the conjugate posteriors at the
+    cells' nodes, weighted by the cells' masses (`gaussian_posterior.mixture`).
     """
 
     alphas: np.ndarray
@@ -298,7 +287,7 @@ class HbChain:
     mu_mean: np.ndarray
     mu_var: np.ndarray
     config: HbConfig
-    proposal: Proposal | None
+    proposal: Proposal
 
     def summary(self) -> dict:
         q = np.quantile(self.alphas, [0.025, 0.5, 0.975])
@@ -312,9 +301,8 @@ class HbChain:
             "mu_mean": self.mu_mean.tolist(),
             "mu_var": self.mu_var.tolist(),
             "burn_in": self.config.resolved_burn_in(),
-            "proposal": None if prop is None else {
-                "window": [float(prop.edges[0]), float(prop.edges[-1])],
-                "cells": int(prop.masses.size), "prior_share": PRIOR_SHARE},
+            "proposal": {"window": [float(prop.edges[0]), float(prop.edges[-1])],
+                         "cells": int(prop.masses.size), "prior_share": PRIOR_SHARE},
         }
 
 
@@ -334,27 +322,14 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
 
     Runs cfg.iterations independence Metropolis-Hastings steps of alpha on
     its marginal posterior, from cfg.alpha_init (1 by default), and keeps
-    the alphas past burn-in; the "fixed" hyperprior hook pins alpha and
-    runs none.  mu is never drawn: its moments are the grid quadrature of
-    its posterior, and under the hook exactly those of
-    posterior(alpha_star, obs).  With the "fixed" hook, an alpha_init
-    other than its alpha is a ConfigError.  Identical configs reproduce
-    identical chains.
+    the alphas past burn-in.  mu is never drawn: its moments are the grid
+    quadrature of its posterior.  Identical configs reproduce identical
+    chains.
     """
     burn = cfg.resolved_burn_in()
-    pinned = hyper.kind == "fixed"
-    alpha = cfg.alpha_init if cfg.alpha_init is not None else (
-        hyper.alpha_star if pinned else 1.0)
-    if pinned and alpha != hyper.alpha_star:
-        raise ConfigError(f"alpha_init {alpha} differs from the fixed hyperprior's "
-                          f"alpha {hyper.alpha_star}")
-
+    alpha = 1.0 if cfg.alpha_init is None else cfg.alpha_init
     ell = Loglik(obs)
     alphas = np.full(cfg.iterations - burn, alpha)
-    if pinned:
-        mu_mean, mu_var = mixture(obs, ell.design, np.array([alpha]), np.ones(1))
-        return HbChain(alphas, 0.0, mu_mean, mu_var, cfg, None)
-
     prop = grid_proposal(ell, hyper)
     current = float(log_weights(ell, hyper, prop, np.array([alpha]))[0])
     if not math.isfinite(current):

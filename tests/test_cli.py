@@ -54,8 +54,7 @@ def test_parse_hyper():
     assert parse_hyper("exponential:2.5") == HyperPrior.exponential(2.5)
     assert parse_hyper("gamma:2:1.5") == HyperPrior.gamma(2.0, 1.5)
     assert parse_hyper("inverse_gamma:2:1") == HyperPrior.inverse_gamma(2.0, 1.0)
-    assert parse_hyper("fixed:0.7") == HyperPrior.fixed(0.7)
-    for spec in ("uniform:0:5", "exponential:1:2", "fixed:1:2"):
+    for spec in ("uniform:0:5", "exponential:1:2", "fixed:0.7"):
         with pytest.raises(ConfigError, match="exponential\\[:RATE\\]"):
             parse_hyper(spec)
 
@@ -108,7 +107,7 @@ def test_non_finite_spec_exits_two(tmp_path, capsys, flag, spec, name):
 
 @pytest.mark.parametrize("hyper, name", [
     ("exponential:nan", "rate"), ("exponential:inf", "rate"), ("gamma:nan:1", "shape"),
-    ("inverse_gamma:2:inf", "scale"), ("fixed:nan", "alpha_star"),
+    ("inverse_gamma:2:inf", "scale"),
 ])
 def test_non_finite_hyperprior_exits_two(tmp_path, capsys, hyper, name):
     obs_path = tmp_path / "obs.json"
@@ -231,17 +230,25 @@ def test_rungs_sharing_a_leading_digit_keep_their_own_files(tmp_path, command, p
     assert sorted(os.listdir(out)) == sorted([*want, f"{prefix}_manifest.json"])
 
 
-def test_figure2_command_and_fixed_hook(tmp_path):
+def test_figure2_rejects_a_point_mass_hyperprior(tmp_path, capsys):
+    # a point mass at alpha is no hyperprior; the posterior at one alpha is posterior(alpha, obs)
     cfg = _write_config(tmp_path / "cfg.json", replicates=1,
-                        hyper=fields_dict(HyperPrior.fixed(0.7)))
+                        hyper={"kind": "fixed", "alpha_star": 0.7})
     out = tmp_path / "fig2"
-    rc = main(["figure2", "--config", str(cfg), "--out", str(out)])
-    assert rc == 0
-    draws = np.loadtxt(out / "fig2_1e2_alpha.csv", skiprows=1)
-    assert np.all(draws == 0.7)  # point mass under the pinned hyperprior
-    with open(out / "fig2_manifest.json") as fh:
-        manifest = json.load(fh)
-    assert len(manifest["rungs"]) == 2
+    assert main(["figure2", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown hyperprior kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hyperprior_ignores_a_stale_alpha_star():
+    # configs written while "fixed" was a kind carry alpha_star in every hyper; they must load
+    stale = {**fields_dict(HyperPrior.exponential(1.0)), "alpha_star": 1.0}
+    assert read_fields(HyperPrior, stale) == HyperPrior.exponential(1.0)
+    with_it = ExperimentConfig.from_dict({"model": fields_dict(ModelSpec.volterra()),
+                                          "truth": fields_dict(TruthSpec.paper_example()),
+                                          "hyper": stale})
+    assert with_it.hyper == HyperPrior.exponential(1.0)
+    assert "alpha_star" not in with_it.to_dict()["hyper"]
 
 
 def test_figure2_acceptance_rate_band(tmp_path):

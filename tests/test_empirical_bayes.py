@@ -275,20 +275,27 @@ def test_fit_matches_long_double_search(n, N):
     assert abs(fit(obs).alpha_hat - want) <= 1e-6
 
 
-def test_loglik_column_footprint():
-    """A column over the search grid holds one [log(1 + u) | r] block of
-    block_rows(N) rows, its output and a prefix's coefficients, and no
-    second coordinate-sized buffer."""
-    N = 10**5
-    ell = Loglik(simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, N, 2))
-    alphas = np.linspace(0.0, math.log(1e15), GRID_SIZE)
+def _column_peak(ell, alphas):
     tracemalloc.start()
     try:
         ell.column(alphas)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (2 * block_rows(N) + 1) * N
+
+
+def test_loglik_column_footprint():
+    """A column holds one [log(1 + u) | r] block of block_rows(N) rows and its
+    output, and no second coordinate-sized buffer: a prefix's coefficients
+    are a view.  Just past alpha_full a prefix is nearly all N, so a copy of
+    its 2k coefficients would add almost 2N floats."""
+    N = 10**5
+    ell = Loglik(simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, N, 2))
+    grid = np.linspace(0.0, math.log(1e15), GRID_SIZE)
+    assert _column_peak(ell, grid) < 8 * (2 * block_rows(N) + 1) * N
+    past = np.full(block_rows(N), ell.alpha_full + 0.01)
+    assert ell._active(past[0]) > 0.95 * N
+    assert _column_peak(ell, past) < 8 * (2 * block_rows(N) + 0.25) * N
 
 
 def test_loglik_column_of_no_alphas_is_empty():

@@ -75,6 +75,7 @@ def _mixture_oracle(obs, alphas, weights):
     (10.0, 3, 40, 512),  # one block
     (1e11, 4642, 37, 16),  # two full blocks and a partial one
     (1e15, 100_000, 6, 4),  # a block of four and one of two
+    (1e20, 50, 40, 512),  # the posterior variances are far below the means' squares
 ])
 def test_mixture_matches_per_alpha_oracle(n, N, k, rows):
     """Fractional weights, as a quadrature grid over alpha gives them, on alphas

@@ -302,9 +302,8 @@ def truth_specs(draw):
                                  else st.none() | st.lists(finite).map(tuple)))
 
 
-hyper_priors = st.builds(HyperPrior, kind=st.sampled_from(["exponential", "gamma", "inverse_gamma",
-                                                           "fixed"]),
-                         shape=positive, rate=positive, scale=positive, alpha_star=positive)
+hyper_priors = st.builds(HyperPrior, kind=st.sampled_from(["exponential", "gamma", "inverse_gamma"]),
+                         shape=positive, rate=positive, scale=positive)
 
 
 @st.composite
