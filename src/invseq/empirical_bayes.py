@@ -20,11 +20,12 @@ term is free of alpha but large: at n = 1e15 and N = 1e5 it is about
 1.5e14, where one ulp is 0.03, so ell itself cannot resolve the
 differences a golden-section search compares near its maximum.  The
 centred value is about 1e6 there.  `Loglik.column` evaluates it at a
-whole array of alphas, from `Design.odds` with one logarithm and one
-reciprocal more per coordinate; the grid scan is one such column, the
-golden-section search and `log_likelihood` columns of one alpha, and the
-sampler's targets columns of proposals.  Reported values
-(`log_likelihood`, the curve) add the term back once.
+whole array of alphas, from the blocks of u and 1 + u that `Design.blocks`
+fills, with one logarithm and one reciprocal more per coordinate; the
+grid scan is one such column, the golden-section search and
+`log_likelihood` columns of one alpha, and the sampler's targets columns
+of proposals.  Reported values (`log_likelihood`, the curve) add the term
+back once.
 
 Most coordinates need no evaluation at most alphas.  Where u_i <= 2^-53,
 that is s_i <= -53 log 2 = -36.74, 1 + u_i rounds to exactly 1: the
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import CoordinatePosterior, posterior
-from .sequence_model import S_NEGLIGIBLE, Observation, block_rows, design
+from .sequence_model import S_NEGLIGIBLE, Observation, design
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
@@ -110,9 +111,8 @@ class Loglik:
         self.design = design(model, obs.n, N)
         with np.errstate(over="ignore"):  # inf here is the NumericalError below
             ny2 = obs.n * obs.y**2
-        # one gemv of rows [log(1 + u) | r] against (1, ..., 1, n*y^2) sums both terms
-        self._coef = np.concatenate([np.ones(N), ny2])
-        self.ny2 = self._coef[N:]
+        self.ny2 = ny2
+        self._ones = np.ones(N)  # a gemv against it sums each row of log(1 + u)
         self.offset = 0.5 * float(np.sum(ny2))
         if not math.isfinite(self.offset):
             raise NumericalError("n * y_i^2 overflows the float range")
@@ -140,29 +140,17 @@ class Loglik:
     def column(self, alphas: np.ndarray) -> np.ndarray:
         """The centred value at each alpha >= 0 of a 1-D array.
 
-        block_rows(N) alphas share one `Design.odds` call over the active
-        prefix of the block's smallest alpha, and one gemv of their rows
-        [log(1 + u) | r] against (1, ..., 1, n*y^2) sums each of them.
-        `odds` writes u into the log(1 + u) half of each row, where
-        log(1 + u) then overwrites it: u is read only through 1 + u, so a
-        call holds the one block buffer.
+        Each `Design.blocks` block covers the active prefix of its smallest
+        alpha.  Its u half becomes log(1 + u) and its 1 + u half r = 1/(1 + u)
+        in place, and one gemv of each half, against ones and against n*y^2,
+        sums both terms of every row.
         """
-        N = self._N
         out = np.empty(alphas.size)
-        if not alphas.size:  # a proposal chunk whose candidates all lie outside the target
-            return out
-        rows = min(block_rows(N), alphas.size)
-        terms = np.empty(rows * 2 * N)
-        for s in range(0, alphas.size, rows):
-            a = alphas[s:s + rows]
-            k = self._active(float(a.min()))
-            t = terms[:a.size * 2 * k].reshape(a.size, 2 * k)
-            log1p_u, r = t[:, :k], t[:, k:]
-            self.design.odds(a[:, None], log1p_u, r)
+        for s, log1p_u, r in self.design.blocks(alphas, self._active):
+            k = r.shape[1]
             np.log(r, log1p_u)
             np.reciprocal(r, r)
-            # _coef[:N] is all ones, so its slice [N - k, N + k) is (1, ..., 1, n*y^2[:k])
-            np.add(t @ self._coef[N - k:N + k], self._suffix[k], out[s:s + a.size])
+            out[s:s + len(r)] = log1p_u @ self._ones[:k] + r @ self.ny2[:k] + self._suffix[k]
         out *= -0.5
         return out
 
@@ -184,8 +172,7 @@ def score(alpha: float, obs: Observation) -> float:
     if not 0 <= alpha < math.inf:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     ell = Loglik(obs)
-    u, r = np.empty(obs.N), np.empty(obs.N)
-    ell.design.odds(alpha, u, r)
+    _, (u,), (r,) = next(ell.design.blocks(np.array([alpha])))
     np.reciprocal(r, r)
     w = u * r
     return float(np.sum(ell.design.log_i * (w - w * r * ell.ny2)))

@@ -12,8 +12,8 @@ i^(1+2a) is ever formed.
 
 `mixture` is the one place these moments are formed.  It mixes the
 posteriors of a column of alphas under given weights, as hierarchical
-Bayes needs; `posterior` is its one-alpha case, the empirical-Bayes
-plug-in.
+Bayes needs, reading w from the blocks `Design.blocks` fills; `posterior`
+is its one-alpha case, the empirical-Bayes plug-in.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sequence_model import Design, Observation, block_rows, design, synthesize_function
+from .sequence_model import Design, Observation, design, synthesize_function
 
 
 @dataclass(frozen=True)
@@ -41,24 +41,23 @@ def mixture(obs: Observation, d: Design, alphas, weights) -> tuple[np.ndarray, n
 
     d is the design of obs, and alphas and weights are 1-D arrays of one
     length.  The alphas must be finite and >= 0, the weights >= 0 with a
-    positive sum; they need not sum to 1, and a zero weight contributes
-    nothing.  Every posterior has mean w y/kappa and variance
-    w/(n kappa^2), so the mixture has mean E[w] y/kappa and, by total
-    variance, variance E[w]/(n kappa^2) + Var(w) (y/kappa)^2, with E and Var
-    taken over alpha.  The w of block_rows(N) alphas come from one
-    `Design.odds` call, and each block's weighted mean and spread of w join
-    the running ones by the pairwise update of Chan, Golub & LeVeque (1983):
-    at large n the w_i of nearby alphas agree to many digits, and raw sums
-    of w_i^2 would cancel.  A one-alpha block forms no spread, so a single
+    positive sum, else a ValueError; they need not sum to 1, and a zero
+    weight contributes nothing.  Every posterior has mean w y/kappa and
+    variance w/(n kappa^2), so the mixture has mean E[w] y/kappa and, by
+    total variance, variance E[w]/(n kappa^2) + Var(w) (y/kappa)^2, with E
+    and Var taken over alpha.  Each `Design.blocks` block of the alphas of
+    positive weight turns its u into w in place, and its weighted mean and
+    spread of w join the running ones by the pairwise update of Chan, Golub
+    & LeVeque (1983): at large n the w_i of nearby alphas agree to many
+    digits, and raw sums of w_i^2 would cancel.  A one-alpha block forms no spread, so a single
     alpha gives exactly the conjugate posterior.
     """
     alphas, q = alphas[weights > 0], weights[weights > 0]
-    u_blk, r_blk = np.empty((2, min(block_rows(obs.N), alphas.size), obs.N))
+    if not alphas.size:
+        raise ValueError("mixture needs a weight > 0")
     mean, spread, total = 0.0, 0.0, 0.0
-    for s in range(0, alphas.size, len(u_blk)):
-        p = q[s:s + len(u_blk)]
-        w, r = u_blk[:p.size], r_blk[:p.size]
-        d.odds(alphas[s:s + p.size, None], w, r)
+    for s, w, r in d.blocks(alphas):
+        p = q[s:s + len(w)]
         w *= np.reciprocal(r, r)  # u*r, as every layer forms w
         t = float(p.sum())
         w_b = w[0] if p.size == 1 else (p @ w) / t  # the block's mean

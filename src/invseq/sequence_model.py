@@ -17,10 +17,11 @@ weight,
     w_i = n*kappa_i^2 / (i^(1+2*alpha) + n*kappa_i^2) = 1 / (1 + exp(-s_i)),
 
 so powers are taken in log space (i^(1+2a) is exactly 1 at i = 1) and a
-large alpha never overflows.  `Design.odds` is the one place s is
-exponentiated: from u = exp(s) and r = 1/(1 + u), every layer reads
-w = u*r, 1 - w = r and w*(1 - w) = u*r*r.  A layer that needs many alphas
-fills them as an alpha column, `block_rows(N)` rows per call.
+large alpha never overflows.  Every layer works on an alpha column, an
+array of alphas, and `Design.blocks` is the one place s is exponentiated:
+it fills the column `block_rows(N)` alphas at a time with u = exp(s) and
+1 + u, from which, with r = 1/(1 + u), every layer reads w = u*r,
+1 - w = r and w*(1 - w) = u*r*r.  A single alpha is a column of one.
 """
 
 from __future__ import annotations
@@ -120,34 +121,43 @@ class Design:
     log_i: np.ndarray
     log_nk2: np.ndarray  # log(n * kappa_i^2)
 
-    def odds(self, alpha, u, u1):
-        """Fill u with exp(max(s(alpha), S_FLOOR)) and u1 with 1 + u.
+    def blocks(self, alphas: np.ndarray, width=None):
+        """Fill an alpha column block by block: yield (start, u, u1) for each.
 
-        alpha is a scalar, or an alpha column (shape (k, 1)) for one row of
-        u and u1 per alpha.  Rows of u and u1 may be shorter than N: they
-        then hold the first coordinates, so prefix views of N-long buffers
-        work.  The clamp leaves 1 + u exactly as it was and puts u*r
-        (r = 1/u1) at e^-700 = 1e-304 wherever w was smaller.  design() has
-        checked that no alpha >= 0 overflows exp.
+        alphas is a 1-D array.  Each block takes the next block_rows(N)
+        alphas or fewer, m of them from alphas[start], and the first
+        k = width(smallest alpha of the block) coordinates, or all N without
+        width.  u and u1 are the two contiguous (m, k) halves of one buffer
+        held for the whole column: u = exp(max(s(alpha), S_FLOOR)), one row
+        per alpha, and u1 = 1 + u.  A caller may overwrite both before it
+        takes the next block.  This is the one place s is exponentiated.
+        The clamp leaves 1 + u exactly as it was and puts u*r (r = 1/u1) at
+        e^-700 = 1e-304 wherever w was smaller.  design() has checked that
+        no alpha >= 0 overflows exp.  An empty column yields nothing.
         """
-        log_i, log_nk2 = self.log_i, self.log_nk2
-        k = u.shape[-1]
-        if k < log_i.size:  # a prefix view
-            log_i, log_nk2 = log_i[:k], log_nk2[:k]
-        np.multiply(log_i, 1.0 + 2.0 * alpha, u)
-        np.subtract(log_nk2, u, u)
-        np.maximum(u, S_FLOOR, out=u)
-        np.exp(u, u)
-        np.add(u, 1.0, u1)
+        N = self.log_i.size
+        rows = min(block_rows(N), max(alphas.size, 1))
+        buf = np.empty(2 * rows * N)
+        for start in range(0, alphas.size, rows):
+            a = alphas[start:start + rows, None]
+            k = N if width is None else width(float(a.min()))
+            u, u1 = buf[:2 * a.size * k].reshape(2, a.size, k)
+            np.multiply(self.log_i[:k], 1.0 + 2.0 * a, u)
+            np.subtract(self.log_nk2[:k], u, u)
+            np.maximum(u, S_FLOOR, out=u)
+            np.exp(u, u)
+            np.add(u, 1.0, u1)
+            yield start, u, u1
 
 
 def block_rows(N: int) -> int:
     """Alphas per block of an alpha column over N coordinates.
 
-    The largest power of two in [4, 512] with rows * N <= BLOCK, so a block
-    pair of u and 1 + u stays cache-sized.  A power of two divides the
-    bracket scan's 512-alpha chunks, and BLAS gemv sums four rows at a time,
-    so each alpha's row sums to the same bits as in one 512-row block.
+    The largest power of two in [4, 512] with rows * N <= BLOCK, so a
+    `Design.blocks` pair of u and 1 + u stays cache-sized.  A power of two
+    divides the bracket scan's 512-alpha chunks, and BLAS gemv sums four
+    rows at a time, so each alpha's row sums to the same bits as in one
+    512-row block.
     """
     return min(512, 1 << (max(4, BLOCK // N).bit_length() - 1))
 

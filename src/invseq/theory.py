@@ -13,11 +13,11 @@ The i = 1 term vanishes (log 1 = 0), so the diagnostic is identically
 zero exactly when the truth lives on the first coordinate alone.
 
 One evaluator, built once per (truth, model, n), computes diag wherever
-it is needed: at a single alpha for bracket_diagnostic and for the
-bisection that refines a crossing, and at a block of alphas for the scan
-that finds it.  The scan checks CHUNK alphas at a time, each chunk filled
-in cache-sized row blocks of `sequence_model.block_rows(N)` alphas, held
-for the whole scan.
+it is needed: at a column of alphas for the scan that finds a crossing,
+and at a single alpha, a column of one, for bracket_diagnostic and for
+the bisection that refines it.  The scan checks CHUNK alphas at a time,
+each chunk a column filled in the cache-sized blocks of
+`Design.blocks`.
 """
 
 from __future__ import annotations
@@ -29,13 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sequence_model import ModelSpec, block_rows, design
+from .sequence_model import ModelSpec, design
 
 LOWER_THRESHOLD = 0.01  # l
 UPPER_COEFF = 1.0  # L, of the upper threshold L*(log n)^2
 SCAN_STEP = 1e-3
 REFINE_TOL = 1e-6
-CHUNK = 512  # alphas per scanned chunk, where the crossings are checked
+# alphas per scanned chunk, where the crossings are checked; a multiple of every
+# block_rows(N), so each alpha's row sums to the same bits in whichever chunk it falls
+CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,8 @@ class _Diagnostic:
     Holds the design of the truth's coordinates and the alpha-free part of
     each term, n*kappa_i^2 * mu_i^2 * log i.  Each term is that part times
     w_i*(1-w_i) = u_i*r_i*r_i, with w_i = n/(i^(1+2a)/kappa_i^2 + n) the data
-    weight formed from `Design.odds`, so no large power is formed explicitly.
+    weight formed from the blocks of `Design.blocks`, so no large power is
+    formed explicitly.
     """
 
     def __init__(self, mu0: np.ndarray, model: ModelSpec, n: float):
@@ -89,31 +92,32 @@ class _Diagnostic:
         self.p = model.p
         self.logn = math.log(n)
 
-    def __call__(self, alpha, blocks=None):
-        """diag at a scalar alpha, or at each alpha of a 1-D array.
+    def column(self, alphas: np.ndarray) -> np.ndarray:
+        """diag at each alpha of a 1-D array.
 
-        blocks, if given, is a pair of (len(alpha), N) blocks, or of
-        N-vectors for a scalar alpha, that receive the per-coordinate work;
-        otherwise the pair is new.  A block is summed by one matrix-vector
-        product, a single alpha pairwise: at N = 1e5 that is within 17 eps
-        of a long-double sum, a dot product within 40.
+        Each `Design.blocks` block's terms are summed by one matrix-vector
+        product, so a single alpha's by a one-row one.  At N = 1e5 a row of
+        a block is within 10 eps of a long-double sum, a single alpha within
+        70 eps.
         """
-        a = np.asarray(alpha, dtype=float)
-        q = 1.0 + 2.0 * a + 2.0 * self.p
-        u, r = np.empty((2, *a.shape, self.terms.size)) if blocks is None else blocks
-        self.design.odds(a[..., None], u, r)
-        np.reciprocal(r, r)
-        u *= r
-        u *= r
-        total = u @ self.terms if a.ndim else np.sum(u * self.terms)
+        total = np.empty(alphas.size)
+        for s, u, r in self.design.blocks(alphas):
+            np.reciprocal(r, r)
+            u *= r
+            u *= r
+            total[s:s + len(u)] = u @ self.terms
+        q = 1.0 + 2.0 * alphas + 2.0 * self.p
         return q / (np.exp(self.logn / q) * self.logn) * total
+
+    def __call__(self, alpha: float) -> float:
+        return float(self.column(np.array([alpha]))[0])
 
 
 def bracket_diagnostic(alpha: float, mu0: np.ndarray, model: ModelSpec, n: float) -> float:
     """The diagnostic above at a single alpha, truncated at len(mu0) terms."""
     if alpha < 0:
         raise ConfigError("alpha must be >= 0")
-    return float(_Diagnostic(np.asarray(mu0, dtype=float), model, n)(alpha))
+    return _Diagnostic(np.asarray(mu0, dtype=float), model, n)(alpha)
 
 
 def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
@@ -123,10 +127,10 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
     the upper bracket is the first crossing of UPPER_COEFF*(log n)^2,
     scanned up to log n / (2*log 2) (beyond which a crossing is guaranteed
     whenever the second coordinate of the truth is non-zero).  Grid step
-    1e-3; the crossings are checked CHUNK alphas at a time, and each chunk
-    is filled in cache-sized row blocks held for the whole scan.  Each
-    crossing is refined by bisection to 1e-6.  An identically-zero
-    diagnostic is not scanned: its curve is zero over the whole grid.
+    1e-3; the crossings are checked CHUNK alphas at a time, each chunk one
+    column of `_Diagnostic.column`.  Each crossing is refined by bisection
+    to 1e-6.  An identically-zero diagnostic is not scanned: its curve is
+    zero over the whole grid.
     """
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.size < 1:
@@ -140,8 +144,6 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
 
     alphas = np.arange(SCAN_STEP, scan_hi + SCAN_STEP, SCAN_STEP)
     zero = not np.any(diag.terms)
-    rows = block_rows(mu0.size)  # divides CHUNK, so each alpha gets a CHUNK-row block's bits
-    u_blk, r_blk = np.empty((2, rows, mu0.size))  # the grid has over 1000 alphas (log n > 1)
 
     def crossing(threshold: float, limit: float) -> float | None:
         """First alpha of the current chunk above threshold, refined to REFINE_TOL.
@@ -157,7 +159,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
         hi = float(a_blk[k])
         while hi - lo > REFINE_TOL:
             mid = 0.5 * (lo + hi)
-            if diag(mid, (u_blk[0], r_blk[0])) > threshold:
+            if diag(mid) > threshold:
                 hi = mid
             else:
                 lo = mid
@@ -167,10 +169,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
     lower_cross = upper_cross = None
     for start in range(0, 0 if zero else alphas.size, CHUNK):
         a_blk = alphas[start:start + CHUNK]
-        vals = np.empty(a_blk.size)
-        for s in range(0, a_blk.size, rows):
-            a = a_blk[s:s + rows]
-            vals[s:s + a.size] = diag(a, (u_blk[:a.size], r_blk[:a.size]))
+        vals = diag.column(a_blk)
         curve_v.append(vals)
         if lower_cross is None:
             lower_cross = crossing(LOWER_THRESHOLD, math.inf)

@@ -285,10 +285,11 @@ def _column_peak(ell, alphas):
 
 
 def test_loglik_column_footprint():
-    """A column holds one [log(1 + u) | r] block of block_rows(N) rows and its
-    output, and no second coordinate-sized buffer: a prefix's coefficients
-    are a view.  Just past alpha_full a prefix is nearly all N, so a copy of
-    its 2k coefficients would add almost 2N floats."""
+    """A column holds one Design.blocks buffer, a log(1 + u) and an r half of
+    block_rows(N) rows each, and its output, and no second coordinate-sized
+    buffer: a prefix's coefficients are views.  Just past alpha_full a
+    prefix is nearly all N, so a copy of its 2k coefficients would add
+    almost 2N floats."""
     N = 10**5
     ell = Loglik(simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, N, 2))
     grid = np.linspace(0.0, math.log(1e15), GRID_SIZE)

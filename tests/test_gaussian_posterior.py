@@ -109,6 +109,12 @@ def test_mixture_zero_weight_block_contributes_nothing():
         np.testing.assert_array_equal(got[1], want[1])
 
 
+def test_mixture_needs_a_positive_weight():
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e3, 10, 11)
+    with pytest.raises(ValueError, match="weight > 0"):
+        mixture(obs, design(VOLTERRA, 1e3, 10), np.array([0.5, 1.0]), np.zeros(2))
+
+
 def test_mixture_of_one_alpha_is_the_posterior():
     """One alpha, at any weight, gives the conjugate posterior bit for bit."""
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e11, 4642, 11)

@@ -17,7 +17,7 @@ from invseq import (
     synthesize_function,
 )
 from invseq.errors import ConfigError
-from invseq.sequence_model import S_FLOOR, Design, block_rows, fields_dict, read_fields
+from invseq.sequence_model import S_FLOOR, Design, block_rows, design, fields_dict, read_fields
 from invseq.theory import CHUNK
 from oracles import sandwich_constant, volterra_forward
 
@@ -26,18 +26,17 @@ FLAT = ModelSpec.exact_power(0.0)
 EPS = np.finfo(float).eps
 
 
-def test_odds_matches_expit():
-    """u*r, r and u*r*r from Design.odds against expit(s), expit(-s) and their product.
+def test_blocks_match_expit():
+    """u*r, r and u*r*r from a Design.blocks row against expit(s), expit(-s) and their product.
 
     Over s in [-800, 700], with design terms chosen so that s(0) is the grid;
     below S_FLOOR the weight and its product are e^-700 exactly.
     """
     s = np.linspace(-800.0, 700.0, 150_001)
     d = Design(kappa=np.ones(s.size), log_i=np.zeros(s.size), log_nk2=s)
-    u, r = np.empty(s.size), np.empty(s.size)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        d.odds(0.0, u, r)
+        [(_, (u,), (r,))] = d.blocks(np.zeros(1))
         np.reciprocal(r, r)
         w = u * r
         wp = w * r
@@ -47,6 +46,42 @@ def test_odds_matches_expit():
         # numpy's exp against libm's, with the rounding of 1 + u, 1/(1 + u) and the products
         assert np.max(np.abs(got[big] - ref[big]) / ref[big]) <= 4.0 * EPS
     assert np.all(w[s < S_FLOOR] == floor) and np.all(wp[s < S_FLOOR] == floor)
+
+
+@pytest.mark.parametrize("N", [3, 215, 4642])
+def test_blocks_cover_the_column(N):
+    """Blocks of block_rows(N) alphas, each over the width of its smallest alpha.
+
+    Every alpha of the column lands in one block, in order; both halves are
+    contiguous (m, k) arrays with u1 = 1 + u exactly; and each row holds the
+    same bits as a block of that one alpha.
+    """
+    d = design(VOLTERRA, 1e11, N)
+    rows = block_rows(N)
+    rng = np.random.default_rng(N)
+    for size in (0, 1, rows, rows + 1, 3 * rows - 1):
+        alphas = rng.uniform(0.0, 4.0, size)
+        seen = []
+
+        def width(a):
+            seen.append(a)
+            return max(1, N >> int(a))
+
+        starts = []
+        for start, u, u1 in d.blocks(alphas, width):
+            a = alphas[start:start + rows]
+            assert seen[-1] == a.min()
+            assert u.shape == u1.shape == (a.size, max(1, N >> int(a.min())))
+            assert u.flags.c_contiguous and u1.flags.c_contiguous
+            assert np.array_equal(u1, 1.0 + u)
+            for j, alpha in enumerate(a):
+                [(_, (u_one,), (u1_one,))] = d.blocks(np.array([alpha]), lambda _: u.shape[1])
+                assert u_one.tobytes() == u[j].tobytes() and u1_one.tobytes() == u1[j].tobytes()
+            starts.append(start)
+        assert starts == list(range(0, size, rows))
+        assert len(seen) == len(starts)
+    [(_, u, _)] = d.blocks(np.ones(1))
+    assert u.shape == (1, N)
 
 
 def test_block_rows_rule():
