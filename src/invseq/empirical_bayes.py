@@ -6,8 +6,9 @@ The marginal log likelihood of alpha (additive constants dropped) is
                                 - n^2 y_i^2 / (i^(1+2a)*kappa_i^-2 + n) ]
 
 and the estimator is its maximizer over [0, log n].  A coarse grid scan
-followed by golden-section refinement is enough: the curve is smooth and
-one-dimensional, and ties are broken toward the smallest alpha.
+followed by a few safeguarded Newton steps between the best grid point's
+neighbours is enough: the curve is smooth and one-dimensional, and ties are
+broken toward the smallest alpha.
 
 With u_i = exp(s_i(alpha)) = n*kappa_i^2 / i^(1+2a) (see sequence_model)
 the bracket is log(1 + u_i) - n*y_i^2 * u_i/(1 + u_i), and since
@@ -18,14 +19,15 @@ u/(1 + u) = 1 - 1/(1 + u),
 Every search and every ratio works on this centred value.  The dropped
 term is free of alpha but large: at n = 1e15 and N = 1e5 it is about
 1.5e14, where one ulp is 0.03, so ell itself cannot resolve the
-differences a golden-section search compares near its maximum.  The
+differences between the refined maximizer and its grid point.  The
 centred value is about 1e6 there.  `Loglik.column` evaluates it at a
 whole array of alphas, from the blocks of u and 1 + u that `Design.blocks`
 fills, with one logarithm and one reciprocal more per coordinate; the
-grid scan is one such column, the golden-section search and
-`log_likelihood` columns of one alpha, and the sampler's targets columns
-of proposals.  Reported values (`log_likelihood`, the curve) add the term
-back once.
+grid scan is one such column, the refined candidate and `log_likelihood`
+columns of one alpha, and the sampler's targets columns of proposals.
+`Loglik.slope` reads one such block for the first and second derivative,
+which the Newton steps and `score` use.  Reported values
+(`log_likelihood`, the curve) add the term back once.
 
 Most coordinates need no evaluation at most alphas.  Where u_i <= 2^-53,
 that is s_i <= -53 log 2 = -36.74, 1 + u_i rounds to exactly 1: the
@@ -61,10 +63,8 @@ from .errors import ConfigError, NumericalError
 from .gaussian_posterior import CoordinatePosterior, posterior
 from .sequence_model import S_NEGLIGIBLE, Observation, design
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
-
 GRID_SIZE = 200  # points of the search grid over [0, log n], both endpoints included
-GOLDEN_TOL = 1e-4  # bracket width at which golden-section refinement stops
+STEP_TOL = 1e-4  # the Newton refinement stops after a step shorter than this
 # A block evaluates a prefix only where it skips at least this many coordinates.  A prefix
 # costs nothing a full block does not (its coefficients are a view), but a smaller value
 # would move alpha_full, and with it the summation order and the bits of every curve.
@@ -154,6 +154,34 @@ class Loglik:
         out *= -0.5
         return out
 
+    def slope(self, alpha: float) -> tuple[float, float]:
+        """First and second derivative of the centred value at one alpha >= 0.
+
+        With L = log i, r = 1/(1 + u) and w = u r, du/dalpha = -2 L u gives
+
+            d1 = sum_i L w (1 - n y_i^2 r),
+            d2 = -2 sum_i L^2 w r (1 - n y_i^2 (r - w)),
+
+        over the active prefix `column` reads; a coordinate past it, where
+        w < e^-37, would add less than e^-37 L (1 + n y_i^2) to d1.  Both sums
+        are formed in place in one `Design.blocks` block, with r - w = 2r - 1.
+        """
+        _, (u,), (r,) = next(self.design.blocks(np.array([alpha], dtype=float), self._active))
+        k = u.size
+        log_i, ny2 = self.design.log_i[:k], self.ny2[:k]
+        np.reciprocal(r, r)
+        np.multiply(u, r, u)  # w
+        lw = u @ log_i
+        np.multiply(u, r, u)
+        np.multiply(u, log_i, u)  # L w r
+        lwr_ny2 = u @ ny2
+        l2wr = u @ log_i
+        np.multiply(u, log_i, u)  # L^2 w r
+        np.multiply(r, 2.0, r)
+        np.subtract(r, 1.0, r)
+        np.multiply(r, ny2, r)  # n y^2 (r - w)
+        return float(lw - lwr_ny2), -2.0 * float(l2wr - u @ r)
+
 
 def log_likelihood(alpha: float, obs: Observation) -> float:
     """Marginal log likelihood of alpha, finite and >= 0, given the observation."""
@@ -164,18 +192,14 @@ def log_likelihood(alpha: float, obs: Observation) -> float:
 
 
 def score(alpha: float, obs: Observation) -> float:
-    """Derivative of the marginal log likelihood in alpha.
+    """Derivative of the marginal log likelihood in alpha, `Loglik.slope`'s first.
 
     Written with the data weight w_i = n/(i^(1+2a)*kappa_i^-2 + n):
     sum_i log(i) * (w_i - w_i * (1 - w_i) * n * y_i^2).  alpha must be finite and >= 0.
     """
     if not 0 <= alpha < math.inf:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
-    ell = Loglik(obs)
-    _, (u,), (r,) = next(ell.design.blocks(np.array([alpha])))
-    np.reciprocal(r, r)
-    w = u * r
-    return float(np.sum(ell.design.log_i * (w - w * r * ell.ny2)))
+    return Loglik(obs).slope(alpha)[0]
 
 
 def _scan(n: float, ell: Loglik) -> tuple[LikelihoodCurve, np.ndarray]:
@@ -194,45 +218,57 @@ def _scan(n: float, ell: Loglik) -> tuple[LikelihoodCurve, np.ndarray]:
     return curve, centred
 
 
-def _golden_max(f, lo: float, hi: float, tol: float):
-    """Golden-section maximizer of a scalar function on [lo, hi]."""
-    a, b = lo, hi
-    x1 = b - INV_PHI * (b - a)
-    x2 = a + INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + INV_PHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - INV_PHI * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def _newton_max(ell: Loglik, x: float, lo: float, hi: float) -> float:
+    """Safeguarded Newton steps on `ell.slope` from x, kept inside [lo, hi].
+
+    The sign of the first derivative at each point moves one end of the
+    bracket there.  A step that would not land strictly inside the bracket,
+    or one taken where the second derivative is not finite and negative,
+    bisects it instead.  A point whose first derivative has a sign becomes
+    an end of the bracket, so the bracket shrinks at every such step.  The
+    steps stop at one shorter than STEP_TOL, or at once where the first
+    derivative is exactly 0.
+    """
+    while True:
+        d1, d2 = ell.slope(x)
+        if d1 == 0.0:
+            return x
+        if d1 > 0.0:
+            lo = x
+        elif d1 < 0.0:
+            hi = x
+        nxt = x - d1 / d2 if -math.inf < d2 < 0.0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        step, x = nxt - x, nxt
+        if abs(step) < STEP_TOL:
+            return x
 
 
 def fit(obs: Observation) -> EbFit:
-    """Maximize ell over [0, log n]: grid scan plus golden-section refinement.
+    """Maximize ell over [0, log n]: grid scan plus safeguarded Newton refinement.
 
-    The GRID_SIZE-point scan is refined between the best grid point's
-    neighbours down to GOLDEN_TOL.  The refined candidate replaces the best
-    grid point only when it is strictly better, so exact endpoint maximizers
-    (zero data pulls the maximizer to log n) and smallest-alpha
-    tie-breaking are preserved.
+    The GRID_SIZE-point scan is refined by `_newton_max` from the best grid
+    point, between its neighbours, and ell is evaluated once at the result.
+    The refined candidate replaces the best grid point only when it is
+    strictly better, so exact endpoint maximizers (zero data pulls the
+    maximizer to log n) and smallest-alpha tie-breaking are preserved.  A
+    candidate that is the grid point itself is not evaluated.
     """
     ell = Loglik(obs)
     curve, centred = _scan(obs.n, ell)
-    k = curve.argmax_index
-    lo = curve.alphas[max(k - 1, 0)]
-    hi = curve.alphas[min(k + 1, curve.alphas.size - 1)]
-    cand, cand_val = _golden_max(ell, lo, hi, GOLDEN_TOL)
-    if not math.isfinite(cand_val):
-        raise NumericalError("log likelihood non-finite during refinement")
-    alpha_hat = float(curve.alphas[k])
-    refined = bool(cand_val > centred[k])
-    if refined:
-        alpha_hat = float(cand)
+    alphas, k = curve.alphas, curve.argmax_index
+    alpha_hat = float(alphas[k])
+    cand = _newton_max(ell, alpha_hat, float(alphas[max(k - 1, 0)]),
+                       float(alphas[min(k + 1, alphas.size - 1)]))
+    refined = False
+    if cand != alpha_hat:
+        cand_val = ell(cand)
+        if not math.isfinite(cand_val):
+            raise NumericalError("log likelihood non-finite during refinement")
+        refined = bool(cand_val > centred[k])
+        if refined:
+            alpha_hat = cand
     return EbFit(alpha_hat=alpha_hat, curve=curve, refined=refined)
 
 

@@ -23,9 +23,9 @@ from invseq import (
     synthesize_function,
 )
 from invseq.cli import main
-from invseq.empirical_bayes import GOLDEN_TOL, GRID_SIZE, Loglik, _golden_max
+from invseq.empirical_bayes import GRID_SIZE, Loglik
 from invseq.errors import ConfigError, NumericalError
-from invseq.sequence_model import block_rows, default_truncation
+from invseq.sequence_model import Design, block_rows, default_truncation
 
 FLAT = ModelSpec.exact_power(0.0)
 VOLTERRA = ModelSpec.volterra()
@@ -77,9 +77,11 @@ def test_score_rejects_non_finite_alpha(alpha):
 
 
 def test_score_single_coordinate_zero():
+    """log 1 = 0 multiplies every term of both derivatives."""
     obs = _obs(3.0, [1.7])
     for alpha in (0.0, 0.9, 4.0):
         assert score(alpha, obs) == 0.0
+        assert Loglik(obs).slope(alpha) == (0.0, 0.0)
 
 
 def test_score_positive_for_zero_data():
@@ -101,8 +103,8 @@ def test_score_matches_central_difference():
                                                       * 2.0 ** np.sin(np.arange(5000)),
                                                       p=1.0, C=2.0)])
 def test_score_matches_central_difference_past_the_prefix(model):
-    """Where the likelihood evaluates only its first k < N coordinates, score still
-    sums over all N.  The data are pure noise, so the term sum n*y_i^2 that
+    """Where the likelihood evaluates only its first k < N coordinates, score reads
+    the same prefix.  The data are pure noise, so the term sum n*y_i^2 that
     log_likelihood carries is about N/2 and the differences stay accurate."""
     n, N = 1e15, 5000
     obs = simulate(TruthSpec.zero(), model, n, N, 23)
@@ -171,8 +173,9 @@ def test_curve_csv(tmp_path):
 
 
 def test_fit_zero_data_hits_endpoint():
-    for n in (10.0, 1e3, 1e6):
-        obs = _obs(n, np.zeros(30), model=VOLTERRA)
+    """At n = 1e15 and N = 5000 the endpoint lies far past alpha_full."""
+    for n, N in ((10.0, 30), (1e3, 30), (1e6, 30), (1e15, 5000)):
+        obs = _obs(n, np.zeros(N), model=VOLTERRA)
         eb = fit(obs)
         assert eb.alpha_hat == math.log(n)
         assert not eb.refined
@@ -239,19 +242,69 @@ def test_adaptive_beats_mismatched_alpha():
     assert grid_err(eb_posterior(obs, fit(obs))) < grid_err(posterior(0.1, obs))
 
 
-def _long_double_centred(obs):
-    """ell - 1/2 sum n y^2 in np.longdouble, from the model's kappa and the data alone."""
+def _long_double_terms(obs):
+    """log i, n y^2 and log(n kappa_i^2) in np.longdouble, from the model's kappa and the data."""
     ld = np.longdouble
-    i = np.arange(1, obs.N + 1, dtype=ld)
     kap = obs.model.kappa_vector(obs.N).astype(ld)
-    ny2 = ld(obs.n) * obs.y.astype(ld) ** 2
-    log_nk2 = np.log(ld(obs.n) * kap ** 2)
+    return (np.log(np.arange(1, obs.N + 1, dtype=ld)), ld(obs.n) * obs.y.astype(ld) ** 2,
+            np.log(ld(obs.n) * kap ** 2))
+
+
+def _long_double_centred(obs):
+    """ell - 1/2 sum n y^2 in np.longdouble, over all N coordinates."""
+    log_i, ny2, log_nk2 = _long_double_terms(obs)
 
     def ell(alpha):
-        u = np.exp(log_nk2 - (1 + 2 * ld(alpha)) * np.log(i))
+        u = np.exp(log_nk2 - (1 + 2 * np.longdouble(alpha)) * log_i)
         return -np.sum(np.log1p(u) + ny2 / (1 + u)) / 2
 
     return ell
+
+
+def _long_double_slope(obs):
+    """d ell / d alpha in np.longdouble, over all N coordinates: with du/dalpha = -2 u log i,
+    sum_i log i * u/(1 + u) * (1 - n y_i^2/(1 + u))."""
+    log_i, ny2, log_nk2 = _long_double_terms(obs)
+
+    def slope(alpha):
+        u = np.exp(log_nk2 - (1 + 2 * np.longdouble(alpha)) * log_i)
+        return np.sum(log_i * u / (1 + u) * (1 - ny2 / (1 + u)))
+
+    return slope
+
+
+@pytest.mark.parametrize("n", [1e3, 1e12, 1e20])
+@pytest.mark.parametrize("model", [VOLTERRA, ModelSpec.exact_power(0.0),
+                                   ModelSpec.exact_power(3.0)], ids=["volterra", "p0", "p3"])
+def test_slope_matches_long_double_differences(model, n):
+    """Loglik.slope's d1 and d2 against five-point central differences of the
+    long-double centred value, below alpha_full where a block covers all N and
+    past it where it covers a prefix.  Each bound is relative to the sum of the
+    magnitudes of the terms, which is what float64 rounding scales with."""
+    N = 2000
+    obs = simulate(TruthSpec.paper_example(), model, n, N, 7)
+    ell = Loglik(obs)
+    centred = _long_double_centred(obs)
+    log_i, ny2, log_nk2 = _long_double_terms(obs)
+    alphas = [f * math.log(n) for f in (0.01, 0.05, 0.15, 0.4, 0.8)] + [ell.alpha_full + 0.05]
+    alphas = [a for a in alphas if a > 0]
+    assert any(ell._active(a) < N for a in alphas)
+    if ell.alpha_full > 0.01 * math.log(n):
+        assert any(ell._active(a) == N for a in alphas)
+    for a in alphas:
+        # h = 2e-4 for d1 and 1e-3 for d2, whose long-double rounding grows as h^-2;
+        # the differences themselves then err by at most 3.8e-12 and 1.5e-9 of the scale
+        e = [centred(a + j * 2e-4) for j in (-2, -1, 1, 2)]
+        fd1 = float((e[0] - 8 * e[1] + 8 * e[2] - e[3]) / (12 * 2e-4))
+        e = [centred(a + j * 1e-3) for j in (-2, -1, 0, 1, 2)]
+        fd2 = float((-e[0] + 16 * e[1] - 30 * e[2] + 16 * e[3] - e[4]) / (12 * 1e-3 ** 2))
+        u = np.exp(log_nk2 - (1 + 2 * np.longdouble(a)) * log_i)
+        w, r = u / (1 + u), 1 / (1 + u)
+        mag1 = float(np.sum(log_i * w * (1 + ny2 * r)))
+        mag2 = float(np.sum(2 * log_i ** 2 * w * r * (1 + ny2 * abs(r - w))))
+        d1, d2 = ell.slope(a)
+        assert abs(d1 - fd1) <= 1e-10 * (1.0 + mag1), (a, d1, fd1)
+        assert abs(d2 - fd2) <= 1e-8 * (1.0 + mag2), (a, d2, fd2)
 
 
 @pytest.mark.parametrize("n, N", [(1e12, 10**4), (1e15, 10**5)])
@@ -259,20 +312,56 @@ def test_fit_matches_long_double_search(n, N):
     """alpha_hat is the maximizer of ell, not of its float64 rounding noise.
 
     At n = 1e15 the alpha-free part of ell is about 1.5e14; carried along, it
-    moved alpha_hat by 2e-3 from this long-double run of the same search.
+    moved alpha_hat by 2e-3.  The reference is a long-double grid scan and a
+    bisection on the sign of the long-double slope, between the best grid
+    point's neighbours, down to 1e-10.
     """
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, N, 2)
     ell = _long_double_centred(obs)
+    slope = _long_double_slope(obs)
     alphas = np.linspace(0.0, math.log(n), GRID_SIZE)
     values = [ell(a) for a in alphas]
     # the whole curve, up to alpha = log n where most u_i are below e^-700
     np.testing.assert_allclose([Loglik(obs)(a) for a in alphas], np.array(values, dtype=float),
                                rtol=1e-12)
     k = int(np.argmax(values))
-    cand, cand_val = _golden_max(ell, alphas[max(k - 1, 0)], alphas[min(k + 1, alphas.size - 1)],
-                                 GOLDEN_TOL)
-    want = float(cand) if cand_val > values[k] else float(alphas[k])
+    lo, hi = float(alphas[max(k - 1, 0)]), float(alphas[min(k + 1, alphas.size - 1)])
+    assert slope(lo) > 0 > slope(hi)
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    top = 0.5 * (lo + hi)
+    # the long-double values agree that it is the maximizer
+    assert ell(top) > max(ell(top - 1e-6), ell(top + 1e-6))
+    want = top if ell(top) > values[k] else float(alphas[k])
     assert abs(fit(obs).alpha_hat - want) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [1e3, 1e12, 1e15])
+def test_fit_refinement_budget(n, monkeypatch):
+    """After its scan, fit fills at most 6 one-alpha derivative blocks and 1 value block."""
+    filled, slopes = [], []
+    blocks, slope = Design.blocks, Loglik.slope
+
+    def counting_blocks(self, alphas, width=None):
+        for item in blocks(self, alphas, width):
+            filled.append(alphas.size)
+            yield item
+
+    def counting_slope(self, alpha):
+        slopes.append(alpha)
+        return slope(self, alpha)
+
+    monkeypatch.setattr(Design, "blocks", counting_blocks)
+    monkeypatch.setattr(Loglik, "slope", counting_slope)
+    N = default_truncation(n, VOLTERRA.p)
+    eb = fit(simulate(TruthSpec.paper_example(), VOLTERRA, n, N, 2))
+    scan = -(-GRID_SIZE // block_rows(N))
+    assert filled[:scan] == [GRID_SIZE] * scan
+    after = filled[scan:]
+    assert after == [1] * len(after)
+    assert 1 <= len(slopes) <= 6
+    assert len(slopes) + eb.refined <= len(after) <= len(slopes) + 1
 
 
 def _column_peak(ell, alphas):
