@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import CoordinatePosterior, posterior
-from .sequence_model import S_NEGLIGIBLE, Observation, design
+from .sequence_model import S_NEGLIGIBLE, Observation, _checked_alpha, design
 
 GRID_SIZE = 200  # points of the search grid over [0, log n], both endpoints included
 STEP_TOL = 1e-4  # the Newton refinement stops after a step shorter than this
@@ -185,8 +185,7 @@ class Loglik:
 
 def log_likelihood(alpha: float, obs: Observation) -> float:
     """Marginal log likelihood of alpha, finite and >= 0, given the observation."""
-    if not 0 <= alpha < math.inf:
-        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+    _checked_alpha(alpha)
     ell = Loglik(obs)
     return ell(alpha) + ell.offset
 
@@ -197,8 +196,7 @@ def score(alpha: float, obs: Observation) -> float:
     Written with the data weight w_i = n/(i^(1+2a)*kappa_i^-2 + n):
     sum_i log(i) * (w_i - w_i * (1 - w_i) * n * y_i^2).  alpha must be finite and >= 0.
     """
-    if not 0 <= alpha < math.inf:
-        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+    _checked_alpha(alpha)
     return Loglik(obs).slope(alpha)[0]
 
 

@@ -18,13 +18,11 @@ is its one-alpha case, the empirical-Bayes plug-in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .sequence_model import Design, Observation, design, synthesize_function
+from .sequence_model import Design, Observation, _checked_alpha, design, synthesize_function
 
 
 @dataclass(frozen=True)
@@ -40,8 +38,10 @@ def mixture(obs: Observation, d: Design, alphas, weights) -> tuple[np.ndarray, n
     """Mean and variance of mu under the conjugate posteriors at alphas, mixed by weights.
 
     d is the design of obs, and alphas and weights are 1-D arrays of one
-    length.  The alphas must be finite and >= 0, the weights >= 0 with a
-    positive sum, else a ValueError; they need not sum to 1, and a zero
+    length.  The caller passes alphas finite and >= 0 and weights finite
+    and >= 0, which are not checked here: `posterior` checks its alpha, and
+    the chain passes its grid's nodes and masses.  Only weights with no
+    positive entry are a ValueError.  They need not sum to 1, and a zero
     weight contributes nothing.  Every posterior has mean w y/kappa and
     variance w/(n kappa^2), so the mixture has mean E[w] y/kappa and, by
     total variance, variance E[w]/(n kappa^2) + Var(w) (y/kappa)^2, with E
@@ -79,8 +79,7 @@ def mixture(obs: Observation, d: Design, alphas, weights) -> tuple[np.ndarray, n
 
 def posterior(alpha: float, obs: Observation) -> CoordinatePosterior:
     """Exact conjugate posterior at prior regularity alpha, finite and >= 0."""
-    if not 0 <= alpha < math.inf:
-        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+    _checked_alpha(alpha)
     means, variances = mixture(obs, design(obs.model, obs.n, obs.N), np.array([alpha]), np.ones(1))
     return CoordinatePosterior(alpha=float(alpha), means=means, variances=variances)
 

@@ -326,33 +326,29 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     quadrature of its posterior.  Identical configs reproduce identical
     chains.
     """
-    burn = cfg.resolved_burn_in()
     alpha = 1.0 if cfg.alpha_init is None else cfg.alpha_init
     ell = Loglik(obs)
-    alphas = np.full(cfg.iterations - burn, alpha)
     prop = grid_proposal(ell, hyper)
     current = float(log_weights(ell, hyper, prop, np.array([alpha]))[0])
     if not math.isfinite(current):
         raise NumericalError(f"log posterior of alpha non-finite at the start point alpha={alpha}")
     rng = np.random.default_rng(cfg.seed)
     accepted = 0
+    states = np.empty(cfg.iterations)
     for s in range(0, cfg.iterations, CHUNK):
-        m = min(CHUNK, cfg.iterations - s)
-        cand = prop.draw(rng, m)
+        cand = prop.draw(rng, min(CHUNK, cfg.iterations - s))
         w = log_weights(ell, hyper, prop, cand)
         if np.isnan(w).any():
             raise NumericalError(f"iteration {s + int(np.argmax(np.isnan(w)))}: "
                                  "non-finite MH acceptance ratio")
         # accept a candidate when log U < w - current, i.e. when w - log U > current
-        states = []
-        for a, wa, ta in zip(cand.tolist(), w.tolist(), (w - np.log(rng.random(m))).tolist()):
+        chunk = []
+        for a, wa, ta in zip(cand.tolist(), w.tolist(), (w - np.log(rng.random(cand.size))).tolist()):
             if ta > current:
                 alpha, current = a, wa
                 accepted += 1
-            states.append(alpha)
-        if s + m > burn:
-            keep = max(burn - s, 0)
-            alphas[s + keep - burn:s + m - burn] = states[keep:]
+            chunk.append(alpha)
+        states[s:s + cand.size] = chunk
 
     mu_mean, mu_var = mixture(obs, ell.design, prop.nodes, prop.masses)
-    return HbChain(alphas, accepted / cfg.iterations, mu_mean, mu_var, cfg, prop)
+    return HbChain(states[cfg.resolved_burn_in():], accepted / cfg.iterations, mu_mean, mu_var, cfg, prop)

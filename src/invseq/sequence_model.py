@@ -133,13 +133,17 @@ class Design:
         takes the next block.  This is the one place s is exponentiated.
         The clamp leaves 1 + u exactly as it was and puts u*r (r = 1/u1) at
         e^-700 = 1e-304 wherever w was smaller.  design() has checked that
-        no alpha >= 0 overflows exp.  An empty column yields nothing.
+        no alpha >= 0 overflows exp.  That check also puts every s_i with
+        i >= 2 below S_FLOOR once alpha passes LOG_FLOAT_MAX - S_FLOOR, so
+        the alphas are clamped there, which changes no bit of a block and
+        keeps 1 + 2*alpha from overflowing (at i = 1, 0 * inf is nan).  An
+        empty column yields nothing.
         """
         N = self.log_i.size
         rows = min(block_rows(N), max(alphas.size, 1))
         buf = np.empty(2 * rows * N)
         for start in range(0, alphas.size, rows):
-            a = alphas[start:start + rows, None]
+            a = np.minimum(alphas[start:start + rows, None], LOG_FLOAT_MAX - S_FLOOR)
             k = N if width is None else width(float(a.min()))
             u, u1 = buf[:2 * a.size * k].reshape(2, a.size, k)
             np.multiply(self.log_i[:k], 1.0 + 2.0 * a, u)
@@ -353,6 +357,11 @@ def _json_value(v):
 def _checked_noise_scale(n: float) -> None:
     if n <= 0 or not math.isfinite(n):
         raise ConfigError("noise scale n must be positive and finite")
+
+
+def _checked_alpha(alpha: float) -> None:
+    if not 0 <= alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
 
 
 def truncation(n: float, model: ModelSpec, N: int | None) -> int:

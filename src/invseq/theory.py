@@ -15,13 +15,15 @@ zero exactly when the truth lives on the first coordinate alone.
 One evaluator, built once per (truth, model, n), computes diag wherever
 it is needed: at a column of alphas for the scan that finds a crossing,
 and at a single alpha, a column of one, for bracket_diagnostic and for
-the bisection that refines it.  The scan checks CHUNK alphas at a time,
-each chunk a column filled in the cache-sized blocks of
-`Design.blocks`.
+the bisection that refines it.  The scan fills CHUNK alphas at a time,
+each chunk a column filled in the cache-sized blocks of `Design.blocks`,
+until every crossing it looks for is found or ruled out; both crossings
+are then read off the finished scan.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -29,13 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sequence_model import ModelSpec, design
+from .sequence_model import ModelSpec, _checked_alpha, design
 
 LOWER_THRESHOLD = 0.01  # l
 UPPER_COEFF = 1.0  # L, of the upper threshold L*(log n)^2
 SCAN_STEP = 1e-3
 REFINE_TOL = 1e-6
-# alphas per scanned chunk, where the crossings are checked; a multiple of every
+# alphas per scanned chunk, at whose ends the scan may stop; a multiple of every
 # block_rows(N), so each alpha's row sums to the same bits in whichever chunk it falls
 CHUNK = 512
 
@@ -61,16 +63,9 @@ class BracketReport:
     curve_values: np.ndarray
 
     def to_json(self) -> str:
-        d = {
-            "alpha_lower": self.alpha_lower,
-            "alpha_upper": None if math.isinf(self.alpha_upper) else self.alpha_upper,
-            "lower_threshold": self.lower_threshold,
-            "upper_threshold": self.upper_threshold,
-            "n": self.n,
-            "p": self.p,
-            "scan_cap": self.scan_cap,
-            "upper_status": self.upper_status,
-        }
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+             if f.name not in ("curve_alphas", "curve_values")}
+        d["alpha_upper"] = None if math.isinf(self.alpha_upper) else self.alpha_upper
         return json.dumps(d, sort_keys=True)
 
 
@@ -114,9 +109,8 @@ class _Diagnostic:
 
 
 def bracket_diagnostic(alpha: float, mu0: np.ndarray, model: ModelSpec, n: float) -> float:
-    """The diagnostic above at a single alpha, truncated at len(mu0) terms."""
-    if alpha < 0:
-        raise ConfigError("alpha must be >= 0")
+    """The diagnostic above at a single alpha, finite and >= 0, truncated at len(mu0) terms."""
+    _checked_alpha(alpha)
     return _Diagnostic(np.asarray(mu0, dtype=float), model, n)(alpha)
 
 
@@ -126,11 +120,14 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
     The lower bracket is min(first crossing of LOWER_THRESHOLD, sqrt(log n));
     the upper bracket is the first crossing of UPPER_COEFF*(log n)^2,
     scanned up to log n / (2*log 2) (beyond which a crossing is guaranteed
-    whenever the second coordinate of the truth is non-zero).  Grid step
-    1e-3; the crossings are checked CHUNK alphas at a time, each chunk one
-    column of `_Diagnostic.column`.  Each crossing is refined by bisection
-    to 1e-6.  An identically-zero diagnostic is not scanned: its curve is
-    zero over the whole grid.
+    whenever the second coordinate of the truth is non-zero).  The scan
+    fills the grid of step 1e-3 CHUNK alphas at a time, each chunk one
+    column of `_Diagnostic.column`, and stops at the first chunk end where
+    each threshold is either exceeded by a scanned value or past its limit,
+    sqrt(log n) for the lower and the cap for the upper.  Each crossing is
+    then read off the finished scan by `_crossing`, which refines it by
+    bisection to 1e-6.  An identically-zero diagnostic is not scanned: its
+    curve is zero over the whole grid.
     """
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.size < 1:
@@ -140,56 +137,27 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
     upper_threshold = UPPER_COEFF * logn**2
     sqrt_logn = math.sqrt(logn)
     cap = logn / (2.0 * math.log(2.0))
-    scan_hi = max(cap, sqrt_logn)
 
-    alphas = np.arange(SCAN_STEP, scan_hi + SCAN_STEP, SCAN_STEP)
+    alphas = np.arange(SCAN_STEP, max(cap, sqrt_logn) + SCAN_STEP, SCAN_STEP)
     zero = not np.any(diag.terms)
-
-    def crossing(threshold: float, limit: float) -> float | None:
-        """First alpha of the current chunk above threshold, refined to REFINE_TOL.
-
-        None when the chunk has none, or when its first one lies past limit.
-        """
-        idx = np.flatnonzero(vals > threshold)
-        if not idx.size or a_blk[idx[0]] > limit:
-            return None
-        k = idx[0]
-        # smallest alpha in (lo, hi] with diag(alpha) > threshold
-        lo = a_blk[k] - SCAN_STEP if start + k > 0 else 1e-9
-        hi = float(a_blk[k])
-        while hi - lo > REFINE_TOL:
-            mid = 0.5 * (lo + hi)
-            if diag(mid) > threshold:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    curve_v = [np.zeros(alphas.size)] if zero else []
-    lower_cross = upper_cross = None
+    chunks = [np.zeros(alphas.size)] if zero else []
+    peak = -math.inf
     for start in range(0, 0 if zero else alphas.size, CHUNK):
-        a_blk = alphas[start:start + CHUNK]
-        vals = diag.column(a_blk)
-        curve_v.append(vals)
-        if lower_cross is None:
-            lower_cross = crossing(LOWER_THRESHOLD, math.inf)
-        if upper_cross is None:
-            upper_cross = crossing(upper_threshold, cap)
-        done_lower = lower_cross is not None or a_blk[-1] >= sqrt_logn
-        if done_lower and (upper_cross is not None or a_blk[-1] >= cap):
+        a = alphas[start:start + CHUNK]
+        chunks.append(diag.column(a))
+        peak = max(peak, chunks[-1].max())
+        if (peak > LOWER_THRESHOLD or a[-1] >= sqrt_logn) and (peak > upper_threshold or a[-1] >= cap):
             break
+    values = np.concatenate(chunks)
+    lower_cross = _crossing(diag, alphas, values, LOWER_THRESHOLD, math.inf)
+    upper_cross = _crossing(diag, alphas, values, upper_threshold, cap)
 
     alpha_lower = sqrt_logn if lower_cross is None else min(lower_cross, sqrt_logn)
     alpha_upper = math.inf if upper_cross is None else upper_cross
-    if upper_cross is not None:
-        status = "crossed"
-    elif zero:
-        status = "identically-zero"
-    else:
-        status = "no-crossing-below-cap"
+    status = ("crossed" if upper_cross is not None else
+              "identically-zero" if zero else "no-crossing-below-cap")
 
-    all_v = np.concatenate(curve_v)
-    step = max(1, all_v.size // 1024)
+    step = max(1, values.size // 1024)
     return BracketReport(
         alpha_lower=float(alpha_lower),
         alpha_upper=float(alpha_upper),
@@ -199,9 +167,34 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
         p=float(model.p),
         scan_cap=float(cap),
         upper_status=status,
-        curve_alphas=alphas[:all_v.size:step],
-        curve_values=all_v[::step],
+        curve_alphas=alphas[:values.size:step],
+        curve_values=values[::step],
     )
+
+
+def _crossing(diag: _Diagnostic, alphas: np.ndarray, values: np.ndarray, threshold: float,
+              limit: float) -> float | None:
+    """The first alpha with diag(alpha) > threshold, refined to REFINE_TOL.
+
+    values holds diag at the first values.size points of the scan grid
+    alphas.  None when none of them is above threshold, or when the first
+    that is lies past limit.
+    """
+    above = np.flatnonzero(values > threshold)
+    if not above.size or alphas[above[0]] > limit:
+        return None
+    k = above[0]
+    # smallest alpha in (lo, hi] with diag(alpha) > threshold; alphas[k - 1] can differ
+    # from lo in the last bit, which moves the bisection's result
+    lo = alphas[k] - SCAN_STEP if k > 0 else 1e-9
+    hi = float(alphas[k])
+    while hi - lo > REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        if diag(mid) > threshold:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def minimax_rate_sobolev(beta: float, p: float, n: float) -> float:

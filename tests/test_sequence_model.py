@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,12 +14,15 @@ from invseq import (
     Observation,
     TruthSpec,
     default_truncation,
+    log_likelihood,
+    posterior,
+    score,
     simulate,
     synthesize_function,
 )
 from invseq.errors import ConfigError
 from invseq.sequence_model import S_FLOOR, Design, block_rows, design, fields_dict, read_fields
-from invseq.theory import CHUNK
+from invseq.theory import CHUNK, bracket_diagnostic
 from oracles import sandwich_constant, volterra_forward
 
 VOLTERRA = ModelSpec.volterra()
@@ -98,6 +102,33 @@ def test_block_rows_rule():
         rows = block_rows(N)
         assert 4 <= rows <= 512 and rows & (rows - 1) == 0 and CHUNK % rows == 0
         assert rows * N <= 2**17 or rows == 4
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.0])
+def test_one_alpha_functions_reject_bad_alpha(alpha):
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e4, 20, 1)
+    mu0 = np.array([0.0, 1.0, 0.5])
+    for call in (lambda: log_likelihood(alpha, obs), lambda: score(alpha, obs),
+                 lambda: posterior(alpha, obs), lambda: bracket_diagnostic(alpha, mu0, VOLTERRA, 1e4)):
+        with pytest.raises(ConfigError, match="alpha must be finite and >= 0"):
+            call()
+
+
+@pytest.mark.parametrize("model", [VOLTERRA, FLAT, ModelSpec.exact_power(2.5)])
+def test_huge_finite_alpha_is_the_limit(model):
+    """Past alpha = LOG_FLOAT_MAX - S_FLOOR every s_i with i >= 2 is below S_FLOOR,
+    so the likelihood, score and posterior no longer move: 1 + 2 alpha
+    overflowing near the float max must not make log 1 * (1 + 2 alpha) nan."""
+    obs = simulate(TruthSpec.paper_example(), model, 1e6, 30, 2)
+
+    def at(alpha):
+        post = posterior(alpha, obs)
+        return [log_likelihood(alpha, obs), score(alpha, obs), *post.means, *post.variances]
+
+    limit = at(1e300)
+    assert np.all(np.isfinite(limit))
+    for alpha in (1e308, sys.float_info.max):
+        assert at(alpha) == limit
 
 
 def test_kappa_flat_model():

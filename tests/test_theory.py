@@ -10,8 +10,8 @@ import pytest
 from invseq import ModelSpec, TruthSpec, bracket, default_truncation
 from invseq.cli import main
 from invseq.errors import ConfigError
-from invseq.theory import (REFINE_TOL, SCAN_STEP, _Diagnostic, bracket_diagnostic,
-                           minimax_rate_analytic, minimax_rate_sobolev)
+from invseq.theory import (CHUNK, LOWER_THRESHOLD, REFINE_TOL, SCAN_STEP, _crossing, _Diagnostic,
+                           bracket_diagnostic, minimax_rate_analytic, minimax_rate_sobolev)
 
 VOLTERRA = ModelSpec.volterra()
 FLAT = ModelSpec.exact_power(0.0)
@@ -113,6 +113,43 @@ def test_bracket_pinned_crossings(truth, lower, upper):
     assert report.upper_status == "crossed"
     assert abs(report.alpha_lower - lower) <= REFINE_TOL
     assert abs(report.alpha_upper - upper) <= REFINE_TOL
+
+
+@pytest.mark.parametrize("model", [VOLTERRA, FLAT, ModelSpec.exact_power(2.5)])
+@pytest.mark.parametrize("truth", [TruthSpec.paper_example(), TruthSpec.power_law(1.0),
+                                   TruthSpec.analytic_decay(1.0), TruthSpec.explicit([0.0, 1.0])])
+def test_bracket_stops_where_a_full_scan_agrees(model, truth):
+    """The scan stops early, at a chunk end, yet finds what a scan of the whole grid finds.
+
+    The reference takes diag over the whole grid in one column and bisects
+    from its first value above each threshold (the upper one only at or
+    below the cap).  Its curve ends at the first chunk end where each
+    threshold is exceeded or past its limit.  For n < 6.8, sqrt(log n) lies
+    past the cap (at n = 5, 1.269 against 1.161), and at n = 3 the lower
+    limit alone keeps a scan without a lower crossing going to the grid's
+    end.  N is held to 2000 to keep the whole-grid column small.
+    """
+    for n in (3.0, 5.0, 20.0, 1e3, 1e6, 1e8):
+        mu0 = truth.coefficients(min(default_truncation(n, model.p), 2000))
+        report = bracket(mu0, model, n)
+        diag = _Diagnostic(mu0, model, n)
+        logn = math.log(n)
+        cap = logn / (2.0 * math.log(2.0))
+        alphas = np.arange(SCAN_STEP, max(cap, math.sqrt(logn)) + SCAN_STEP, SCAN_STEP)
+        full = diag.column(alphas)
+        lower = _crossing(diag, alphas, full, LOWER_THRESHOLD, math.inf)
+        upper = _crossing(diag, alphas, full, logn**2, cap)
+        assert report.alpha_lower == min(math.sqrt(logn), math.inf if lower is None else lower)
+        assert report.alpha_upper == (math.inf if upper is None else upper)
+        assert report.upper_status == ("crossed" if upper is not None else "no-crossing-below-cap")
+        ends = np.minimum(np.arange(CHUNK, alphas.size + CHUNK, CHUNK), alphas.size)
+        peak, last = np.maximum.accumulate(full)[ends - 1], alphas[ends - 1]
+        done = (((peak > LOWER_THRESHOLD) | (last >= math.sqrt(logn)))
+                & ((peak > logn**2) | (last >= cap)))
+        size = ends[np.argmax(done)] if done.any() else alphas.size
+        step = max(1, size // 1024)
+        assert report.curve_alphas.tobytes() == alphas[:size:step].tobytes()
+        assert report.curve_values.tobytes() == full[:size:step].tobytes()
 
 
 def test_bracket_curve_csv(tmp_path):
