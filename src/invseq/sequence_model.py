@@ -7,7 +7,10 @@ Data are coordinatewise observations
 where the multipliers kappa_i decay polynomially, kappa_i ~ i^(-p).
 This module owns the model/truth descriptions, simulation and synthesis
 back to functions on [0, 1] in the shifted cosine basis
-e_i(t) = sqrt(2) * cos((i - 1/2) * pi * t).
+e_i(t) = sqrt(2) * cos((i - 1/2) * pi * t).  Synthesis on the uniform grid
+np.linspace(0, 1, T), the figures' curve grid, is one real FFT of the
+coefficients folded over one period of the basis on that grid; any other
+grid is summed by angle addition.
 
 It also owns the per-coordinate algebra every inference layer shares.
 All alpha-dependent quantities are functions of the log-odds of the data
@@ -410,7 +413,16 @@ def simulate(truth: TruthSpec, model: ModelSpec, n: float, N: int, seed: int) ->
 def synthesize_function(mu: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """Evaluate sum_i mu_i * sqrt(2)*cos((i-1/2)*pi*t) on t_grid (flattened).
 
-    By angle addition: with the N coefficients in blocks of B = ceil(sqrt N),
+    Two paths, taken by the grid alone.  A grid equal to
+    np.linspace(0, 1, T) with T >= 2, such as the figures' curve grid, is
+    summed by one real FFT: with t_j = j/M and M = T - 1,
+    cos((i - 1/2)*pi*j/M) has period 2M in i, so mu is folded into 2M bins
+    by (i - 1) mod 2M, and with F the rfft of the bins,
+
+        f(t_j) = sqrt(2) * (cos(pi*j/(2M)) * Re F_j + sin(pi*j/(2M)) * Im F_j),
+
+    at a cost of O(N + M log M).  Any other grid, uniform or not, is summed
+    by angle addition: with the N coefficients in blocks of B = ceil(sqrt N),
     index i - 1 = lo + j with 0 <= j < B, and A = (lo + 1/2)*pi*t,
 
         cos((lo + j + 1/2)*pi*t) = cos(A)*cos(j*pi*t) - sin(A)*sin(j*pi*t),
@@ -418,12 +430,13 @@ def synthesize_function(mu: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     so two T x B tables of cos(j*pi*t) and sin(j*pi*t), two matrix products
     with the zero-padded (N/B) x B coefficient matrix and the T x (N/B) block
     offsets need about 2*T*sqrt(N) trigonometric evaluations instead of T*N.
-    Any grid works, uniform or not.
     """
     mu = np.asarray(mu, dtype=float)
     t = np.asarray(t_grid, dtype=float).ravel()
     if mu.size == 0:
         return np.zeros(t.size)
+    if t.size >= 2 and np.array_equal(t, np.linspace(0.0, 1.0, t.size)):
+        return _synthesize_unit_grid(mu, t.size - 1)
     B = math.isqrt(mu.size - 1) + 1  # ceil(sqrt N)
     blocks = -(-mu.size // B)
     coef = np.zeros(blocks * B)
@@ -434,3 +447,15 @@ def synthesize_function(mu: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     out = np.einsum("tb,tb->t", np.cos(offset), np.cos(inner) @ coef.T)
     out -= np.einsum("tb,tb->t", np.sin(offset), np.sin(inner) @ coef.T)
     return math.sqrt(2.0) * out
+
+
+def _synthesize_unit_grid(mu: np.ndarray, M: int) -> np.ndarray:
+    """synthesize_function on t_j = j/M, j = 0..M, by one rfft of length 2M."""
+    period = 2 * M
+    whole = mu.size - mu.size % period
+    bins = mu[:whole].reshape(-1, period).sum(axis=0)
+    bins[:mu.size - whole] += mu[whole:]
+    # np.fft is read here, not imported at module load: numpy loads it lazily
+    F = np.fft.rfft(bins)
+    half = np.arange(M + 1) * (math.pi / period)
+    return math.sqrt(2.0) * (np.cos(half) * F.real + np.sin(half) * F.imag)

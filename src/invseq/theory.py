@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sequence_model import ModelSpec, _checked_alpha, design
+from .sequence_model import S_FLOOR, ModelSpec, _checked_alpha, design
 
 LOWER_THRESHOLD = 0.01  # l
 UPPER_COEFF = 1.0  # L, of the upper threshold L*(log n)^2
@@ -77,6 +77,12 @@ class _Diagnostic:
     w_i*(1-w_i) = u_i*r_i*r_i, with w_i = n/(i^(1+2a)/kappa_i^2 + n) the data
     weight formed from the blocks of `Design.blocks`, so no large power is
     formed explicitly.
+
+    From alpha_floor on, every s_i with i >= 2 sits at S_FLOOR, so the
+    blocks would hold e^-700 in place of terms that have underflowed, and
+    the prefactor, linear in alpha, would make that floor grow.  There diag
+    is exactly 0.  alpha_floor lies above the scan cap log n / (2 log 2)
+    unless kappa_2 is below about e^-350.
     """
 
     def __init__(self, mu0: np.ndarray, model: ModelSpec, n: float):
@@ -86,6 +92,9 @@ class _Diagnostic:
         self.terms = n * d.kappa**2 * mu0**2 * d.log_i
         self.p = model.p
         self.logn = math.log(n)
+        # s_i(alpha) <= S_FLOOR  <=>  1 + 2 alpha >= (log(n kappa_i^2) - S_FLOOR) / log i
+        top = np.max((d.log_nk2[1:] - S_FLOOR) / d.log_i[1:], initial=1.0)
+        self.alpha_floor = 0.5 * (float(top) - 1.0)
 
     def column(self, alphas: np.ndarray) -> np.ndarray:
         """diag at each alpha of a 1-D array.
@@ -101,7 +110,9 @@ class _Diagnostic:
             u *= r
             u *= r
             total[s:s + len(u)] = u @ self.terms
-        q = 1.0 + 2.0 * alphas + 2.0 * self.p
+        total[alphas >= self.alpha_floor] = 0.0
+        # the clamp keeps 1 + 2 alpha finite up to the float max
+        q = 1.0 + 2.0 * np.minimum(alphas, self.alpha_floor) + 2.0 * self.p
         return q / (np.exp(self.logn / q) * self.logn) * total
 
     def __call__(self, alpha: float) -> float:

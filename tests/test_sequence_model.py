@@ -301,6 +301,30 @@ def test_synthesize_against_long_double_direct_sum(N):
     assert np.max(np.abs(got - want)) <= 1e-14 * float(np.max(np.abs(want)))
 
 
+# N around one 1022-point period of the 512-point grid: the fold's padding and row edges
+@pytest.mark.parametrize("T", [2, 3, 17, 512])
+@pytest.mark.parametrize("N", [1, 2, 1021, 1022, 1023, 4642])
+def test_synthesize_unit_grid_against_long_double_and_angle_addition(T, N):
+    """linspace(0, 1, T) takes the FFT path; the same grid reversed takes angle addition."""
+    t = np.linspace(0.0, 1.0, T)
+    mu = TruthSpec.paper_example().coefficients(N)
+    want = _direct_sum_long_double(mu, t)
+    got = synthesize_function(mu, t)
+    general = synthesize_function(mu, t[::-1])[::-1]
+    bound = 1e-14 * float(np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) <= bound
+    assert np.max(np.abs(got - general)) <= bound
+
+
+def test_synthesize_unit_grid_folds_many_periods():
+    t = np.linspace(0.0, 1.0, 3)
+    mu = TruthSpec.paper_example().coefficients(100_000)
+    want = _direct_sum_long_double(mu, t)
+    bound = 1e-14 * float(np.max(np.abs(want)))
+    assert np.max(np.abs(synthesize_function(mu, t) - want)) <= bound
+    assert np.max(np.abs(synthesize_function(mu, t[::-1])[::-1] - want)) <= bound
+
+
 def test_synthesize_output_shapes():
     assert synthesize_function(np.array([]), np.linspace(0.0, 1.0, 5)).tolist() == [0.0] * 5
     assert synthesize_function(np.array([1.0, 0.5]), 0.25).shape == (1,)

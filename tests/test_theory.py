@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +43,23 @@ def test_diagnostic_nonnegative_random():
     mu = rng.standard_normal(30)
     for alpha in (0.1, 0.9, 2.5):
         assert bracket_diagnostic(alpha, mu, VOLTERRA, 1e5) >= 0.0
+
+
+def test_diagnostic_tends_to_zero_at_large_alpha():
+    """Past the alpha where every s_i with i >= 2 sits at S_FLOOR the diagnostic
+    is exactly 0, and 1 + 2 alpha + 2p must not overflow near the float max."""
+    mu = np.array([0.0, 1.0, 0.5])
+    alphas = (100.0, 1e4, 1e100, 1e303, 1e308, sys.float_info.max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [bracket_diagnostic(a, mu, VOLTERRA, 1e4) for a in alphas]
+    assert all(math.isfinite(v) and v >= 0.0 for v in got)
+    assert all(a >= b for a, b in zip(got, got[1:]))
+    assert 0.0 < got[0] and got[3:] == [0.0, 0.0, 0.0]
+    diag = _Diagnostic(mu, VOLTERRA, 1e4)
+    floor = diag.alpha_floor
+    assert math.log(1e4) / (2.0 * math.log(2.0)) < floor < 1e4
+    assert diag(floor) == 0.0 < diag(math.nextafter(floor, 0.0))
 
 
 def test_diagnostic_domain():
