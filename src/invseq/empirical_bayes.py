@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import CoordinatePosterior, posterior
-from .sequence_model import S_NEGLIGIBLE, Observation, _checked_alpha, design
+from .sequence_model import S_NEGLIGIBLE, Observation, _checked_alpha, _ones, design
 
 GRID_SIZE = 200  # points of the search grid over [0, log n], both endpoints included
 STEP_TOL = 1e-4  # the Newton refinement stops after a step shorter than this
@@ -112,7 +112,7 @@ class Loglik:
         with np.errstate(over="ignore"):  # inf here is the NumericalError below
             ny2 = obs.n * obs.y**2
         self.ny2 = ny2
-        self._ones = np.ones(N)  # a gemv against it sums each row of log(1 + u)
+        self._ones = _ones(N)  # a gemv against it sums each row of log(1 + u)
         self.offset = 0.5 * float(np.sum(ny2))
         if not math.isfinite(self.offset):
             raise NumericalError("n * y_i^2 overflows the float range")

@@ -27,8 +27,8 @@ from .empirical_bayes import eb_posterior, fit
 from .errors import ConfigError
 from .gaussian_posterior import posterior_mean_function, posterior_risk
 from .hierarchical_bayes import HbConfig, HyperPrior, run_mwg
-from .sequence_model import (ModelSpec, TruthSpec, fields_dict, read_fields, simulate,
-                             synthesize_function, truncation)
+from .sequence_model import (ModelSpec, TruthSpec, _coefficients, fields_dict, read_fields,
+                             simulate, synthesize_function, truncation)
 
 GRID_POINTS = 512
 CURVE_GRID = np.linspace(0.0, 1.0, GRID_POINTS)
@@ -134,7 +134,7 @@ class _Ladder:
         out = []
         for n in cfg.n_ladder:
             N = truncation(n, cfg.model, cfg.N)
-            mu0 = cfg.truth.coefficients(N)
+            mu0 = _coefficients(cfg.truth, N)
             true_f = synthesize_function(mu0, CURVE_GRID) if curves else None
             rung = _Rung(n, N, rung_tag(n), mu0, true_f)
             out.append((rung, [replicate(rung, r, simulate(cfg.truth, cfg.model, n, N, cfg.seed + r))

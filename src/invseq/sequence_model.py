@@ -25,11 +25,24 @@ array of alphas, and `Design.blocks` is the one place s is exponentiated:
 it fills the column `block_rows(N)` alphas at a time with u = exp(s) and
 1 + u, from which, with r = 1/(1 + u), every layer reads w = u*r,
 1 - w = r and w*(1 - w) = u*r*r.  A single alpha is a column of one.
+
+The arrays free of the data are built once and memoized, at most 4 of
+each, by functools.lru_cache: `design` on (model, n, N), the truth vector
+`_coefficients` on (truth, N), the signal `_signal` = kappa * mu_0 on
+(truth, model, N) and the gemv's vector of ones `_ones` on N.  At
+N = 1e5 a design holds 2.4 MB and each of the others 0.8 MB, so the
+caches stay below about 20 MB.  Every memoized array is read-only, so a
+caller that writes to one fails loudly; `simulate` adds the noise into a
+fresh array, and `TruthSpec.coefficients` and `ModelSpec.kappa_vector`
+still return new arrays.  A spec is a cache key, so each spec hashes its
+fields once, on construction: the generated hash would walk a whole
+explicit table on every lookup.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -50,6 +63,11 @@ S_FLOOR = -700.0
 # so its coordinate's 1 + u is exactly 1 (empirical_bayes skips such coordinates).
 S_NEGLIGIBLE = -37.0
 BLOCK = 2**17  # floats per row block of an alpha column (see block_rows)
+
+
+def _field_values(spec) -> tuple:
+    """The values of a spec's fields in order: what the generated dataclass hash hashes."""
+    return tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
 
 
 @dataclass(frozen=True)
@@ -88,6 +106,15 @@ class ModelSpec:
                 raise ConfigError("kappa table violates the declared i^-p sandwich")
         elif self.table is not None:
             raise ConfigError("kappa table only makes sense for the explicit kind")
+        # hashed once, not per cache lookup (a table is long); not a field, so eq,
+        # repr and fields_dict do not see it
+        object.__setattr__(self, "_hash", hash(_field_values(self)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt from its fields, so str hashes are the unpickling process's
+        return type(self), _field_values(self)
 
     @classmethod
     def exact_power(cls, p: float) -> "ModelSpec":
@@ -169,8 +196,14 @@ def block_rows(N: int) -> int:
     return min(512, 1 << (max(4, BLOCK // N).bit_length() - 1))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=4)
 def design(model: ModelSpec, n: float, N: int) -> Design:
-    """Design of the first N coordinates of the model at noise level n."""
+    """Design of the first N coordinates of the model at noise level n (memoized, read-only)."""
     kap = model.kappa_vector(N)
     log_i = np.log(np.arange(1, N + 1, dtype=float))
     log_nk2 = math.log(n) + 2.0 * np.log(kap)
@@ -178,7 +211,13 @@ def design(model: ModelSpec, n: float, N: int) -> Design:
     top = float(np.max(log_nk2 - log_i))
     if top > LOG_FLOAT_MAX:
         raise NumericalError(f"exp(s_i) overflows the float range: s_i(0) reaches {top:.6g}")
-    return Design(kappa=kap, log_i=log_i, log_nk2=log_nk2)
+    return Design(kappa=_read_only(kap), log_i=_read_only(log_i), log_nk2=_read_only(log_nk2))
+
+
+@functools.lru_cache(maxsize=4)
+def _ones(N: int) -> np.ndarray:
+    """N ones (memoized, read-only)."""
+    return _read_only(np.ones(N))
 
 
 @dataclass(frozen=True)
@@ -209,6 +248,15 @@ class TruthSpec:
             raise ConfigError("analytic_decay truth needs gamma > 0")
         if self.kind == "explicit" and self.coeffs is None:
             raise ConfigError("explicit truth needs a coefficient table")
+        # hashed once, not per cache lookup (a table is long); not a field, so eq,
+        # repr and fields_dict do not see it
+        object.__setattr__(self, "_hash", hash(_field_values(self)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt from its fields, so str hashes are the unpickling process's
+        return type(self), _field_values(self)
 
     @classmethod
     def explicit(cls, coeffs) -> "TruthSpec":
@@ -403,11 +451,22 @@ def simulate(truth: TruthSpec, model: ModelSpec, n: float, N: int, seed: int) ->
     _checked_noise_scale(n)
     if N < 1:
         raise ConfigError("need at least one coordinate")
-    mu = truth.coefficients(N)
-    kap = model.kappa_vector(N)
+    signal = _signal(truth, model, N)
     z = np.random.default_rng(seed).standard_normal(N)
-    y = kap * mu + z / math.sqrt(n)
+    y = signal + z / math.sqrt(n)
     return Observation(n=float(n), N=int(N), y=y, seed=int(seed), model=model)
+
+
+@functools.lru_cache(maxsize=4)
+def _coefficients(truth: TruthSpec, N: int) -> np.ndarray:
+    """truth.coefficients(N) (memoized, read-only)."""
+    return _read_only(truth.coefficients(N))
+
+
+@functools.lru_cache(maxsize=4)
+def _signal(truth: TruthSpec, model: ModelSpec, N: int) -> np.ndarray:
+    """kappa_i * mu_0,i for i = 1..N (memoized, read-only)."""
+    return _read_only(model.kappa_vector(N) * _coefficients(truth, N))
 
 
 def synthesize_function(mu: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
