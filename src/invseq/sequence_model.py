@@ -34,9 +34,8 @@ N = 1e5 a design holds 2.4 MB and each of the others 0.8 MB, so the
 caches stay below about 20 MB.  Every memoized array is read-only, so a
 caller that writes to one fails loudly; `simulate` adds the noise into a
 fresh array, and `TruthSpec.coefficients` and `ModelSpec.kappa_vector`
-still return new arrays.  A spec is a cache key, so each spec hashes its
-fields once, on construction: the generated hash would walk a whole
-explicit table on every lookup.
+still return new arrays.  A spec is a cache key, so a spec keeps an
+explicit table as a tuple of floats, whatever sequence it was given.
 """
 
 from __future__ import annotations
@@ -65,9 +64,12 @@ S_NEGLIGIBLE = -37.0
 BLOCK = 2**17  # floats per row block of an alpha column (see block_rows)
 
 
-def _field_values(spec) -> tuple:
-    """The values of a spec's fields in order: what the generated dataclass hash hashes."""
-    return tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
+def _float_tuple(name: str, values) -> tuple[float, ...]:
+    """values as a tuple of floats: the hashable form a spec keeps its table in."""
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a sequence of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,8 @@ class ModelSpec:
     table: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.table is not None:
+            object.__setattr__(self, "table", _float_tuple("kappa table", self.table))
         if self.kind not in ("exact_power", "volterra", "explicit"):
             raise ConfigError(f"unknown model kind {self.kind!r}")
         if not 0.0 <= self.p < math.inf:
@@ -106,15 +110,6 @@ class ModelSpec:
                 raise ConfigError("kappa table violates the declared i^-p sandwich")
         elif self.table is not None:
             raise ConfigError("kappa table only makes sense for the explicit kind")
-        # hashed once, not per cache lookup (a table is long); not a field, so eq,
-        # repr and fields_dict do not see it
-        object.__setattr__(self, "_hash", hash(_field_values(self)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # rebuilt from its fields, so str hashes are the unpickling process's
-        return type(self), _field_values(self)
 
     @classmethod
     def exact_power(cls, p: float) -> "ModelSpec":
@@ -127,7 +122,7 @@ class ModelSpec:
 
     @classmethod
     def explicit(cls, table, p: float, C: float) -> "ModelSpec":
-        return cls(kind="explicit", p=float(p), C=float(C), table=tuple(float(v) for v in table))
+        return cls(kind="explicit", p=float(p), C=float(C), table=table)
 
     def kappa_vector(self, N: int) -> np.ndarray:
         """kappa_1..kappa_N as a float array."""
@@ -237,6 +232,8 @@ class TruthSpec:
     coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.coeffs is not None:
+            object.__setattr__(self, "coeffs", _float_tuple("truth coeffs", self.coeffs))
         if self.kind not in ("explicit", "power_law", "paper_example", "analytic_decay", "zero"):
             raise ConfigError(f"unknown truth kind {self.kind!r}")
         for name in ("beta", "gamma", "c", "coeffs"):
@@ -248,19 +245,10 @@ class TruthSpec:
             raise ConfigError("analytic_decay truth needs gamma > 0")
         if self.kind == "explicit" and self.coeffs is None:
             raise ConfigError("explicit truth needs a coefficient table")
-        # hashed once, not per cache lookup (a table is long); not a field, so eq,
-        # repr and fields_dict do not see it
-        object.__setattr__(self, "_hash", hash(_field_values(self)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # rebuilt from its fields, so str hashes are the unpickling process's
-        return type(self), _field_values(self)
 
     @classmethod
     def explicit(cls, coeffs) -> "TruthSpec":
-        return cls(kind="explicit", coeffs=tuple(float(v) for v in coeffs))
+        return cls(kind="explicit", coeffs=coeffs)
 
     @classmethod
     def power_law(cls, beta: float, c: float = 1.0) -> "TruthSpec":

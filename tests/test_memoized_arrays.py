@@ -3,12 +3,7 @@ fresh build, bounded in number, and transparent to every error and output."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import os
-import pickle
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,35 +121,23 @@ def test_caches_stay_within_their_bound(tmp_path):
         assert info.maxsize == 4 and info.currsize <= 4
 
 
-SPECS = [  # two explicit tables and two specs without one
-    lambda: ModelSpec.explicit([1.0 / i for i in range(1, 1001)], p=1.0, C=1.0),
-    lambda: TruthSpec.explicit([math.sin(i) for i in range(1000)]),
-    ModelSpec.volterra,
-    TruthSpec.paper_example,
-]
-
-
-@pytest.mark.parametrize("make", SPECS)
-def test_spec_hash_is_the_field_hash(make):
-    a, b = make(), make()
-    assert a is not b and a == b and hash(a) == hash(b)
-    fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
-    assert hash(a) == hash(fields)
-    assert "_hash" not in fields_dict(a) and "_hash" not in repr(a)
-    for copy in (pickle.loads(pickle.dumps(a)), dataclasses.replace(a)):
-        assert copy == a and hash(copy) == hash(a)
-
-
-def test_unpickled_spec_hashes_in_its_own_process():
-    """A str hash is salted per process, so an unpickled spec must not keep the hash
-    its pickling process computed."""
-    blob = pickle.dumps(VOLTERRA).hex()
-    code = ("import pickle, sys; from invseq import ModelSpec; "
-            "m = pickle.loads(bytes.fromhex(sys.argv[1])); "
-            "print(m == ModelSpec.volterra() and hash(m) == hash(ModelSpec.volterra()))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="12345")
-    out = subprocess.run([sys.executable, "-c", code, blob], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "True"
+def test_spec_built_from_a_list_is_a_cache_key():
+    """A table given to the constructor as a list or an array is kept as a tuple of
+    floats, so the spec hashes, keys the caches and equals the classmethod's spec."""
+    table = [(1.0 + 0.5 * math.sin(i)) / i for i in range(1, 301)]
+    want_model, want_truth = ModelSpec.explicit(table, p=1.0, C=2.0), TruthSpec.explicit([1, -0.5, 0])
+    for seq in (list, np.array):
+        model = ModelSpec(kind="explicit", p=1.0, C=2.0, table=seq(table))
+        truth = TruthSpec(kind="explicit", coeffs=seq([1, -0.5, 0]))
+        assert model == want_model and hash(model) == hash(want_model)
+        assert truth == want_truth and hash(truth) == hash(want_truth)
+        assert fields_dict(model) == fields_dict(want_model)
+        assert fields_dict(truth) == fields_dict(want_truth)
+        _clear()
+        got = simulate(truth, model, 1e5, 300, 3).y
+        _clear()
+        assert _bits(got) == _bits(simulate(want_truth, want_model, 1e5, 300, 3).y)
+    with pytest.raises(ConfigError, match="kappa table must be a sequence of numbers"):
+        ModelSpec(kind="explicit", p=1.0, C=2.0, table=[1.0, None])
+    with pytest.raises(ConfigError, match="truth coeffs must be a sequence of numbers"):
+        TruthSpec(kind="explicit", coeffs=1.0)
