@@ -183,10 +183,10 @@ def block_rows(N: int) -> int:
     """Alphas per block of an alpha column over N coordinates.
 
     The largest power of two in [4, 512] with rows * N <= BLOCK, so a
-    `Design.blocks` pair of u and 1 + u stays cache-sized.  A power of two
-    divides the bracket scan's 512-alpha chunks, and BLAS gemv sums four
-    rows at a time, so each alpha's row sums to the same bits as in one
-    512-row block.
+    `Design.blocks` pair of u and 1 + u stays cache-sized.  BLAS gemv sums
+    four rows at a time, so every block cut from a column of 4k alphas,
+    as the bracket scan's columns are, holds 4k rows, and each alpha's
+    row sums to the same bits as in one column over the whole grid.
     """
     return min(512, 1 << (max(4, BLOCK // N).bit_length() - 1))
 

@@ -479,6 +479,16 @@ def test_exit_code_numerical_error(tmp_path):
         assert rc == 3
 
 
+def test_bracket_non_finite_terms_exit_three(tmp_path):
+    # mu_2^2 overflows, so the diagnostic's terms are not finite: no crossing is reported
+    out = tmp_path / "br"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["bracket", "--truth", "explicit:0,1e200,1", "--n", "1e6", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+
+
 def test_exit_code_io_error(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

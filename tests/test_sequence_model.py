@@ -22,7 +22,7 @@ from invseq import (
 )
 from invseq.errors import ConfigError
 from invseq.sequence_model import S_FLOOR, Design, block_rows, design, fields_dict, read_fields
-from invseq.theory import CHUNK, bracket_diagnostic
+from invseq.theory import COARSE_COLUMN, STRIDE, bracket_diagnostic
 from oracles import sandwich_constant, volterra_forward
 
 VOLTERRA = ModelSpec.volterra()
@@ -90,8 +90,11 @@ def test_blocks_cover_the_column(N):
 
 def test_block_rows_rule():
     """Rows per alpha-column block: 512 up to N = 256, then the largest power
-    of two with rows * N <= 2^17, but never below 4; always a divisor of the
-    bracket scan's chunk."""
+    of two with rows * N <= 2^17, but never below 4.  The bracket scan's
+    columns, COARSE_COLUMN coarse points or STRIDE consecutive alphas, hold
+    a multiple of 4 rows, so every block cut from them does too, and BLAS
+    sums each of its rows four at a time."""
+    assert STRIDE % 4 == 0 and COARSE_COLUMN % 4 == 0
     for N in (1, 3, 10, 255, 256):
         assert block_rows(N) == 512
     assert block_rows(257) == 256
@@ -100,7 +103,10 @@ def test_block_rows_rule():
     assert block_rows(100_000) == 4
     for N in range(1, 100_001, 37):
         rows = block_rows(N)
-        assert 4 <= rows <= 512 and rows & (rows - 1) == 0 and CHUNK % rows == 0
+        assert 4 <= rows <= 512 and rows & (rows - 1) == 0
+        for size in (STRIDE, COARSE_COLUMN):
+            block = min(rows, size)
+            assert block % 4 == 0 and size % block % 4 == 0
         assert rows * N <= 2**17 or rows == 4
 
 

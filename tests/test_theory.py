@@ -8,11 +8,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invseq import ModelSpec, TruthSpec, bracket, default_truncation
 from invseq.cli import main
-from invseq.errors import ConfigError
-from invseq.theory import (CHUNK, LOWER_THRESHOLD, REFINE_TOL, SCAN_STEP, _crossing, _Diagnostic,
+from invseq.errors import ConfigError, NumericalError
+from invseq.theory import (LOWER_THRESHOLD, REFINE_TOL, SCAN_STEP, STRIDE, _crossing, _Diagnostic,
                            bracket_diagnostic, minimax_rate_analytic, minimax_rate_sobolev)
 
 VOLTERRA = ModelSpec.volterra()
@@ -134,41 +136,160 @@ def test_bracket_pinned_crossings(truth, lower, upper):
     assert abs(report.alpha_upper - upper) <= REFINE_TOL
 
 
+def _whole_grid_scan(mu0, model, n):
+    """What a scan of the whole grid, in one column, finds.
+
+    Each crossing bisects from the grid's first value above its threshold,
+    the upper one only at or below the cap.  The lower search ends there or
+    at the first grid alpha at or past sqrt(log n), the upper one there or
+    at the last at or below the cap.  The curve is every STRIDE-th value up
+    to the first at or past the later end.  Returns the grid, its values
+    and a report of what the scan found.
+    """
+    diag = _Diagnostic(mu0, model, n)
+    logn = math.log(n)
+    cap = logn / (2.0 * math.log(2.0))
+    alphas = np.arange(SCAN_STEP, max(cap, math.sqrt(logn)) + SCAN_STEP, SCAN_STEP)
+    full = diag.column(alphas)
+    crossings, ends = [], []
+    for threshold, limit, stop in (
+            (LOWER_THRESHOLD, math.inf, min(np.searchsorted(alphas, math.sqrt(logn)), alphas.size - 1)),
+            (logn**2, cap, np.searchsorted(alphas, cap, side="right") - 1)):
+        above = np.flatnonzero(full > threshold)
+        k = above[0] if above.size else None
+        crossings.append(None if k is None or alphas[k] > limit else _crossing(diag, alphas, k, threshold))
+        ends.append(stop if k is None else min(k, stop))
+    lower, upper = crossings
+    last = min(-(-max(ends) // STRIDE), alphas[::STRIDE].size - 1)
+    return alphas, full, dict(
+        alpha_lower=min(math.sqrt(logn), math.inf if lower is None else lower),
+        alpha_upper=math.inf if upper is None else upper,
+        upper_status="crossed" if upper is not None else "no-crossing-below-cap",
+        curve_alphas=alphas[::STRIDE][:last + 1].tobytes(),
+        curve_values=full[::STRIDE][:last + 1].tobytes())
+
+
+# an explicit truth on coordinates 2, 41 and 301, whose terms are 0 between them and past 301
+SPARSE = TruthSpec.explicit([1.0 if i in (2, 41, 301) else 0.0 for i in range(1, 302)])
+
+
 @pytest.mark.parametrize("model", [VOLTERRA, FLAT, ModelSpec.exact_power(2.5)])
 @pytest.mark.parametrize("truth", [TruthSpec.paper_example(), TruthSpec.power_law(1.0),
                                    TruthSpec.analytic_decay(1.0), TruthSpec.explicit([0.0, 1.0])])
 def test_bracket_stops_where_a_full_scan_agrees(model, truth):
-    """The scan stops early, at a chunk end, yet finds what a scan of the whole grid finds.
+    """The scan evaluates a few alphas of the grid, yet finds what a scan of the whole grid finds.
 
-    The reference takes diag over the whole grid in one column and bisects
-    from its first value above each threshold (the upper one only at or
-    below the cap).  Its curve ends at the first chunk end where each
-    threshold is exceeded or past its limit.  For n < 6.8, sqrt(log n) lies
-    past the cap (at n = 5, 1.269 against 1.161), and at n = 3 the lower
-    limit alone keeps a scan without a lower crossing going to the grid's
-    end.  N is held to 2000 to keep the whole-grid column small.
+    For n < 6.8, sqrt(log n) lies past the cap (at n = 5, 1.269 against
+    1.161), and at n = 3 the lower limit alone keeps a scan without a lower
+    crossing going to the grid's end.  N is held to 2000 to keep the
+    whole-grid column small.
     """
     for n in (3.0, 5.0, 20.0, 1e3, 1e6, 1e8):
         mu0 = truth.coefficients(min(default_truncation(n, model.p), 2000))
         report = bracket(mu0, model, n)
-        diag = _Diagnostic(mu0, model, n)
-        logn = math.log(n)
-        cap = logn / (2.0 * math.log(2.0))
-        alphas = np.arange(SCAN_STEP, max(cap, math.sqrt(logn)) + SCAN_STEP, SCAN_STEP)
-        full = diag.column(alphas)
-        lower = _crossing(diag, alphas, full, LOWER_THRESHOLD, math.inf)
-        upper = _crossing(diag, alphas, full, logn**2, cap)
-        assert report.alpha_lower == min(math.sqrt(logn), math.inf if lower is None else lower)
-        assert report.alpha_upper == (math.inf if upper is None else upper)
-        assert report.upper_status == ("crossed" if upper is not None else "no-crossing-below-cap")
-        ends = np.minimum(np.arange(CHUNK, alphas.size + CHUNK, CHUNK), alphas.size)
-        peak, last = np.maximum.accumulate(full)[ends - 1], alphas[ends - 1]
-        done = (((peak > LOWER_THRESHOLD) | (last >= math.sqrt(logn)))
-                & ((peak > logn**2) | (last >= cap)))
-        size = ends[np.argmax(done)] if done.any() else alphas.size
-        step = max(1, size // 1024)
-        assert report.curve_alphas.tobytes() == alphas[:size:step].tobytes()
-        assert report.curve_values.tobytes() == full[:size:step].tobytes()
+        want = _whole_grid_scan(mu0, model, n)[2]
+        got = {k: getattr(report, k) for k in want}
+        got["curve_alphas"], got["curve_values"] = got["curve_alphas"].tobytes(), got["curve_values"].tobytes()
+        assert got == want
+
+
+@pytest.mark.parametrize("truth, model, n, reads_last", [
+    (TruthSpec.paper_example(), VOLTERRA, 1e6, False),
+    # no crossing below the cap: the curve ends in the whole column's last block, of 238 rows
+    (TruthSpec.analytic_decay(1.0), VOLTERRA, 1e6, True),
+    # nor here, where the last coarse column holds 30 points, padded to 32 rows
+    (TruthSpec.analytic_decay(1.0), VOLTERRA, 10**2.75, False),
+    (TruthSpec.paper_example(), VOLTERRA, 5.0, True),
+    # every term past i = 372 underflows to 0
+    (TruthSpec.analytic_decay(1.0), FLAT, 1e8, False),
+    (SPARSE, VOLTERRA, 1e8, False),
+    (TruthSpec.power_law(1.0), ModelSpec.exact_power(2.5), 1e12, False),
+])
+def test_scan_reads_the_whole_grid_bits(monkeypatch, truth, model, n, reads_last):
+    """Every value the scan reads from `_Diagnostic.column` is bit-equal to the
+    whole-grid column's at that alpha, so the two find the same crossings.
+    Only the bisection reads alphas off the grid, one at a time."""
+    mu0 = truth.coefficients(min(default_truncation(n, model.p), 2000))
+    alphas, full, want = _whole_grid_scan(mu0, model, n)
+    reads = []
+    column = _Diagnostic.column
+    monkeypatch.setattr(_Diagnostic, "column", lambda self, a: reads.append((a, column(self, a))) or reads[-1][1])
+    report = bracket(mu0, model, n)
+    on_grid = 0
+    for a, values in reads:
+        idx = np.rint(a / SCAN_STEP).astype(int) - 1
+        if np.all((0 <= idx) & (idx < alphas.size)) and np.array_equal(alphas[idx], a):
+            assert values.tobytes() == full[idx].tobytes()
+            on_grid += a.size
+        else:
+            assert a.size == 1
+    assert 0 < on_grid < alphas.size
+    assert any(a[-1] == alphas[-1] for a, _ in reads) == reads_last
+    assert (report.alpha_lower, report.alpha_upper) == (want["alpha_lower"], want["alpha_upper"])
+
+
+def test_growth_rate_reads_the_last_nonzero_term():
+    """The bound's rate takes log i of the last non-zero term, not log N: an
+    analytic truth's terms underflow to 0 near i = 372 at gamma = 1."""
+    mu0 = TruthSpec.analytic_decay(1.0).coefficients(2000)
+    last = np.flatnonzero(mu0**2)[-1] + 1
+    assert 300 < last < 400
+    assert _Diagnostic(mu0, FLAT, 1e8).log_i_max == math.log(last)
+    assert _Diagnostic(SPARSE.coefficients(465), VOLTERRA, 1e8).log_i_max == math.log(301)
+    assert _Diagnostic(np.array([5.0]), VOLTERRA, 1e8).log_i_max == 0.0
+
+
+truths = st.one_of(
+    st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), min_size=2, max_size=400).map(TruthSpec.explicit),
+    st.floats(0.05, 3.0).map(TruthSpec.power_law),
+    st.floats(0.05, 3.0).map(TruthSpec.analytic_decay),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(truth=truths, model=st.sampled_from([VOLTERRA, FLAT, ModelSpec.exact_power(2.5)]),
+       log10_n=st.floats(math.log10(3.0), 10.0))
+def test_scan_bound_holds_on_the_whole_grid(truth, model, log10_n):
+    """Every whole-grid value from a coarse point up to the next lies at or
+    below the bound the scan uses there: the point's value times
+    `_Diagnostic.growth` over the interval's width.  So no interval the
+    scan skips holds a value above the threshold it skipped it for."""
+    n = 10.0**log10_n
+    mu0 = truth.coefficients(min(default_truncation(n, model.p), 2000))
+    diag = _Diagnostic(mu0, model, n)
+    logn = math.log(n)
+    alphas = np.arange(SCAN_STEP, max(logn / (2.0 * math.log(2.0)), math.sqrt(logn)) + SCAN_STEP, SCAN_STEP)
+    full = diag.column(alphas)
+    starts = np.arange(0, alphas.size, STRIDE)
+    ends = np.minimum(starts + STRIDE, alphas.size)
+    bound = full[starts] * diag.growth(alphas[starts], alphas[ends - 1] - alphas[starts])
+    peak = np.maximum.reduceat(full, starts)
+    assert np.all(peak <= bound)
+
+
+def test_bracket_cap_call_pinned(monkeypatch):
+    """Paper truth at n = 1e15 (N = 1e5, the truncation cap) keeps the
+    crossings of a whole-grid scan, from at most 600 alphas evaluated, bisection
+    included; a scan of 512-alpha chunks evaluated 2560 of the grid's 24 915."""
+    evaluated = []
+    column = _Diagnostic.column
+    monkeypatch.setattr(_Diagnostic, "column", lambda self, a: evaluated.append(a.size) or column(self, a))
+    report = bracket(TruthSpec.paper_example().coefficients(default_truncation(1e15, 1.0)), VOLTERRA, 1e15)
+    assert report.alpha_lower == 0.750083984375
+    assert report.alpha_upper == 2.0622246093749994
+    assert sum(evaluated) <= 600
+
+
+@pytest.mark.parametrize("mu0", [[0.0, 1e200, 1.0], [0.0, math.nan, 1.0], [0.0, math.inf]])
+def test_diagnostic_rejects_non_finite_terms(mu0):
+    """mu_2^2 overflows, or is not a number: no crossing or curve can be read off
+    such terms, so neither function returns one, and no warning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            bracket(np.array(mu0), VOLTERRA, 1e6)
+        with pytest.raises(NumericalError):
+            bracket_diagnostic(1.0, np.array(mu0), VOLTERRA, 1e6)
 
 
 def test_bracket_curve_csv(tmp_path):
@@ -232,11 +353,10 @@ def test_bracket_scan_peak_memory():
     (at least four rows each), not a pair of 512 x N blocks: at N = 4642
     and 1e5 those held 36.6 and 785 MiB.
 
-    The curve keeps its extent, set by the 512-alpha chunks the scan checks:
-    every step-th point up to the end of the chunk where both crossings are
-    found.
+    The curve runs over the coarse points, every STRIDE-th alpha, up to the
+    first at or past the upper crossing (2.689 and 2.062).
     """
-    for n, bound_mib, points, last in ((1e11, 4, 1024, 3.07), (1e15, 16, 1280, 2.559)):
+    for n, bound_mib, points, last in ((1e11, 4, 170, 2.705), (1e15, 16, 130, 2.065)):
         N = default_truncation(n, 1.0)
         mu0 = TruthSpec.paper_example().coefficients(N)
         tracemalloc.start()
@@ -252,7 +372,7 @@ def test_bracket_scan_peak_memory():
 
 def test_bracket_zero_truth_is_not_scanned(monkeypatch):
     """An identically-zero diagnostic evaluates no block, and reports the
-    curve a full scan gives: zero over the whole grid, every step-th point."""
+    curve a full scan gives: zero at every coarse point of the whole grid."""
     calls = []
     column = _Diagnostic.column
     monkeypatch.setattr(_Diagnostic, "column", lambda self, a: calls.append(1) or column(self, a))
@@ -264,7 +384,7 @@ def test_bracket_zero_truth_is_not_scanned(monkeypatch):
     logn = math.log(n)
     grid = np.arange(SCAN_STEP, max(logn / (2.0 * math.log(2.0)), math.sqrt(logn)) + SCAN_STEP,
                      SCAN_STEP)
-    grid = grid[::max(1, grid.size // 1024)]
+    grid = grid[::STRIDE]
     assert report.curve_alphas.tobytes() == grid.tobytes()
     assert report.curve_values.tobytes() == np.zeros(grid.size).tobytes()
     assert report.alpha_lower == math.sqrt(logn)
