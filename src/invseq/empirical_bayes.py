@@ -20,14 +20,19 @@ Every search and every ratio works on this centred value.  The dropped
 term is free of alpha but large: at n = 1e15 and N = 1e5 it is about
 1.5e14, where one ulp is 0.03, so ell itself cannot resolve the
 differences between the refined maximizer and its grid point.  The
-centred value is about 1e6 there.  `Loglik.column` evaluates it at a
-whole array of alphas, from the blocks of u and 1 + u that `Design.blocks`
-fills, with one logarithm and one reciprocal more per coordinate; the
-grid scan is one such column, the refined candidate and `log_likelihood`
-columns of one alpha, and the sampler's targets columns of proposals.
-`Loglik.slope` reads one such block for the first and second derivative,
-which the Newton steps and `score` use.  Reported values
-(`log_likelihood`, the curve) add the term back once.
+centred value is about 1e6 there.  `columns` evaluates it for several
+observations of one model, n and N at a whole array of alphas, from the
+blocks of u and 1 + u that `Design.blocks` fills, with one logarithm and
+one reciprocal more per coordinate.  A block, its logarithms and their
+row sums are free of the data, so they are made once for all the
+observations; each observation adds only its own gemv against n*y^2.
+`Loglik.column` is its one-observation case.  The grid scan is one
+column, shared by a group of replicates in `scans`, the refined candidate
+and `log_likelihood` columns of one alpha, and the sampler's targets
+columns of proposals.  `Loglik.slope` reads one such block for the first
+and second derivative, which the Newton steps of each observation's
+`fit` and `score` use.  Reported values (`log_likelihood`, the curve) add
+the term back once.
 
 Most coordinates need no evaluation at most alphas.  Where u_i <= 2^-53,
 that is s_i <= -53 log 2 = -36.74, 1 + u_i rounds to exactly 1: the
@@ -56,12 +61,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import CoordinatePosterior, posterior
-from .sequence_model import S_NEGLIGIBLE, Observation, _checked_alpha, _ones, design
+from .sequence_model import SCAN_GROUP, S_NEGLIGIBLE, Observation, _checked_alpha, _ones, design
 
 GRID_SIZE = 200  # points of the search grid over [0, log n], both endpoints included
 STEP_TOL = 1e-4  # the Newton refinement stops after a step shorter than this
@@ -69,6 +76,7 @@ STEP_TOL = 1e-4  # the Newton refinement stops after a step shorter than this
 # costs nothing a full block does not (its coefficients are a view), but a smaller value
 # would move alpha_full, and with it the summation order and the bits of every curve.
 PREFIX_MIN_SKIP = 512
+SUFFIX_CHUNK = 4096  # terms per long-double cumsum of the suffix table (see _suffix_sums)
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,8 @@ class Loglik:
     """ell(alpha) - 1/2 * sum_i n*y_i^2 over all N coordinates of an observation.
 
     `column` evaluates the centred value at an array of alphas >= 0, and a
-    call is its one-alpha case.  Past `alpha_full` a block of alphas
+    call is its one-alpha case; `columns` evaluates several observations'
+    Logliks at once.  Past `alpha_full` a block of alphas
     evaluates only the active prefix of its smallest alpha, the first
     k(alpha) coordinates (see the module docstring), and adds the
     precomputed sum of n*y_i^2 over the rest; up to `alpha_full` it
@@ -117,8 +126,7 @@ class Loglik:
         if not math.isfinite(self.offset):
             raise NumericalError("n * y_i^2 overflows the float range")
         # _suffix[k] = sum_{i > k} n*y_i^2, summed in long double and rounded once
-        self._suffix = np.zeros(N + 1)
-        self._suffix[:N] = np.cumsum(ny2[::-1], dtype=np.longdouble)[::-1]
+        self._suffix = _suffix_sums(ny2)
         # kappa_i <= C i^-p, so s_i(alpha) < S_NEGLIGIBLE wherever
         # (1 + 2*alpha + 2p) * log i > log(n C^2) - S_NEGLIGIBLE = _reach
         self._reach = math.log(obs.n) + 2.0 * math.log(model.C) - S_NEGLIGIBLE
@@ -127,6 +135,7 @@ class Loglik:
         self.alpha_full = (math.inf if N <= PREFIX_MIN_SKIP + 1 else
                            0.5 * (self._reach / math.log(N - PREFIX_MIN_SKIP) - self._slope))
         self._N = N
+        self._key = (model, obs.n, N)
 
     def __call__(self, alpha) -> float:
         return float(self.column(np.array([alpha], dtype=float))[0])
@@ -138,21 +147,8 @@ class Loglik:
         return min(self._N, int(math.exp(self._reach / (self._slope + 2.0 * alpha))) + 1)
 
     def column(self, alphas: np.ndarray) -> np.ndarray:
-        """The centred value at each alpha >= 0 of a 1-D array.
-
-        Each `Design.blocks` block covers the active prefix of its smallest
-        alpha.  Its u half becomes log(1 + u) and its 1 + u half r = 1/(1 + u)
-        in place, and one gemv of each half, against ones and against n*y^2,
-        sums both terms of every row.
-        """
-        out = np.empty(alphas.size)
-        for s, log1p_u, r in self.design.blocks(alphas, self._active):
-            k = r.shape[1]
-            np.log(r, log1p_u)
-            np.reciprocal(r, r)
-            out[s:s + len(r)] = log1p_u @ self._ones[:k] + r @ self.ny2[:k] + self._suffix[k]
-        out *= -0.5
-        return out
+        """The centred value at each alpha >= 0 of a 1-D array: `columns` of this one observation."""
+        return columns((self,), alphas)[0]
 
     def slope(self, alpha: float) -> tuple[float, float]:
         """First and second derivative of the centred value at one alpha >= 0.
@@ -183,6 +179,56 @@ class Loglik:
         return float(lw - lwr_ny2), -2.0 * float(l2wr - u @ r)
 
 
+def _suffix_sums(ny2: np.ndarray) -> np.ndarray:
+    """t[k] = sum_{i >= k} ny2[i] (0-based) for k < N, and t[N] = 0.
+
+    Each sum is carried in long double and rounded once.  The terms are
+    added from the last one down, SUFFIX_CHUNK at a time: each chunk's
+    cumsum starts from the carry of the chunks after it, its element 0, so
+    every addition is the one a single long-double cumsum of the reversed
+    terms makes (the first chunk's carry is 0, and 0 + x is x for the
+    x >= 0 here), and no N-long long-double array is held.
+    """
+    N = ny2.size
+    out = np.zeros(N + 1)
+    buf = np.zeros(SUFFIX_CHUNK + 1, dtype=np.longdouble)
+    for end in range(N, 0, -SUFFIX_CHUNK):
+        start = max(end - SUFFIX_CHUNK, 0)
+        run = buf[:end - start + 1]
+        run[1:] = ny2[start:end][::-1]
+        np.cumsum(run, out=run)
+        out[start:end] = run[:0:-1]
+        buf[0] = run[-1]
+    return out
+
+
+def columns(ells: Sequence[Loglik], alphas: np.ndarray) -> np.ndarray:
+    """Row j is the centred value of ells[j] at each alpha >= 0 of a 1-D array.
+
+    Every Loglik must be of observations with one model, n and N, so they
+    share the design, the prefix lengths and with them every block.  Each
+    `Design.blocks` block covers the active prefix of its smallest alpha.
+    Its u half becomes log(1 + u) and its 1 + u half r = 1/(1 + u) in
+    place, once for all observations, and one gemv against ones sums its
+    log(1 + u) rows.  Each observation then adds its own gemv of r against
+    its n*y^2 and its suffix term, so row j has the bits of the same sum
+    taken for ells[j] alone.
+    """
+    first = ells[0]
+    if any(ell._key != first._key for ell in ells):
+        raise ValueError("a shared scan needs observations of one model, n and N")
+    out = np.empty((len(ells), alphas.size))
+    for s, log1p_u, r in first.design.blocks(alphas, first._active):
+        k = r.shape[1]
+        np.log(r, log1p_u)
+        np.reciprocal(r, r)
+        log_sum = log1p_u @ first._ones[:k]
+        for row, ell in zip(out, ells):
+            row[s:s + len(r)] = log_sum + r @ ell.ny2[:k] + ell._suffix[k]
+    out *= -0.5
+    return out
+
+
 def log_likelihood(alpha: float, obs: Observation) -> float:
     """Marginal log likelihood of alpha, finite and >= 0, given the observation."""
     _checked_alpha(alpha)
@@ -200,20 +246,34 @@ def score(alpha: float, obs: Observation) -> float:
     return Loglik(obs).slope(alpha)[0]
 
 
-def _scan(n: float, ell: Loglik) -> tuple[LikelihoodCurve, np.ndarray]:
-    """ell on a uniform grid of GRID_SIZE points over [0, log n], and its centred values."""
-    top = math.log(n)
-    if top <= 0:
-        raise ConfigError("empirical Bayes search needs n > 1")
-    alphas = np.linspace(0.0, top, GRID_SIZE)
-    centred = ell.column(alphas)
-    if not np.all(np.isfinite(centred)):
-        bad = alphas[~np.isfinite(centred)][0]
-        raise NumericalError(f"log likelihood non-finite at alpha={bad}")
-    # np.argmax takes the first maximizer, i.e. the smallest alpha on ties.
-    curve = LikelihoodCurve(alphas=alphas, values=centred + ell.offset,
-                            argmax_index=int(np.argmax(centred)))
-    return curve, centred
+class Scan(NamedTuple):
+    """An observation's centred values on the search grid, and the Loglik they came from."""
+
+    ell: Loglik
+    alphas: np.ndarray
+    centred: np.ndarray
+
+
+def scans(observations: Iterable[Observation]) -> Iterator[tuple[Observation, Scan]]:
+    """Each observation of one model, n and N with its Scan, in the order given.
+
+    The grid has GRID_SIZE points over [0, log n].  The observations are
+    drawn lazily, a group at a time, and one `columns` call fills each block
+    of the grid once for a whole group.  A group holds at most
+    SCAN_GROUP // (N + GRID_SIZE) observations, so the n*y^2 vectors and
+    scan rows held at once do not grow with the number of observations.
+    `fit(obs, scan)` refines each.
+    """
+    it = iter(observations)
+    for first in it:
+        group = [first, *islice(it, max(1, SCAN_GROUP // (first.N + GRID_SIZE)) - 1)]
+        ells = [Loglik(obs) for obs in group]
+        top = math.log(first.n)
+        if top <= 0:
+            raise ConfigError("empirical Bayes search needs n > 1")
+        alphas = np.linspace(0.0, top, GRID_SIZE)
+        for obs, ell, row in zip(group, ells, columns(ells, alphas)):
+            yield obs, Scan(ell, alphas, row)
 
 
 def _newton_max(ell: Loglik, x: float, lo: float, hi: float) -> float:
@@ -243,9 +303,10 @@ def _newton_max(ell: Loglik, x: float, lo: float, hi: float) -> float:
             return x
 
 
-def fit(obs: Observation) -> EbFit:
+def fit(obs: Observation, scan: Scan | None = None) -> EbFit:
     """Maximize ell over [0, log n]: grid scan plus safeguarded Newton refinement.
 
+    scan is obs's Scan from `scans`; without it, obs is scanned alone.
     The GRID_SIZE-point scan is refined by `_newton_max` from the best grid
     point, between its neighbours, and ell is evaluated once at the result.
     The refined candidate replaces the best grid point only when it is
@@ -253,9 +314,13 @@ def fit(obs: Observation) -> EbFit:
     maximizer to log n) and smallest-alpha tie-breaking are preserved.  A
     candidate that is the grid point itself is not evaluated.
     """
-    ell = Loglik(obs)
-    curve, centred = _scan(obs.n, ell)
-    alphas, k = curve.alphas, curve.argmax_index
+    ell, alphas, centred = next(scans([obs]))[1] if scan is None else scan
+    if not np.all(np.isfinite(centred)):
+        bad = alphas[~np.isfinite(centred)][0]
+        raise NumericalError(f"log likelihood non-finite at alpha={bad}")
+    # np.argmax takes the first maximizer, i.e. the smallest alpha on ties.
+    k = int(np.argmax(centred))
+    curve = LikelihoodCurve(alphas=alphas, values=centred + ell.offset, argmax_index=k)
     alpha_hat = float(alphas[k])
     cand = _newton_max(ell, alpha_hat, float(alphas[max(k - 1, 0)]),
                        float(alphas[min(k + 1, alphas.size - 1)]))

@@ -1,13 +1,19 @@
 """Reproducible experiment drivers behind the command line front end.
 
-Each driver is a per-replicate body inside one shared rung loop: the
-loop simulates a ladder of noise levels, the body runs the requested
-inference and writes plain CSV/JSON outputs into an output directory,
-and the loop finishes with a manifest that pins the configuration hash,
-the derived per-replicate seeds and the headline numbers.  Reruns with
-the same config produce byte-identical files; replicates are independent
-by construction (seed = base seed + replicate index) so they could be
-farmed out without changing any result.
+Each driver is a rung body inside one shared rung loop: the loop walks
+a ladder of noise levels and hands each rung's body the rung's replicate
+observations, simulated lazily as the body draws them.  The body runs
+the requested inference and writes plain CSV/JSON outputs into an output
+directory, and the loop finishes with a manifest that pins the
+configuration hash, the derived per-replicate seeds and the headline
+numbers.  `run_figure1` and `run_rate_sweep` draw the replicates in
+groups that share one likelihood scan (`empirical_bayes.scans`) and fit
+each replicate on its own from there; `run_figure2` takes them one at a
+time, each simulated just before its fit and chain.  Reruns with the
+same config produce byte-identical files; replicates are independent by
+construction (seed = base seed + replicate index), and a shared scan
+gives each the bits of a scan of its own, so they could be farmed out
+without changing any result.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .empirical_bayes import eb_posterior, fit
+from .empirical_bayes import eb_posterior, fit, scans
 from .errors import ConfigError
 from .gaussian_posterior import posterior_mean_function, posterior_risk
 from .hierarchical_bayes import HbConfig, HyperPrior, run_mwg
@@ -91,7 +97,10 @@ def write_csv(path, columns: dict) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(columns)
         reprs = [map(repr, c.tolist()) for c in cols]
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*reprs))
+        body = "\r\n".join(map(",".join, zip(*reprs)))
+        if body:
+            fh.write(body)
+            fh.write("\r\n")
 
 
 def write_json(path, obj) -> None:
@@ -122,12 +131,13 @@ class _Ladder:
         self.cfg = cfg
         self.files: list[str] = []
 
-    def run(self, replicate: Callable, curves: bool) -> list[tuple[_Rung, list]]:
-        """Per rung, replicate(rung, r, obs) for every replicate r, simulated at seed + r.
+    def run(self, body: Callable, curves: bool) -> list[tuple[_Rung, list]]:
+        """Per rung, body(rung, observations): the list of its replicates' results.
 
-        With curves, the truth is synthesized on CURVE_GRID once per rung,
-        before the rung's first simulation.  Returns each rung with the
-        list of its replicates' results.
+        observations is an iterator that simulates replicate r at seed + r
+        only when the body asks for it.  With curves, the truth is
+        synthesized on CURVE_GRID once per rung, before the rung's first
+        simulation.  Returns each rung with what its body returned.
         """
         cfg = self.cfg
         os.makedirs(cfg.output_dir, exist_ok=True)
@@ -137,8 +147,9 @@ class _Ladder:
             mu0 = _coefficients(cfg.truth, N)
             true_f = synthesize_function(mu0, CURVE_GRID) if curves else None
             rung = _Rung(n, N, rung_tag(n), mu0, true_f)
-            out.append((rung, [replicate(rung, r, simulate(cfg.truth, cfg.model, n, N, cfg.seed + r))
-                               for r in range(cfg.replicates)]))
+            observations = (simulate(cfg.truth, cfg.model, n, N, cfg.seed + r)
+                            for r in range(cfg.replicates))
+            out.append((rung, body(rung, observations)))
         return out
 
     def output(self, name: str) -> str:
@@ -153,6 +164,12 @@ class _Ladder:
         return manifest
 
 
+def _shared_scan(replicate: Callable) -> Callable:
+    """A rung body that runs replicate(rung, r, obs, scan) on each replicate's `scans` item."""
+    return lambda rung, observations: [replicate(rung, r, obs, scan)
+                                       for r, (obs, scan) in enumerate(scans(observations))]
+
+
 def run_figure1(cfg: ExperimentConfig) -> dict:
     """Empirical Bayes reconstructions across the ladder.
 
@@ -162,8 +179,8 @@ def run_figure1(cfg: ExperimentConfig) -> dict:
     """
     ladder = _Ladder(cfg)
 
-    def replicate(rung, r, obs):
-        eb = fit(obs)
+    def replicate(rung, r, obs, scan):
+        eb = fit(obs, scan)
         if r == 0:
             mean_f = posterior_mean_function(eb_posterior(obs, eb), CURVE_GRID)
             write_csv(ladder.output(f"fig1_{rung.tag}_curve.csv"),
@@ -173,7 +190,7 @@ def run_figure1(cfg: ExperimentConfig) -> dict:
 
     seeds = [cfg.seed + r for r in range(cfg.replicates)]
     rungs = [{"n": rung.n, "N": rung.N, "seeds": seeds, "alpha_hat": alpha_hats}
-             for rung, alpha_hats in ladder.run(replicate, curves=True)]
+             for rung, alpha_hats in ladder.run(_shared_scan(replicate), curves=True)]
     return ladder.write_manifest("fig1", grid_points=GRID_POINTS, rungs=rungs)
 
 
@@ -202,8 +219,11 @@ def run_figure2(cfg: ExperimentConfig) -> dict:
         return {"seed": obs.seed, "acceptance_rate": summary["acceptance_rate"],
                 "alpha_mean": summary["alpha_mean"], "alpha_mode": summary["alpha_mode"]}
 
+    def body(rung, observations):  # each replicate simulated just before its fit and chain
+        return [replicate(rung, r, obs) for r, obs in enumerate(observations)]
+
     rungs = [{"n": rung.n, "N": rung.N, "replicates": reps}
-             for rung, reps in ladder.run(replicate, curves=True)]
+             for rung, reps in ladder.run(body, curves=True)]
     return ladder.write_manifest("fig2", grid_points=GRID_POINTS, rungs=rungs)
 
 
@@ -227,12 +247,12 @@ def run_rate_sweep(cfg: ExperimentConfig, beta: float) -> dict:
 
     ladder = _Ladder(cfg)
 
-    def replicate(rung, r, obs):
-        post = eb_posterior(obs, fit(obs))
+    def replicate(rung, r, obs, scan):
+        post = eb_posterior(obs, fit(obs, scan))
         return float(np.sum((post.means - rung.mu0) ** 2)), posterior_risk(post, rung.mu0)
 
     rows = []
-    for rung, errs in ladder.run(replicate, curves=False):
+    for rung, errs in ladder.run(_shared_scan(replicate), curves=False):
         sq_errs, risks = zip(*errs)
         rows.append({"n": rung.n, "N": rung.N,
                      "mean_sq_error": float(np.mean(sq_errs)),

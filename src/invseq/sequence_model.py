@@ -62,6 +62,10 @@ S_FLOOR = -700.0
 # so its coordinate's 1 + u is exactly 1 (empirical_bayes skips such coordinates).
 S_NEGLIGIBLE = -37.0
 BLOCK = 2**17  # floats per row block of an alpha column (see block_rows)
+# Floats a group of observations that share one likelihood scan may hold in their n*y^2
+# vectors and scan rows (see empirical_bayes.scans), so a rung's memory does not grow
+# with its replicates.
+SCAN_GROUP = 2**20
 
 
 def _float_tuple(name: str, values) -> tuple[float, ...]:

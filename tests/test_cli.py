@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -364,6 +365,29 @@ def test_writers_pin_bytes(tmp_path):
     path = tmp_path / "object.json"
     write_json(path, {"b": [np.float64(0.1), 2], "a": None})
     assert path.read_bytes() == b'{\n "a": null,\n "b": [\n  0.1,\n  2\n ]\n}'
+
+
+def _csv_row_by_row(path, columns: dict) -> None:
+    """write_csv's earlier body: one joined row at a time."""
+    cols = [np.asarray(c, dtype=float) for c in columns.values()]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(columns)
+        reprs = [map(repr, c.tolist()) for c in cols]
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*reprs))
+
+
+@pytest.mark.parametrize("columns", [
+    {"alpha": []},
+    {"a": [], "b": [], "c": []},
+    {"alpha": [0.5]},
+    {"alpha": np.linspace(0.0, 3.0, 9000)},
+    {"t": np.linspace(0.0, 1.0, 512), "f": np.sin(np.arange(512.0)), "g": np.arange(512.0) * 1e16},
+    {"x": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-5], "y": [0.1, 2, 3, 4, 5, 6]},
+], ids=["header-only", "header-only-3", "one-value", "one-column", "three-columns", "specials"])
+def test_write_csv_keeps_the_bytes_of_row_by_row_writing(tmp_path, columns):
+    write_csv(tmp_path / "fast.csv", columns)
+    _csv_row_by_row(tmp_path / "slow.csv", columns)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 def test_config_ignores_unknown_keys(tmp_path):

@@ -23,7 +23,7 @@ from invseq import (
     synthesize_function,
 )
 from invseq.cli import main
-from invseq.empirical_bayes import GRID_SIZE, Loglik
+from invseq.empirical_bayes import GRID_SIZE, SUFFIX_CHUNK, Loglik
 from invseq.errors import ConfigError, NumericalError
 from invseq.sequence_model import Design, block_rows, default_truncation
 
@@ -435,3 +435,14 @@ def test_exp_overflow_is_named():
                      lambda o: posterior(0.0, o), lambda o: score(0.0, o)):
             with pytest.raises(NumericalError, match="overflows"):
                 call(obs(8.0))  # n*kappa_1^2 = 6.4e309
+
+
+@pytest.mark.parametrize("N", [SUFFIX_CHUNK - 1, SUFFIX_CHUNK, SUFFIX_CHUNK + 1, 10**5])
+def test_suffix_table_has_the_bits_of_one_long_double_cumsum(N):
+    """The chunked suffix table adds the terms in the order of one long-double
+    cumsum of the reversed n*y^2, so every entry rounds to the same float."""
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, N, 6)
+    ny2 = obs.n * obs.y**2
+    want = np.zeros(N + 1)
+    want[:N] = np.cumsum(ny2[::-1], dtype=np.longdouble)[::-1]
+    assert Loglik(obs)._suffix.tobytes() == want.tobytes()
