@@ -14,8 +14,21 @@ by those masses and draws the rest from lambda itself, a defensive
 mixture (Hesterberg 1995), so q > 0 wherever pi > 0 and the ratio
 pi(a') q(a) / (pi(a) q(a')) keeps the chain exact whatever the grid.
 Proposals do not depend on the state, so CHUNK of them are drawn at a
-time and `Loglik.column` fills their targets in alpha-column blocks; the
-accept loop then only compares the precomputed log weights log pi - log q.
+time, and the accept loop compares their log weights w = log pi - log q.
+
+A move needs only the decision whether w' - log U exceeds the current w,
+not w' itself.  The column of ell at the grid's nodes, which sets the
+cells' masses, also encloses ell between them: the chord between two
+nodes' values, widened by a bound on ell's curvature over the gap and on
+every rounding, holds any value `Loglik.column` gives there, whatever
+alphas share its column (`_enclose`).  The loop decides each move from
+the candidate's and the state's bounds where they do not straddle the
+threshold, and evaluates w by `log_weights` only for candidates outside
+the nodes' hull (one column per chunk) and, where the bounds cannot
+decide, for the candidate and the current state.  Over fewer than ENCLOSE_MIN_N
+coordinates nothing is enclosed and every candidate is evaluated, each
+chunk in one column.  The states, the acceptance rate and the moments
+are those of the chain that evaluates every candidate.
 
 Given alpha, mu_1..mu_N are conjugate, so the chain never draws mu.  Its
 moments are the grid's quadrature of the exact posterior:
@@ -26,14 +39,15 @@ nodes, weighted by p_g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .empirical_bayes import Loglik
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import mixture
-from .sequence_model import Observation
+from .sequence_model import LOG_FLOAT_MAX, S_FLOOR, Observation, block_rows
 
 MODE_BIN_WIDTH = 0.25
 # where log(alpha * pi) is first scanned for the grid window: 5 points a decade up to 0.1, then 0.1 apart
@@ -44,6 +58,12 @@ GRID_CELLS = 256  # cells of the proposal grid
 CELL_SHIFT = 0.1  # cells are equal in log(alpha + CELL_SHIFT): even near 0, geometric past it
 PRIOR_SHARE = 0.05  # the proposal's share drawn from the hyperprior
 CHUNK = 1024  # proposals drawn, evaluated and accepted at a time
+# The chain encloses ell only over at least this many coordinates; below, every candidate is
+# evaluated.  There a chunk's column costs about as much as the enclosure's vector arithmetic:
+# 4000-sweep chains (paper truth, n = N^3, one BLAS thread on a 2-vCPU x86 VM) broke even near
+# N = 35, 3% slower enclosed at N = 30 and 4% faster at N = 46.
+ENCLOSE_MIN_N = 40
+EPS = 2.0**-53  # unit roundoff of a float
 
 
 @dataclass(frozen=True)
@@ -133,6 +153,37 @@ class HbConfig:
         return self.iterations // 10 if self.burn_in is None else self.burn_in
 
 
+class _Enclosure(NamedTuple):
+    """Certified bounds on ell, the centred value `Loglik.column` gives, between the grid's nodes.
+
+    knots are the nodes it spans and values ell's column at them; for the
+    gap from knots[g] to knots[g + 1], slopes[g] is the slope of the chord
+    between their values, bends[g] bounds |ell''| / 2 over the gap and
+    slack[g] the rounding (see `_enclose`).  With no knots it covers no
+    alpha.
+    """
+
+    knots: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+    bends: np.ndarray
+    slack: np.ndarray
+
+    def covers(self, alphas: np.ndarray) -> np.ndarray:
+        """Where alphas lie in the knots' hull."""
+        if not self.knots.size:
+            return np.zeros(alphas.shape, dtype=bool)
+        return (alphas >= self.knots[0]) & (alphas <= self.knots[-1])
+
+    def at(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The chord's value at alphas in the hull and a half-width, past which no column of ell lies."""
+        g = np.minimum(np.searchsorted(self.knots, alphas, side="right") - 1, self.slopes.size - 1)
+        left = alphas - self.knots[g]
+        right = self.knots[g + 1] - alphas
+        return (self.values[g] + left * self.slopes[g],
+                self.bends[g] * left * right + self.slack[g])
+
+
 @dataclass(frozen=True)
 class Proposal:
     """The independence proposal: the grid density mixed with the hyperprior.
@@ -141,32 +192,38 @@ class Proposal:
     cells' quadrature nodes and masses their p_g, summing to 1.  The
     density is q(a) = (1 - PRIOR_SHARE) * p_g / (cell g's width) +
     PRIOR_SHARE * lambda(a) for a in cell g, and PRIOR_SHARE * lambda(a)
-    outside the window.
+    outside the window.  enclosure bounds ell between the nodes.  The
+    masses' CDF and each cell's log grid density are built once, with the
+    bits of forming them at each draw and density call.
     """
 
     hyper: HyperPrior
     edges: np.ndarray
     nodes: np.ndarray
     masses: np.ndarray
+    enclosure: _Enclosure
+    cdf: np.ndarray = field(init=False, repr=False)
+    log_cells: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cdf", np.concatenate([[0.0], np.cumsum(self.masses)]))
+        # log((1 - PRIOR_SHARE) * p_g / width) by cell, -inf left and right of the window
+        with np.errstate(divide="ignore"):  # a cell whose mass underflowed to 0
+            cells = math.log1p(-PRIOR_SHARE) + np.log(self.masses / np.diff(self.edges))
+        object.__setattr__(self, "log_cells", np.concatenate([[-math.inf], cells, [-math.inf]]))
 
     def draw(self, rng, size: int) -> np.ndarray:
         """size independent draws from q."""
-        cdf = np.concatenate([[0.0], np.cumsum(self.masses)])
         # the grid part's CDF is linear inside each cell, so interpolation inverts it
-        out = np.interp(rng.random(size) * cdf[-1], cdf, self.edges)
+        out = np.interp(rng.random(size) * self.cdf[-1], self.cdf, self.edges)
         prior = rng.random(size) < PRIOR_SHARE
         out[prior] = self.hyper.draw(rng, int(np.count_nonzero(prior)))
         return out
 
     def log_density(self, alphas: np.ndarray) -> np.ndarray:
         """log q elementwise."""
-        g = np.searchsorted(self.edges, alphas, side="right") - 1
-        inside = (g >= 0) & (g < self.masses.size)
-        dens = np.zeros(alphas.shape)
-        dens[inside] = self.masses[g[inside]] / np.diff(self.edges)[g[inside]]
-        with np.errstate(divide="ignore"):  # log 0 outside the window
-            return np.logaddexp(math.log1p(-PRIOR_SHARE) + np.log(dens),
-                                math.log(PRIOR_SHARE) + self.hyper.log_density(alphas))
+        grid = self.log_cells[np.searchsorted(self.edges, alphas, side="right")]
+        return np.logaddexp(grid, math.log(PRIOR_SHARE) + self.hyper.log_density(alphas))
 
 
 def grid_proposal(ell: Loglik, hyper: HyperPrior) -> Proposal:
@@ -176,9 +233,110 @@ def grid_proposal(ell: Loglik, hyper: HyperPrior) -> Proposal:
                                GRID_CELLS + 1)) - CELL_SHIFT
     edges[[0, -1]] = lo, hi
     nodes, log_w = _cell_rule(hyper, edges)
-    lp = log_w + hyper.log_density(nodes) + ell.column(nodes)
+    values = ell.column(nodes)
+    lp = log_w + hyper.log_density(nodes) + values
     masses = np.exp(lp - lp.max())
-    return Proposal(hyper, edges, nodes, masses / masses.sum())
+    return Proposal(hyper, edges, nodes, masses / masses.sum(), _enclose(ell, nodes, values))
+
+
+def _enclose(ell: Loglik, nodes: np.ndarray, values: np.ndarray) -> _Enclosure:
+    """The enclosure of ell between the nodes, from ell's values there.
+
+    With L_i = log i, u_i = exp(s_i(a)) and r_i = 1/(1 + u_i), over the
+    stored log i, log(n kappa_i^2) and n y_i^2, ell = -T/2 with
+
+        T(a) = sum_i [log(1 + u_i) + n y_i^2 r_i],
+
+    a sum of terms >= 0 whose log half falls and whose r half rises with
+    alpha.  eps = 2^-53, and numpy's exp and log are taken to be within 4
+    ulps.  For a in a gap [x_g, x_g+1] between two knots, bends[g] and
+    slack[g] give
+
+        |column(a) - chord(a)| <= bends[g] (a - x_g)(x_g+1 - a) + slack[g],
+
+    where column(a) is what any `Loglik.column` call gives at a and chord
+    the line through the knots' values v_g, as `_Enclosure.at` forms it:
+
+    1. Curvature.  ell'' = -2 sum_i L_i^2 r_i (1 - r_i)(1 - n y_i^2 (2 r_i - 1))
+       (`Loglik.slope`, with 1 - 2w = 2r - 1), and over the gap each r_i
+       lies between its values at the two knots.  So |ell''| <= M_g =
+       2 sum_i L_i^2 P_i (1 + n y_i^2 Q_i), with P_i the largest r(1 - r)
+       and Q_i the largest |2r - 1| over that range, and the chord of
+       ell misses it by at most M_g/2 (a - x_g)(x_g+1 - a).  The knots are
+       filled as one column that repeats the last knot of each
+       `Design.blocks` block as the first of the next, so both knots of a
+       gap share a block and its prefix.  Past the prefix u_i < e^-37 on
+       the gap, so those coordinates add less than 2 e^-37 L_i^2
+       (1 + n y_i^2) each.  The block's r are within tau = eps (3.1 S + 13)
+       of the exact ones (step 2), and P and Q move by at most 1 and 2 times
+       a move of r, so half M_g is at most the computed half plus
+       (2 tau + 1e-16) sum_i L_i^2 (1 + n y_i^2), times 1 + (N + 12) eps for
+       the rounding of the sums and of the product at a.  That is bends.
+    2. Rounding.  Any column's value at a is within rho(a) =
+       eps [N + (N + 4 S + 24) |ell(a)|] of ell(a), where S =
+       max |log(n kappa_i^2)| + log N (1 + 2 a_top) bounds the terms of s_i:
+       - s_i is rounded three times, by at most 3.01 eps S, so u_i is within
+         (3.02 S + 8.01) eps relative after exp's own error;
+       - log(1 + u_i) is then within that times u_i r_i <= log(1 + u_i),
+         8.1 eps log(1 + u_i) and 1.01 eps (the rounding of 1 + u_i), and
+         n y_i^2 r_i within (3.02 S + 10.1) eps relative;
+       - the gemvs over the prefix of k <= N terms and the additions of the
+         two sums and the suffix sum add at most (k + 4) eps T;
+       - a coordinate past the prefix adds n y_i^2 for its term, off by less
+         than e^-37 (1 + n y_i^2) < eps (1 + n y_i^2 r_i) (1 + eps).
+       T's two halves are monotone, so T(a) <= T(x_g) + T(x_g+1) and, with
+       rho at the knots, |ell(a)| <= Phi_g = 2 (|v_g| + |v_g+1|) + 1.  The
+       chord through the v_g is within max(rho(x_g), rho(x_g+1)) of ell's
+       chord, and `_Enclosure.at` forms it within 6.2 eps (|v_g| + |v_g+1|).
+       With rho(a) itself that is at most eps [2N + (2N + 8 S + 51) Phi_g].
+    3. The decision.  w = log lambda + ell - log q and w - log U take four
+       more roundings, each within eps of its operands.  slack[g] adds
+       16 eps (Phi_g + bends[g] width^2 + slack[g]), and `_chunk_weights`
+       16 eps (|log lambda| + |log q| - log U) at each candidate, which
+       bounds them with room to keep each bound's two ends apart.
+
+    The knots stop where `Design.blocks` clamps alpha, and below
+    ENCLOSE_MIN_N coordinates there are none.
+    """
+    design = ell.design
+    N = design.log_i.size
+    # the knots stop where Design.blocks clamps alpha, so every value they bound is ell's own
+    top = 0 if N < ENCLOSE_MIN_N else int(np.searchsorted(nodes, LOG_FLOAT_MAX - S_FLOOR, side="right"))
+    if top < 2:
+        return _Enclosure(*[nodes[:0]] * 5)
+    knots, values = nodes[:top], values[:top]
+    sq = design.log_i**2
+    sq_ny2 = sq * ell.ny2
+    # Each block of R rows starts at the last knot of the block before, so each gap's two knots
+    # share a block, and with it its prefix.
+    R = block_rows(N)
+    rows = (np.arange(0, top - 1, R - 1)[:, None] + np.arange(R)).ravel()
+    rows = rows[rows < top]
+    half_bend = np.empty(top - 1)
+    for s, u, d in design.blocks(knots[rows], ell._active):
+        k = d.shape[1]
+        np.reciprocal(d, d)
+        np.subtract(d, 0.5, d)  # r - 1/2
+        lo, hi = d[:-1], d[1:]  # r - 1/2 at each gap's two knots
+        p = u[:-1]
+        np.maximum(lo, 0.0, out=p)
+        np.minimum(p, hi, out=p)  # the point of [r(x_g), r(x_g+1)] nearest 1/2, less 1/2
+        np.square(p, p)
+        np.subtract(0.25, p, p)  # max r(1 - r) over the gap
+        lin = p @ sq[:k]
+        np.abs(d, d)
+        np.maximum(lo, hi, out=lo)  # max |2r - 1| / 2 over the gap
+        np.multiply(p, lo, p)
+        half_bend[rows[s:s + len(d) - 1]] = lin + 2.0 * (p @ sq_ny2[:k])
+    S = float(np.max(np.abs(design.log_nk2))) + float(design.log_i[-1]) * (1.0 + 2.0 * knots[-1])
+    tau = EPS * (3.1 * S + 13.0)
+    bends = (1.0 + (N + 12) * EPS) * (half_bend + (2.0 * tau + 1e-16) * (sq.sum() + sq_ny2.sum()))
+    widths = np.diff(knots)
+    mags = np.abs(values)
+    phi = 2.0 * (mags[:-1] + mags[1:]) + 1.0
+    slack = EPS * (2.0 * N + (2.0 * N + 8.0 * S + 52.0) * phi)
+    slack += 16.0 * EPS * (phi + bends * widths**2 + slack)  # the decision's roundings
+    return _Enclosure(knots, values, np.diff(values) / widths, bends, slack)
 
 
 def _window(ell: Loglik, hyper: HyperPrior) -> tuple[float, float]:
@@ -280,6 +438,8 @@ class HbChain:
     proposed from.  mu_mean and mu_var are the posterior moments of mu by
     the grid's quadrature: the mixture of the conjugate posteriors at the
     cells' nodes, weighted by the cells' masses (`gaussian_posterior.mixture`).
+    exact_evaluations is the number of alphas at which the chain evaluated
+    its log weights (see `run_mwg`); it is not part of the summary.
     """
 
     alphas: np.ndarray
@@ -288,6 +448,7 @@ class HbChain:
     mu_var: np.ndarray
     config: HbConfig
     proposal: Proposal
+    exact_evaluations: int
 
     def summary(self) -> dict:
         q = np.quantile(self.alphas, [0.025, 0.5, 0.975])
@@ -325,6 +486,19 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     the alphas past burn-in.  mu is never drawn: its moments are the grid
     quadrature of its posterior.  Identical configs reproduce identical
     chains.
+
+    Each candidate carries bounds on its w and on w - log U: a point where
+    log_weights has evaluated it, else the enclosure's (`_chunk_weights`),
+    and the current state keeps the bounds on its w.  A move is taken when
+    the candidate's lower bound exceeds the state's upper one, and refused
+    when its upper bound is at or below the state's lower one.  Else the
+    candidate and the state get their log_weights values, as points, and
+    the test is the exact chain's w - log U > w.  A value log_weights gives
+    depends in its last bits on the alphas that share its column, and the
+    enclosure holds each such value, so a decision can differ from the
+    evaluated chain's only where w - log U lies within that rounding of w.
+    exact_evaluations counts the alphas log_weights evaluated, the start
+    point included.
     """
     alpha = 1.0 if cfg.alpha_init is None else cfg.alpha_init
     ell = Loglik(obs)
@@ -332,23 +506,70 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     current = float(log_weights(ell, hyper, prop, np.array([alpha]))[0])
     if not math.isfinite(current):
         raise NumericalError(f"log posterior of alpha non-finite at the start point alpha={alpha}")
+    cur_lo = cur_hi = current
     rng = np.random.default_rng(cfg.seed)
-    accepted = 0
+    accepted, evaluated = 0, 1
     states = np.empty(cfg.iterations)
     for s in range(0, cfg.iterations, CHUNK):
         cand = prop.draw(rng, min(CHUNK, cfg.iterations - s))
-        w = log_weights(ell, hyper, prop, cand)
-        if np.isnan(w).any():
-            raise NumericalError(f"iteration {s + int(np.argmax(np.isnan(w)))}: "
-                                 "non-finite MH acceptance ratio")
+        log_u = np.log(rng.random(cand.size))
+        w, half, exact = _chunk_weights(ell, hyper, prop, cand, log_u, s)
+        evaluated += exact
         # accept a candidate when log U < w - current, i.e. when w - log U > current
+        t = w - log_u
+        if half is None:
+            t_lo = t_hi = t.tolist()
+            w_lo = w_hi = w.tolist()
+        else:
+            t_lo, t_hi = (t - half).tolist(), (t + half).tolist()
+            w_lo, w_hi = (w - half).tolist(), (w + half).tolist()
         chunk = []
-        for a, wa, ta in zip(cand.tolist(), w.tolist(), (w - np.log(rng.random(cand.size))).tolist()):
-            if ta > current:
-                alpha, current = a, wa
+        for a, lo, hi, wl, wh in zip(cand.tolist(), t_lo, t_hi, w_lo, w_hi):
+            if not lo > cur_hi and hi > cur_lo:  # the bounds cannot decide: evaluate
+                todo = ([] if lo == hi else [a]) + ([] if cur_lo == cur_hi else [alpha])
+                vals = log_weights(ell, hyper, prop, np.array(todo)).tolist()
+                evaluated += len(todo)
+                if lo != hi:
+                    wl = wh = vals[0]
+                    lo = hi = wl - float(log_u[len(chunk)])
+                if cur_lo != cur_hi:
+                    cur_lo = cur_hi = vals[-1]
+                if math.isnan(lo) or math.isnan(cur_lo):
+                    raise NumericalError(f"iteration {s + len(chunk)}: non-finite MH acceptance ratio")
+            if lo > cur_hi:
+                alpha, cur_lo, cur_hi = a, wl, wh
                 accepted += 1
             chunk.append(alpha)
         states[s:s + cand.size] = chunk
 
     mu_mean, mu_var = mixture(obs, ell.design, prop.nodes, prop.masses)
-    return HbChain(states[cfg.resolved_burn_in():], accepted / cfg.iterations, mu_mean, mu_var, cfg, prop)
+    return HbChain(states[cfg.resolved_burn_in():], accepted / cfg.iterations, mu_mean, mu_var,
+                   cfg, prop, evaluated)
+
+
+def _chunk_weights(ell: Loglik, hyper: HyperPrior, prop: Proposal, cand: np.ndarray,
+                   log_u: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """w at a chunk's candidates, a half-width for each, and how many are exact.
+
+    Outside the enclosure w is log_weights', from one column, with
+    half-width 0; inside it, w is formed as log_weights forms it, from the
+    chord's value, and its half-width bounds both w's and w - log U's
+    distance from what log_weights would give.
+    """
+    inside = prop.enclosure.covers(cand)
+    if not inside.any():
+        w, half, exact = log_weights(ell, hyper, prop, cand), None, cand.size
+    else:
+        outside = ~inside
+        w, half = np.empty(cand.size), np.zeros(cand.size)
+        w[outside] = log_weights(ell, hyper, prop, cand[outside])
+        a = cand[inside]
+        mid, h = prop.enclosure.at(a)
+        lam, lq = hyper.log_density(a), prop.log_density(a)
+        w[inside] = lam + mid - lq
+        half[inside] = h + 16.0 * EPS * (np.abs(lam) + np.abs(lq) - log_u[inside])
+        exact = int(np.count_nonzero(outside))
+    if np.isnan(w).any():
+        raise NumericalError(f"iteration {start + int(np.argmax(np.isnan(w)))}: "
+                             "non-finite MH acceptance ratio")
+    return w, half, exact

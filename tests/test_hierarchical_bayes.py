@@ -27,10 +27,10 @@ from invseq import hierarchical_bayes
 from invseq.cli import main
 from invseq.empirical_bayes import Loglik
 from invseq.errors import ConfigError, NumericalError
-from invseq.hierarchical_bayes import (ALPHA_MAX, PRIOR_SHARE, effective_sample_size,
+from invseq.hierarchical_bayes import (ALPHA_MAX, ENCLOSE_MIN_N, PRIOR_SHARE, effective_sample_size,
                                        grid_proposal, histogram_mode, log_weights)
-from invseq.sequence_model import fields_dict, read_fields
-from oracles import grid_log_q
+from invseq.sequence_model import default_truncation, fields_dict, read_fields
+from oracles import grid_log_q, reference_chain
 
 VOLTERRA = ModelSpec.volterra()
 
@@ -403,6 +403,86 @@ def test_chain_whose_last_chunk_is_one_inf_draw():
     chain = run_mwg(obs, HyperPrior.inverse_gamma(1e-3, 1e-3), HbConfig(iterations=1025, seed=12))
     assert chain.alphas.size == 1025 - HbConfig(iterations=1025).resolved_burn_in()
     assert np.all(np.isfinite(chain.alphas)) and np.all(np.isfinite(chain.mu_mean))
+
+
+CHAIN_CASES = [
+    # (truth, n, N, hyperprior, iterations, seed, grid cells)
+    (TruthSpec.paper_example(), 10.0, 3, HyperPrior.exponential(1.0), 3000, 1, None),
+    (TruthSpec.paper_example(), 1e3, 10, HyperPrior.gamma(0.1, 1.0), 3000, 2, None),
+    (TruthSpec.paper_example(), 1e7, 215, HyperPrior.exponential(1.0), 4000, 3, None),
+    (TruthSpec.paper_example(), 1e7, 215, HyperPrior.gamma(0.1, 1.0), 4000, 4, None),
+    (TruthSpec.paper_example(), 1e7, 215, HyperPrior.inverse_gamma(2.0, 1.0), 4000, 5, None),
+    (TruthSpec.paper_example(), 1e7, 200, HyperPrior.inverse_gamma(1e-3, 1e-3), 1025, 12, None),
+    (TruthSpec.paper_example(), 1e7, 215, HyperPrior.inverse_gamma(1e-3, 1e-3), 3000, 6, None),
+    (TruthSpec.paper_example(), 1e11, 4642, HyperPrior.gamma(2.0, 1.5), 4000, 7, None),
+    (TruthSpec.power_law(1.0), 1e9, 1000, HyperPrior.exponential(1.0), 3000, 8, 4),
+    (TruthSpec.paper_example(), 1e7, 215, HyperPrior.exponential(1.0), 3000, 9, 16),
+    (TruthSpec.zero(), 1e15, 2000, HyperPrior.exponential(1.3), 4000, 9, None),
+]
+
+
+@pytest.mark.parametrize("truth, n, N, hyper, iterations, seed, cells", CHAIN_CASES,
+                         ids=["tiny", "gamma-0.1-1e3", "exponential-1e7", "gamma-0.1-1e7",
+                              "inverse_gamma-1e7", "last-chunk-one-inf-draw", "vague-inverse_gamma",
+                              "gamma-1e11", "coarse-4-cells", "coarse-16-cells",
+                              "past-alpha_full"])
+def test_chain_equals_the_evaluated_chain(monkeypatch, truth, n, N, hyper, iterations, seed, cells):
+    """run_mwg, which decides most moves from the enclosure, takes every decision of
+    the reference chain (`oracles.reference_chain`), which evaluates every candidate
+    and forms the proposal's CDF and density afresh at each call.
+
+    A coarse grid leaves wide enclosures, so many moves are decided by evaluation.
+    The 1025-sweep chain's last chunk is one inverse-gamma draw that overflowed to
+    inf.  Below ENCLOSE_MIN_N coordinates every candidate is evaluated.
+    """
+    if cells is not None:
+        monkeypatch.setattr(hierarchical_bayes, "GRID_CELLS", cells)
+    obs = simulate(truth, VOLTERRA, n, N, seed)
+    cfg = HbConfig(iterations=iterations, seed=seed + 100)
+    chain = run_mwg(obs, hyper, cfg)
+    alphas, rate, mu_mean, mu_var = reference_chain(obs, hyper, cfg)
+    np.testing.assert_array_equal(chain.alphas, alphas)
+    assert chain.acceptance_rate == rate
+    np.testing.assert_array_equal(chain.mu_mean, mu_mean)
+    np.testing.assert_array_equal(chain.mu_var, mu_var)
+    if N < ENCLOSE_MIN_N:
+        assert chain.exact_evaluations == iterations + 1
+    else:
+        assert chain.exact_evaluations < iterations
+
+
+def test_proposal_tables_keep_the_bits_of_each_call():
+    """The proposal's CDF and log grid density, built once, give each draw and each
+    log q the bits of forming them afresh at each call."""
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e7, 215, 2)
+    hyper, dist = KINDS[1]
+    prop = grid_proposal(Loglik(obs), hyper)
+    cdf = np.concatenate([[0.0], np.cumsum(prop.masses)])
+    u = np.random.default_rng(4).random(5000)
+    np.testing.assert_array_equal(np.interp(u * cdf[-1], cdf, prop.edges),
+                                  np.interp(u * prop.cdf[-1], prop.cdf, prop.edges))
+    a = np.concatenate([prop.edges, prop.nodes, [0.0, -1.0, 1e3, math.inf, math.nan],
+                        np.random.default_rng(5).uniform(0.0, 2.0 * prop.edges[-1], 2000)])
+    g = np.searchsorted(prop.edges, a, side="right") - 1
+    inside = (g >= 0) & (g < prop.masses.size)
+    dens = np.zeros(a.shape)
+    dens[inside] = prop.masses[g[inside]] / np.diff(prop.edges)[g[inside]]
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 outside the window; nan
+        want = np.logaddexp(math.log1p(-PRIOR_SHARE) + np.log(dens),
+                            math.log(PRIOR_SHARE) + hyper.log_density(a))
+        np.testing.assert_array_equal(prop.log_density(a), want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_enclosure_decides_most_moves_at_large_n(seed):
+    """At n = 1e11 (N = 4642) log_weights evaluates at most a tenth of the candidates:
+    those outside the nodes' hull and the few moves whose margin the enclosure cannot
+    decide."""
+    N = default_truncation(1e11, 1.0)
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e11, N, seed)
+    chain = run_mwg(obs, HyperPrior.exponential(1.0), HbConfig(iterations=4000, burn_in=1000, seed=seed))
+    assert N == 4642
+    assert chain.exact_evaluations <= 400
 
 
 def test_coarse_proposal_chain_matches_quadrature(monkeypatch):

@@ -9,7 +9,8 @@ config the command line returns one of its documented exit codes and
 writes nothing on a configuration error.  Where the empirical-Bayes fit
 lands on an end of its search interval, the score points outside it.
 Every spec and config reads back what it writes, and the CSV writer gives
-the bytes of its reference encoding.
+the bytes of its reference encoding.  The sampler's enclosure of the
+likelihood between its grid nodes holds every value a column gives there.
 The examples are derandomized, so every run draws the same ones.
 """
 
@@ -33,6 +34,7 @@ from invseq import (ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthS
 from invseq.cli import main
 from invseq.empirical_bayes import Loglik
 from invseq.experiments import write_csv
+from invseq.hierarchical_bayes import ENCLOSE_MIN_N, grid_proposal
 from invseq.sequence_model import TRUNCATION_CAP, default_truncation, fields_dict, read_fields
 from test_empirical_bayes import _long_double_centred
 
@@ -166,6 +168,40 @@ def test_score_sign_agrees_with_fit_endpoint():
 
     check()
     assert ends.count(1.0) >= 5 and ends.count(0.0) >= 5
+
+
+hyper_kinds = st.sampled_from([HyperPrior.exponential(1.3), HyperPrior.gamma(2.0, 1.5),
+                                HyperPrior.inverse_gamma(2.0, 1.0)])
+enclosure_truths = st.sampled_from([TruthSpec.paper_example(), TruthSpec.power_law(1.0),
+                                    TruthSpec.zero(), TruthSpec.explicit([1.0, -0.5, 0.25, 0.0, 0.1])])
+
+
+@SETTINGS
+@example(truth=TruthSpec.zero(), hyper=HyperPrior.exponential(1.3), log10_n=15.0, N=2000, seed=2,
+         fractions=[0.0, 0.3, 0.5, 0.99, 1.0])
+@given(truth=enclosure_truths, hyper=hyper_kinds, log10_n=st.floats(1.0, 15.0),
+       N=st.integers(ENCLOSE_MIN_N, 2000), seed=st.integers(0, 2**32 - 1),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_enclosure_holds_every_column(truth, hyper, log10_n, N, seed, fractions):
+    """`Loglik.column` lies inside the sampler's enclosure anywhere in the nodes' hull.
+
+    The alphas are evaluated as one column, alone, and in a column with the
+    hull's ends, so their blocks' prefixes and BLAS's grouping of rows
+    differ; each value must lie within the half-width of the chord.  The
+    explicit example is a window past alpha_full: zero truth at n = 1e15,
+    N = 2000, where every node's block reads a prefix.
+    """
+    obs = simulate(truth, ModelSpec.volterra(), 10.0 ** log10_n, N, seed)
+    ell = Loglik(obs)
+    enc = grid_proposal(ell, hyper).enclosure
+    assert enc.knots.size >= 2
+    x0, x1 = float(enc.knots[0]), float(enc.knots[-1])
+    alphas = np.clip(x0 + np.array(fractions) * (x1 - x0), x0, x1)
+    mid, half = enc.at(alphas)
+    assert np.all(half > 0.0)
+    for values in (ell.column(alphas), np.array([ell(a) for a in alphas]),
+                   ell.column(np.concatenate([[x0], alphas, [x1]]))[1:-1]):
+        assert np.all(np.abs(values - mid) <= half)
 
 
 MISSING = object()
