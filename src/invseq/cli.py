@@ -100,9 +100,10 @@ def _cmd_hb_run(args) -> None:
     chain = run_mwg(obs, hyper, cfg)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "alpha.csv"), {"alpha": chain.alphas})
-    write_json(os.path.join(args.out, "hb_summary.json"), chain.summary())
-    print(f"acceptance_rate = {chain.acceptance_rate:.3f}, "
-          f"alpha_mean = {float(chain.alphas.mean()):.4f}")
+    summary = chain.summary()
+    write_json(os.path.join(args.out, "hb_summary.json"), summary)
+    print(f"acceptance_rate = {summary['acceptance_rate']:.3f}, "
+          f"alpha_mean = {summary['alpha_mean']:.4f}")
 
 
 def _cmd_bracket(args) -> None:

@@ -33,7 +33,8 @@ are those of the chain that evaluates every candidate.
 Given alpha, mu_1..mu_N are conjugate, so the chain never draws mu.  Its
 moments are the grid's quadrature of the exact posterior:
 `gaussian_posterior.mixture` of the conjugate posteriors at the cells'
-nodes, weighted by p_g.
+nodes, weighted by p_g.  alpha's mean, quantiles and mode are read off
+the same cells (`HbChain.summary`).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .errors import ConfigError, NumericalError
 from .gaussian_posterior import mixture
 from .sequence_model import LOG_FLOAT_MAX, S_FLOOR, Observation, block_rows
 
-MODE_BIN_WIDTH = 0.25
 # where log(alpha * pi) is first scanned for the grid window: 5 points a decade up to 0.1, then 0.1 apart
 SCAN_ALPHAS = np.concatenate([np.geomspace(1e-12, 0.1, 56)[:-1], np.linspace(0.1, 40.0, 400)])
 ALPHA_MAX = 1e30  # the chain's target is pi on (0, ALPHA_MAX]; the window must close below it
@@ -440,6 +440,12 @@ class HbChain:
     cells' nodes, weighted by the cells' masses (`gaussian_posterior.mixture`).
     exact_evaluations is the number of alphas at which the chain evaluated
     its log weights (see `run_mwg`); it is not part of the summary.
+
+    The summary reads alpha's posterior off the grid too: alpha_mean is the
+    masses' quadrature of alpha, the quantiles invert the masses' CDF,
+    linear inside each cell, and alpha_mode is the node of the cell with
+    the most mass per width.  Only alpha_ess and acceptance_rate come from
+    the chain, which checks the grid rather than supplying its numbers.
     """
 
     alphas: np.ndarray
@@ -451,13 +457,14 @@ class HbChain:
     exact_evaluations: int
 
     def summary(self) -> dict:
-        q = np.quantile(self.alphas, [0.025, 0.5, 0.975])
         prop = self.proposal
+        # the grid's CDF is linear inside each cell, so interpolation inverts it, as in Proposal.draw
+        q = np.interp(np.array([0.025, 0.5, 0.975]) * prop.cdf[-1], prop.cdf, prop.edges)
         return {
             "acceptance_rate": self.acceptance_rate,
-            "alpha_mean": float(np.mean(self.alphas)),
+            "alpha_mean": float(prop.masses @ prop.nodes),
             "alpha_quantiles": [float(v) for v in q],
-            "alpha_mode": histogram_mode(self.alphas),
+            "alpha_mode": float(prop.nodes[np.argmax(prop.masses / np.diff(prop.edges))]),
             "alpha_ess": effective_sample_size(self.alphas),
             "mu_mean": self.mu_mean.tolist(),
             "mu_var": self.mu_var.tolist(),
@@ -465,17 +472,6 @@ class HbChain:
             "proposal": {"window": [float(prop.edges[0]), float(prop.edges[-1])],
                          "cells": int(prop.masses.size), "prior_share": PRIOR_SHARE},
         }
-
-
-def histogram_mode(draws: np.ndarray) -> float:
-    """Midpoint of the fullest of the bins [k/4, (k+1)/4), k = 0, 1, ..., that hold the draws.
-
-    Ties go to the lowest bin.  Only bins that hold a draw are counted, so
-    the cost does not grow with the largest draw.
-    """
-    bins, counts = np.unique(np.floor(np.asarray(draws, dtype=float) / MODE_BIN_WIDTH),
-                             return_counts=True)
-    return float((bins[np.argmax(counts)] + 0.5) * MODE_BIN_WIDTH)
 
 
 def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:

@@ -32,7 +32,7 @@ from invseq import (
     synthesize_function,
 )
 from invseq.empirical_bayes import Loglik
-from invseq.hierarchical_bayes import grid_proposal, histogram_mode, log_weights
+from invseq.hierarchical_bayes import grid_proposal, log_weights
 from oracles import grid_log_q, volterra_forward
 
 VOLTERRA = ModelSpec.volterra()
@@ -259,7 +259,7 @@ def test_regularity_recovered_at_large_n():
                         HbConfig(iterations=4000, burn_in=1000,
                                  seed=20000 + r,
                                  alpha_init=max(eb.alpha_hat, 1e-3)))
-        hits_hb += 0.5 <= histogram_mode(chain.alphas) <= 1.5
+        hits_hb += 0.5 <= chain.summary()["alpha_mode"] <= 1.5
     _check(9, f"regularity level 1 recovered (EB {hits_eb}/50, HB {hits_hb}/50,"
               " need 45)", hits_eb >= 45 and hits_hb >= 45)
 

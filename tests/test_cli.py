@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,8 +17,9 @@ import pytest
 from invseq import ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthSpec
 from invseq.cli import main, parse_hyper, parse_model, parse_truth
 from invseq.errors import ConfigError
-from invseq.experiments import write_csv, write_json
+from invseq.experiments import run_rate_sweep, write_csv, write_json
 from invseq.sequence_model import TRUNCATION_CAP, fields_dict, read_fields
+from invseq.theory import bracket, minimax_rate_sobolev
 
 
 def test_import_loads_no_scipy():
@@ -438,6 +440,81 @@ def test_readers_reject_wrong_json_types(reader, field, value):
     read(d)
     with pytest.raises(ConfigError, match=rf"\b{field} must be "):
         read({**d, field: value})
+
+
+def _config(**overrides):
+    fields = {"model": ModelSpec.volterra(), "truth": TruthSpec.paper_example(), "n_ladder": (1e3, 1e4, 1e5)}
+    return ExperimentConfig(**{**fields, **overrides})
+
+
+REFUSALS = {  # id: (a call that must refuse its input, what the error says)
+    "empty-ladder": (lambda: _config(n_ladder=()), "n_ladder must not be empty"),
+    "falling-ladder": (lambda: _config(n_ladder=(1e4, 1e3)), "n_ladder must be strictly increasing"),
+    "repeated-rung": (lambda: _config(n_ladder=(1e3, 1e3)), "n_ladder must be strictly increasing"),
+    "paper-truth-beta-2": (lambda: run_rate_sweep(_config(), 2.0),
+                           "the running-example truth has effective beta = 1"),
+    "analytic-truth-sweep": (lambda: run_rate_sweep(_config(truth=TruthSpec.analytic_decay(1.0)), 1.0),
+                             "rate sweep needs a power_law or paper_example truth"),
+    "explicit-empty-table": (lambda: ModelSpec.explicit([], p=1.0, C=2.0),
+                             "explicit model needs a non-empty kappa table"),
+    "explicit-no-table": (lambda: ModelSpec(kind="explicit", p=1.0), "explicit model needs a non-empty kappa table"),
+    "table-on-volterra": (lambda: ModelSpec(kind="volterra", p=1.0, C=math.pi, table=(0.3,)),
+                          "kappa table only makes sense for the explicit kind"),
+    "unknown-truth": (lambda: TruthSpec(kind="sobolev"), "unknown truth kind 'sobolev'"),
+    "power-beta-0": (lambda: TruthSpec.power_law(0.0), "power_law truth needs beta > 0"),
+    "power-beta-negative": (lambda: TruthSpec.power_law(-1.0), "power_law truth needs beta > 0"),
+    "power-no-beta": (lambda: TruthSpec(kind="power_law"), "power_law truth needs beta > 0"),
+    "analytic-gamma-0": (lambda: TruthSpec.analytic_decay(0.0), "analytic_decay truth needs gamma > 0"),
+    "analytic-no-gamma": (lambda: TruthSpec(kind="analytic_decay"), "analytic_decay truth needs gamma > 0"),
+    "explicit-no-coeffs": (lambda: TruthSpec(kind="explicit"), "explicit truth needs a coefficient table"),
+    "kappa-no-coordinate": (lambda: ModelSpec.volterra().kappa_vector(0), "need at least one coordinate"),
+    "truth-no-coordinate": (lambda: TruthSpec.paper_example().coefficients(0),
+                            "need at least one coordinate"),
+    "integer-past-float": (lambda: read_fields(TruthSpec, {"kind": "power_law", "beta": 10**400}),
+                           "beta must fit in a float"),
+    "ladder-past-float": (lambda: ExperimentConfig.from_dict({
+        "model": fields_dict(ModelSpec.volterra()), "truth": {"kind": "paper_example"},
+        "n_ladder": [1e3, 10**400]}), "n_ladder must fit in a float"),
+    "bracket-no-coefficient": (lambda: bracket([], ModelSpec.volterra(), 1e6),
+                               "need at least one coefficient"),
+    "sobolev-beta-0": (lambda: minimax_rate_sobolev(0.0, 1.0, 1e3), "need beta > 0, p >= 0, n > 0"),
+    "sobolev-negative-p": (lambda: minimax_rate_sobolev(1.0, -0.5, 1e3), "need beta > 0, p >= 0, n > 0"),
+    "sobolev-n-0": (lambda: minimax_rate_sobolev(1.0, 1.0, 0.0), "need beta > 0, p >= 0, n > 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_boundary_refusals_raise_config_error(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("figure1", {"n_ladder": []}, "n_ladder must not be empty"),
+    ("figure2", {"n_ladder": [1e4, 1e3]}, "n_ladder must be strictly increasing"),
+    ("rate-sweep --beta 2", {"n_ladder": [1e3, 1e4, 1e5]},
+     "the running-example truth has effective beta = 1"),
+    ("rate-sweep --beta 1", {"n_ladder": [1e3, 1e4, 1e5], "truth": {"kind": "analytic_decay", "gamma": 1.0}},
+     "rate sweep needs a power_law or paper_example truth"),
+    ("figure1", {"model": {"kind": "explicit", "p": 1.0, "C": 2.0, "table": []}},
+     "explicit model needs a non-empty kappa table"),
+    ("figure1", {"model": {"kind": "volterra", "p": 1.0, "C": math.pi, "table": [0.3]}},
+     "kappa table only makes sense for the explicit kind"),
+    ("figure2", {"truth": {"kind": "sobolev"}}, "unknown truth kind 'sobolev'"),
+    ("figure1", {"truth": {"kind": "power_law", "beta": 0.0}}, "power_law truth needs beta > 0"),
+    ("figure1", {"truth": {"kind": "analytic_decay", "gamma": -1.0}}, "analytic_decay truth needs gamma > 0"),
+    ("figure1", {"truth": {"kind": "explicit"}}, "explicit truth needs a coefficient table"),
+    ("figure1", {"n_ladder": [1e3, 10**400]}, "n_ladder must fit in a float"),
+], ids=["empty-ladder", "falling-ladder", "paper-truth-beta-2", "analytic-truth-sweep",
+        "explicit-empty-table", "table-on-volterra", "unknown-truth", "power-beta-0",
+        "analytic-gamma-negative", "explicit-no-coeffs", "ladder-past-float"])
+def test_boundary_refusals_exit_two_before_writing(tmp_path, capsys, command, overrides, message):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eb-fit", "hb-run"])

@@ -28,7 +28,7 @@ from invseq.cli import main
 from invseq.empirical_bayes import Loglik
 from invseq.errors import ConfigError, NumericalError
 from invseq.hierarchical_bayes import (ALPHA_MAX, ENCLOSE_MIN_N, PRIOR_SHARE, effective_sample_size,
-                                       grid_proposal, histogram_mode, log_weights)
+                                       grid_proposal, log_weights)
 from invseq.sequence_model import default_truncation, fields_dict, read_fields
 from oracles import grid_log_q, reference_chain
 
@@ -190,19 +190,6 @@ def test_acceptance_ratio_matches_oracle_at_large_n():
     assert worst <= 1e-10
 
 
-def test_histogram_mode():
-    draws = np.concatenate([np.full(90, 1.1), np.full(10, 3.3)])
-    assert histogram_mode(draws) == 1.125
-    assert histogram_mode(np.full(5, 3.3)) == 3.375
-    # the bins reach past the largest draw, so no draw is dropped
-    assert histogram_mode(np.full(5, 7.0)) == 7.125
-    draws = np.concatenate([np.full(90, 6.1), np.full(10, 1.1)])
-    assert histogram_mode(draws) == 6.125
-    # only bins that hold draws are counted, not the 4e12 bins from 0 up to 1e12
-    assert histogram_mode(np.array([1.0, 1.1, 1e12, 1e12, 1e12])) == 1e12 + 0.125
-    assert histogram_mode(np.array([1e12, 1.1])) == 1.125
-
-
 def test_run_mwg_validation():
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 100.0, 5, 0)
     hyper = HyperPrior.exponential(1.0)
@@ -257,9 +244,10 @@ def test_chain_reads_every_coordinate_past_the_prefix():
     assert chain.mu_mean.shape == chain.mu_var.shape == (2000,)
     assert np.all(np.isfinite(chain.mu_mean)) and np.all(np.isfinite(chain.mu_var))
     assert np.all(chain.mu_var > 0.0)
-    mean, var = _hb_moments(obs, dist, np.geomspace(1e-6, 1e3, 4001))
+    mean, var, alpha = _hb_moments(obs, dist, np.geomspace(1e-6, 1e3, 4001))
     ulps = 4.0 * np.finfo(float).eps * np.abs(mean)
     assert np.all(np.abs(chain.mu_mean - mean) <= 1e-9 * np.sqrt(var) + ulps)
+    _assert_alpha_summary(chain, alpha)
 
 
 @pytest.mark.parametrize("n, N, k", [
@@ -285,17 +273,20 @@ def test_chain_moments_are_the_grid_quadrature(n, N, k):
     to 1e-4 sd in the mean and 1e-3 in the variance there, far below the
     Monte Carlo error of a chain's own estimate.  At n >= 1e7 the window holds
     alpha's posterior many times over and both rules agree to 1e-9, plus
-    a few ulps of the mean (one ulp of mu_1 is 2e-9 sd at n = 1e15).
+    a few ulps of the mean (one ulp of mu_1 is 2e-9 sd at n = 1e15).  The
+    summary's alpha statistics, read off the same grid, are held to the
+    oracle's by `_assert_alpha_summary`.
     """
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, N, 5)
     hyper, dist = KINDS[k]
     chain = run_mwg(obs, hyper, HbConfig(iterations=10, seed=6))
-    mean, var = _hb_moments(obs, dist, np.geomspace(1e-6, 1e7 if n <= 1e3 else 1e3, 4001))
+    mean, var, alpha = _hb_moments(obs, dist, np.geomspace(1e-6, 1e7 if n <= 1e3 else 1e3, 4001))
 
     tol_mean, tol_var = (1e-4, 1e-3) if n <= 1e3 else (1e-9, 1e-9)
     ulps = 4.0 * np.finfo(float).eps * np.abs(mean)
     assert np.all(np.abs(chain.mu_mean - mean) <= tol_mean * np.sqrt(var) + ulps)
     assert np.all(np.abs(chain.mu_var - var) <= tol_var * var)
+    _assert_alpha_summary(chain, alpha)
 
 
 @pytest.mark.parametrize("n, N, shape, rate, truth, lo, hi", [
@@ -316,37 +307,93 @@ def test_chain_moments_of_wide_posteriors(n, N, shape, rate, truth, lo, hi):
     trapezoid rule of `test_chain_moments_are_the_grid_quadrature` on 4001
     points over [lo, hi].  The posteriors are broad, so the bounds are
     those of n <= 1e3 there: 1e-4 sd in the mean and 1e-3 in the variance.
+    The summary's alpha statistics are held as there.
     """
     obs = simulate(truth, VOLTERRA, n, N, 5)
     hyper, dist = HyperPrior.gamma(shape, rate), stats.gamma(shape, scale=1.0 / rate)
     chain = run_mwg(obs, hyper, HbConfig(iterations=10, seed=6))
-    mean, var = _hb_moments(obs, dist, np.geomspace(lo, hi, 4001))
+    mean, var, alpha = _hb_moments(obs, dist, np.geomspace(lo, hi, 4001))
     if n == 1e15:
         assert chain.proposal.edges[-1] > 1e3 and chain.proposal.edges[0] > 1.0
         assert np.mean(run_mwg(obs, hyper, HbConfig(iterations=4000, seed=6)).alphas > 40.0) > 0.8
     assert np.all(np.abs(chain.mu_mean - mean) <= 1e-4 * np.sqrt(var))
     assert np.all(np.abs(chain.mu_var - var) <= 1e-3 * var)
+    _assert_alpha_summary(chain, alpha)
+
+
+def _assert_alpha_summary(chain, alpha):
+    """The summary's alpha statistics against the oracle's (`_hb_moments`).
+
+    The mean is held to 1e-4 of alpha's posterior sd.  The summary takes
+    the CDF linear inside each cell of width h, which moves a quantile by
+    up to h^2/8 |f'/f|, about h^2 / (4 sd) at the 2.5 and 97.5% quantiles
+    of a near-normal posterior; each quantile is held to 5e-3 sd plus that
+    for the cell that holds it.  Where cells are a tenth of an sd wide the
+    second term is 2.5e-3 sd; under paper truth at n = 1e15 they are 0.19 sd
+    wide, and the outer quantiles miss by 5.6e-3 sd.  The summary's mode is a
+    cell's node, so it is held to within one width of the cell that holds
+    the oracle's mode.
+    """
+    a_mean, a_sd, a_mode, points, cdf = alpha
+    s = chain.summary()
+    assert abs(s["alpha_mean"] - a_mean) <= 1e-4 * a_sd
+    edges = chain.proposal.edges
+    widths = np.diff(edges)
+    want = np.interp([0.025, 0.5, 0.975], cdf, points)
+    h = widths[np.searchsorted(edges, want, side="right") - 1]
+    assert np.all(np.abs(np.array(s["alpha_quantiles"]) - want) <= 5e-3 * a_sd + h**2 / (4.0 * a_sd))
+    g = int(np.searchsorted(edges, a_mode, side="right")) - 1
+    assert 0 <= g < widths.size
+    assert abs(s["alpha_mode"] - a_mode) <= widths[g]
+
+
+def _log_posterior(obs, dist, alphas):
+    """log lambda(a) plus the log marginal normal density of y (scipy's), at each a of alphas.
+
+    The alphas go in chunks of about a million terms.
+    """
+    kap, j = VOLTERRA.kappa_vector(obs.N), np.arange(1, obs.N + 1, dtype=float)
+    chunks = np.array_split(alphas, -(-alphas.size * obs.N // 10**6))
+    return np.concatenate([dist.logpdf(a) + stats.norm.logpdf(
+        obs.y, scale=np.sqrt(kap**2 * j ** (-1.0 - 2.0 * a[:, None]) + 1.0 / obs.n)).sum(axis=1)
+        for a in chunks])
 
 
 def _hb_moments(obs, dist, alphas):
-    """Mean and variance of mu under the hierarchical-Bayes posterior, by the trapezoid rule in log alpha.
+    """Mean and variance of mu, and alpha's posterior, under hierarchical Bayes by the trapezoid rule in log alpha.
 
-    The nodes are alphas, log-spaced; the hyperprior is the scipy distribution dist.
+    The nodes are alphas, log-spaced; the hyperprior is the scipy distribution
+    dist.  alpha's posterior is returned as its mean, sd, mode, and a CDF,
+    linear between the points it is given at.  They come from a second rule
+    of 20 001 points, log-spaced over the span where the first rule's density
+    of log alpha is above 1e-14 of its peak: a narrow posterior (sd 0.006 at
+    n = 1e15) spans few of the first rule's points, and its CDF, inverted
+    between them, would be off by up to 0.3 sd.  The mode is the point
+    where the density of alpha is largest.
     """
-    n, N = obs.n, obs.N
-    kap, j = VOLTERRA.kappa_vector(N), np.arange(1, N + 1, dtype=float)
-    logpost = np.array([dist.logpdf(a) + np.sum(stats.norm.logpdf(
-        obs.y, scale=np.sqrt(kap**2 * j ** (-1.0 - 2.0 * a) + 1.0 / n))) for a in alphas])
+    logpost = _log_posterior(obs, dist, alphas)
     weights = np.exp(logpost - logpost.max()) * alphas  # d alpha = alpha d log alpha
     weights[[0, -1]] *= 0.5
     live = np.nonzero(weights > 0.0)[0]
     assert weights[live[0]] < 1e-12 * weights.max() or live[0] == 0
     assert weights[-1] < 1e-12 * weights.max()
+    ends = np.nonzero(weights > 1e-14 * weights.max())[0][[0, -1]] + [-1, 1]
+    span = alphas[np.clip(ends, 0, alphas.size - 1)]
     weights = weights[live] / weights[live].sum()
     posts = [posterior(float(a), obs) for a in alphas[live]]
     means = np.array([p.means for p in posts])
     mean = weights @ means
-    return mean, weights @ (np.array([p.variances for p in posts]) + (means - mean) ** 2)
+
+    points = np.geomspace(*span, 20_001)
+    logpost = _log_posterior(obs, dist, points)
+    dens = np.exp(logpost - logpost.max()) * points
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
+    cdf /= cdf[-1]
+    w = 0.5 * np.diff(cdf)  # each point's trapezoid weight, half from each side
+    w = np.concatenate([w, [0.0]]) + np.concatenate([[0.0], w])
+    a_mean = w @ points
+    alpha = (a_mean, math.sqrt(w @ (points - a_mean) ** 2), points[np.argmax(logpost)], points, cdf)
+    return mean, weights @ (np.array([p.variances for p in posts]) + (means - mean) ** 2), alpha
 
 
 @pytest.mark.parametrize("n, J", [(1e7, 215), (1e11, 4642)])
