@@ -104,6 +104,8 @@ def _cmd_hb_run(args) -> None:
     write_json(os.path.join(args.out, "hb_summary.json"), summary)
     print(f"acceptance_rate = {summary['acceptance_rate']:.3f}, "
           f"alpha_mean = {summary['alpha_mean']:.4f}")
+    # the start point and each candidate are the alphas the chain could have evaluated
+    print(f"likelihood evaluations = {chain.exact_evaluations} of {cfg.iterations + 1}")
 
 
 def _cmd_bracket(args) -> None:

@@ -29,9 +29,11 @@ observations; each observation adds only its own gemv against n*y^2.
 `Loglik.column` is its one-observation case.  The grid scan is one
 column, shared by a group of replicates in `scans`, the refined candidate
 and `log_likelihood` columns of one alpha, and the sampler's targets
-columns of proposals.  `Loglik.slope` reads one such block for the first
-and second derivative, which the Newton steps of each observation's
-`fit` and `score` use.  Reported values (`log_likelihood`, the curve) add
+columns of proposals.  The sampler's window scan and node column also
+read each block's log(1 + u) row sums and r through a visitor, which
+bound the likelihood between and beyond the nodes.  `Loglik.slope` reads
+one such block for the first and second derivative, which the Newton
+steps of each observation's `fit` and `score` use.  Reported values (`log_likelihood`, the curve) add
 the term back once.
 
 Most coordinates need no evaluation at most alphas.  Where u_i <= 2^-53,
@@ -202,7 +204,7 @@ def _suffix_sums(ny2: np.ndarray) -> np.ndarray:
     return out
 
 
-def columns(ells: Sequence[Loglik], alphas: np.ndarray) -> np.ndarray:
+def columns(ells: Sequence[Loglik], alphas: np.ndarray, visit=None) -> np.ndarray:
     """Row j is the centred value of ells[j] at each alpha >= 0 of a 1-D array.
 
     Every Loglik must be of observations with one model, n and N, so they
@@ -213,6 +215,13 @@ def columns(ells: Sequence[Loglik], alphas: np.ndarray) -> np.ndarray:
     log(1 + u) rows.  Each observation then adds its own gemv of r against
     its n*y^2 and its suffix term, so row j has the bits of the same sum
     taken for ells[j] alone.
+
+    visit, if given, is called once per block after its rows are summed,
+    as visit(start, log1p_u, r, k, log_sum): the block's alphas are
+    alphas[start:start + len(r)], log1p_u and r its (rows, k) halves over
+    the active prefix of k coordinates, and log_sum the row sums of
+    log1p_u.  The halves are spent by then, so the visitor may overwrite
+    both; it changes no bit of the rows.
     """
     first = ells[0]
     if any(ell._key != first._key for ell in ells):
@@ -225,6 +234,8 @@ def columns(ells: Sequence[Loglik], alphas: np.ndarray) -> np.ndarray:
         log_sum = log1p_u @ first._ones[:k]
         for row, ell in zip(out, ells):
             row[s:s + len(r)] = log_sum + r @ ell.ny2[:k] + ell._suffix[k]
+        if visit is not None:
+            visit(s, log1p_u, r, k, log_sum)
     out *= -0.5
     return out
 

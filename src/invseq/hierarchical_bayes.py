@@ -17,18 +17,20 @@ Proposals do not depend on the state, so CHUNK of them are drawn at a
 time, and the accept loop compares their log weights w = log pi - log q.
 
 A move needs only the decision whether w' - log U exceeds the current w,
-not w' itself.  The column of ell at the grid's nodes, which sets the
-cells' masses, also encloses ell between them: the chord between two
-nodes' values, widened by a bound on ell's curvature over the gap and on
+not w' itself, and the grid's two scans of ell bound every w.  The column
+of ell at the grid's nodes, which sets the cells' masses, encloses ell
+between them: the chord between two nodes' values, widened by a bound on
+ell's curvature over the gap, read off that column's own blocks, and on
 every rounding, holds any value `Loglik.column` gives there, whatever
-alphas share its column (`_enclose`).  The loop decides each move from
-the candidate's and the state's bounds where they do not straddle the
-threshold, and evaluates w by `log_weights` only for candidates outside
-the nodes' hull (one column per chunk) and, where the bounds cannot
-decide, for the candidate and the current state.  Over fewer than ENCLOSE_MIN_N
-coordinates nothing is enclosed and every candidate is evaluated, each
-chunk in one column.  The states, the acceptance rate and the moments
-are those of the chain that evaluates every candidate.
+alphas share its column.  Outside the nodes' hull the window scan bounds
+ell on both sides, since of its two halves, both of which the scan's
+column forms, one falls and one rises with alpha (`_enclose`).  The loop decides
+each move from the candidate's and the state's bounds where they do not
+straddle the threshold, and evaluates w by `log_weights` only where they
+cannot decide, for the candidate and the current state.  Over fewer than
+ENCLOSE_MIN_N coordinates nothing is enclosed and every candidate is
+evaluated, each chunk in one column.  The states, the acceptance rate and
+the moments are those of the chain that evaluates every candidate.
 
 Given alpha, mu_1..mu_N are conjugate, so the chain never draws mu.  Its
 moments are the grid's quadrature of the exact posterior:
@@ -45,10 +47,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .empirical_bayes import Loglik
+from .empirical_bayes import Loglik, columns
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import mixture
-from .sequence_model import LOG_FLOAT_MAX, S_FLOOR, Observation, block_rows
+from .sequence_model import LOG_FLOAT_MAX, S_FLOOR, Observation
 
 # where log(alpha * pi) is first scanned for the grid window: 5 points a decade up to 0.1, then 0.1 apart
 SCAN_ALPHAS = np.concatenate([np.geomspace(1e-12, 0.1, 56)[:-1], np.linspace(0.1, 40.0, 400)])
@@ -154,13 +156,17 @@ class HbConfig:
 
 
 class _Enclosure(NamedTuple):
-    """Certified bounds on ell, the centred value `Loglik.column` gives, between the grid's nodes.
+    """Certified bounds on ell, the centred value `Loglik.column` gives, at every alpha.
 
-    knots are the nodes it spans and values ell's column at them; for the
-    gap from knots[g] to knots[g + 1], slopes[g] is the slope of the chord
-    between their values, bends[g] bounds |ell''| / 2 over the gap and
-    slack[g] the rounding (see `_enclose`).  With no knots it covers no
-    alpha.
+    Between the grid's nodes the bounds are a chord's band: knots are the
+    nodes it spans and values ell's column at them; for the gap from
+    knots[g] to knots[g + 1], slopes[g] is the slope of the chord between
+    their values, bends[g] bounds |ell''| / 2 over the gap and slack[g] the
+    rounding.  Outside the knots' hull the window scan bounds them: scan
+    holds its alphas, and floors[i] and ceilings[i] bound every column
+    value at an alpha in [scan[i - 1], scan[i]), index 0 below scan[0] and
+    the last from scan[-1] on (see `_enclose`).  With no knots the hull is
+    empty.
     """
 
     knots: np.ndarray
@@ -168,6 +174,9 @@ class _Enclosure(NamedTuple):
     slopes: np.ndarray
     bends: np.ndarray
     slack: np.ndarray
+    scan: np.ndarray
+    floors: np.ndarray
+    ceilings: np.ndarray
 
     def covers(self, alphas: np.ndarray) -> np.ndarray:
         """Where alphas lie in the knots' hull."""
@@ -183,6 +192,15 @@ class _Enclosure(NamedTuple):
         return (self.values[g] + left * self.slopes[g],
                 self.bends[g] * left * right + self.slack[g])
 
+    def bounds(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds on every column value at each alpha: the chord's band in the hull, the scan's outside."""
+        i = np.searchsorted(self.scan, alphas, side="right")
+        lo, hi = self.floors[i], self.ceilings[i]
+        inside = self.covers(alphas)
+        mid, half = self.at(alphas[inside])
+        lo[inside], hi[inside] = mid - half, mid + half
+        return lo, hi
+
 
 @dataclass(frozen=True)
 class Proposal:
@@ -192,16 +210,17 @@ class Proposal:
     cells' quadrature nodes and masses their p_g, summing to 1.  The
     density is q(a) = (1 - PRIOR_SHARE) * p_g / (cell g's width) +
     PRIOR_SHARE * lambda(a) for a in cell g, and PRIOR_SHARE * lambda(a)
-    outside the window.  enclosure bounds ell between the nodes.  The
-    masses' CDF and each cell's log grid density are built once, with the
-    bits of forming them at each draw and density call.
+    outside the window.  enclosure bounds ell at every alpha, and is None
+    over fewer than ENCLOSE_MIN_N coordinates.  The masses' CDF and each
+    cell's log grid density are built once, with the bits of forming them
+    at each draw and density call.
     """
 
     hyper: HyperPrior
     edges: np.ndarray
     nodes: np.ndarray
     masses: np.ndarray
-    enclosure: _Enclosure
+    enclosure: _Enclosure | None
     cdf: np.ndarray = field(init=False, repr=False)
     log_cells: np.ndarray = field(init=False, repr=False)
 
@@ -228,29 +247,34 @@ class Proposal:
 
 def grid_proposal(ell: Loglik, hyper: HyperPrior) -> Proposal:
     """The proposal for the target lambda * exp(ell) (see the module docstring)."""
-    lo, hi = _window(ell, hyper)
+    lo, hi, scan = _window(ell, hyper)
     edges = np.exp(np.linspace(math.log(lo + CELL_SHIFT), math.log(hi + CELL_SHIFT),
                                GRID_CELLS + 1)) - CELL_SHIFT
     edges[[0, -1]] = lo, hi
     nodes, log_w = _cell_rule(hyper, edges)
-    values = ell.column(nodes)
+    if ell.design.log_i.size < ENCLOSE_MIN_N:
+        values, enclosure = ell.column(nodes), None
+    else:
+        values, enclosure = _enclose(ell, nodes, *scan)
     lp = log_w + hyper.log_density(nodes) + values
     masses = np.exp(lp - lp.max())
-    return Proposal(hyper, edges, nodes, masses / masses.sum(), _enclose(ell, nodes, values))
+    return Proposal(hyper, edges, nodes, masses / masses.sum(), enclosure)
 
 
-def _enclose(ell: Loglik, nodes: np.ndarray, values: np.ndarray) -> _Enclosure:
-    """The enclosure of ell between the nodes, from ell's values there.
+def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.ndarray,
+             logs: np.ndarray) -> tuple[np.ndarray, _Enclosure]:
+    """ell's column at the nodes, and the enclosure of ell from that column's blocks and the window scan.
 
     With L_i = log i, u_i = exp(s_i(a)) and r_i = 1/(1 + u_i), over the
     stored log i, log(n kappa_i^2) and n y_i^2, ell = -T/2 with
 
-        T(a) = sum_i [log(1 + u_i) + n y_i^2 r_i],
+        T(a) = A(a) + B(a),  A = sum_i log(1 + u_i),  B = sum_i n y_i^2 r_i,
 
-    a sum of terms >= 0 whose log half falls and whose r half rises with
-    alpha.  eps = 2^-53, and numpy's exp and log are taken to be within 4
-    ulps.  For a in a gap [x_g, x_g+1] between two knots, bends[g] and
-    slack[g] give
+    sums of terms >= 0, A falling and B rising with alpha.  eps = 2^-53,
+    and numpy's exp and log are taken to be within 4 ulps.  Past
+    c = LOG_FLOAT_MAX - S_FLOOR `Design.blocks` evaluates alpha at c,
+    where every u_i but u_1 is already below e^-700.  For a in a gap
+    [x_g, x_g+1] between two knots, bends[g] and slack[g] give
 
         |column(a) - chord(a)| <= bends[g] (a - x_g)(x_g+1 - a) + slack[g],
 
@@ -262,19 +286,25 @@ def _enclose(ell: Loglik, nodes: np.ndarray, values: np.ndarray) -> _Enclosure:
        lies between its values at the two knots.  So |ell''| <= M_g =
        2 sum_i L_i^2 P_i (1 + n y_i^2 Q_i), with P_i the largest r(1 - r)
        and Q_i the largest |2r - 1| over that range, and the chord of
-       ell misses it by at most M_g/2 (a - x_g)(x_g+1 - a).  The knots are
-       filled as one column that repeats the last knot of each
-       `Design.blocks` block as the first of the next, so both knots of a
-       gap share a block and its prefix.  Past the prefix u_i < e^-37 on
-       the gap, so those coordinates add less than 2 e^-37 L_i^2
-       (1 + n y_i^2) each.  The block's r are within tau = eps (3.1 S + 13)
-       of the exact ones (step 2), and P and Q move by at most 1 and 2 times
-       a move of r, so half M_g is at most the computed half plus
-       (2 tau + 1e-16) sum_i L_i^2 (1 + n y_i^2), times 1 + (N + 12) eps for
-       the rounding of the sums and of the product at a.  That is bends.
+       ell misses it by at most M_g/2 (a - x_g)(x_g+1 - a).  The r are read
+       off the node column's blocks (`columns`' visitor).  A gap inside a
+       block has both knots on its prefix.  A gap across a block boundary
+       takes its left knot's row from the block before, over that block's
+       prefix, and pads its right knot's shorter row with r = 1: past its
+       own prefix u_i < e^-37 at the right knot, so r_i lies in
+       (1 - e^-37, 1] there, and stretching the range [r(x_g), r(x_g+1)] to
+       reach 1 can only raise P_i and Q_i.  Past the left knot's prefix
+       u_i < e^-37 on the whole gap, so those coordinates add less than
+       2 e^-37 L_i^2 (1 + n y_i^2) each.  The blocks' r are within tau =
+       eps (3.1 S + 13) of the exact ones (step 2), and P and Q move by at
+       most 1 and 2 times a move of r, so half M_g is at most the computed
+       half plus (2 tau + 1e-16) sum_i L_i^2 (1 + n y_i^2), times
+       1 + (N + 12) eps for the rounding of the sums and of the product at
+       a.  That is bends.
     2. Rounding.  Any column's value at a is within rho(a) =
        eps [N + (N + 4 S + 24) |ell(a)|] of ell(a), where S =
-       max |log(n kappa_i^2)| + log N (1 + 2 a_top) bounds the terms of s_i:
+       max |log(n kappa_i^2)| + log N (1 + 2 min(a_top, c)) bounds the
+       terms of s_i for a <= a_top:
        - s_i is rounded three times, by at most 3.01 eps S, so u_i is within
          (3.02 S + 8.01) eps relative after exp's own error;
        - log(1 + u_i) is then within that times u_i r_i <= log(1 + u_i),
@@ -282,87 +312,156 @@ def _enclose(ell: Loglik, nodes: np.ndarray, values: np.ndarray) -> _Enclosure:
          n y_i^2 r_i within (3.02 S + 10.1) eps relative;
        - the gemvs over the prefix of k <= N terms and the additions of the
          two sums and the suffix sum add at most (k + 4) eps T;
-       - a coordinate past the prefix adds n y_i^2 for its term, off by less
-         than e^-37 (1 + n y_i^2) < eps (1 + n y_i^2 r_i) (1 + eps).
+       - a coordinate past the prefix, or of an alpha past c, adds n y_i^2
+         for its term, off by less than e^-37 (1 + n y_i^2) <
+         eps (1 + n y_i^2 r_i) (1 + eps).
+       The log half alone is held the same way: a block's row sum of
+       log(1 + u), the log_sum `columns` hands its visitor, is within
+       eps [3N + (N + 4 S + 24) A(a)] of A(a).
        T's two halves are monotone, so T(a) <= T(x_g) + T(x_g+1) and, with
        rho at the knots, |ell(a)| <= Phi_g = 2 (|v_g| + |v_g+1|) + 1.  The
        chord through the v_g is within max(rho(x_g), rho(x_g+1)) of ell's
        chord, and `_Enclosure.at` forms it within 6.2 eps (|v_g| + |v_g+1|).
        With rho(a) itself that is at most eps [2N + (2N + 8 S + 51) Phi_g].
-    3. The decision.  w = log lambda + ell - log q and w - log U take four
-       more roundings, each within eps of its operands.  slack[g] adds
-       16 eps (Phi_g + bends[g] width^2 + slack[g]), and `_chunk_weights`
-       16 eps (|log lambda| + |log q| - log U) at each candidate, which
-       bounds them with room to keep each bound's two ends apart.
+    3. Outside the hull.  The window scan x_0 < ... < x_L gives each
+       point's column value v_j and log_sum A_j, so B_j = -2 v_j - A_j.
+       For a in [x_j, x_j+1] the halves' monotony gives
 
-    The knots stop where `Design.blocks` clamps alpha, and below
-    ENCLOSE_MIN_N coordinates there are none.
+           A(x_j+1) + B(x_j) <= T(a) <= A(x_j) + B(x_j+1),
+
+       and the same holds below x_0 with A(x_0) + 2 x_0 sum_i L_i for A(x_j)
+       (|A'| <= 2 sum_i L_i) and 0 for B(x_j), and past x_L with 0 for
+       A(x_j+1) and sum_i n y_i^2 = 2 offset for B(x_j+1).  So ell(a) lies
+       between minus half of each pairing, formed from the A_j and B_j.
+       Phi = 1 + twice the larger bound on -ell there bounds |ell(a)|, the
+       |v_j| and the A_j at both ends, with room for their rounding.
+       floors and ceilings hold the two bounds less and plus
+       eps [5N + (3N + 12 S + 75) Phi], S taken at the interval's right end
+       or at c: rho(a) and rho at a scan point, the errors of the two A's
+       and of a B, halved, and at most three roundings of the bound, each
+       within eps Phi.
+    4. The bounds.  `_Enclosure.bounds` rounds the chord's value less and
+       plus the half-width, within eps (Phi_g + bends[g] width^2 + slack[g]),
+       and a floor or ceiling is rounded once from its bound and slack.
+       Each slack adds 16 eps (Phi + bends width^2 + slack) for these and
+       for the rounding of the slack itself.  Rounding to nearest is monotone, so the
+       log weight w = (log lambda + c) - log q and w - log U, formed from
+       the bounds on c as `log_weights` and the accept test form them from
+       c, bound every value those give.
+
+    The knots stop where `Design.blocks` clamps alpha, at c: past it the
+    scan's bounds alone hold ell.
     """
     design = ell.design
     N = design.log_i.size
-    # the knots stop where Design.blocks clamps alpha, so every value they bound is ell's own
-    top = 0 if N < ENCLOSE_MIN_N else int(np.searchsorted(nodes, LOG_FLOAT_MAX - S_FLOOR, side="right"))
-    if top < 2:
-        return _Enclosure(*[nodes[:0]] * 5)
-    knots, values = nodes[:top], values[:top]
+    clamp = LOG_FLOAT_MAX - S_FLOOR
+    top = int(np.searchsorted(nodes, clamp, side="right"))
+    top = top if top >= 2 else 0
     sq = design.log_i**2
     sq_ny2 = sq * ell.ny2
-    # Each block of R rows starts at the last knot of the block before, so each gap's two knots
-    # share a block, and with it its prefix.
-    R = block_rows(N)
-    rows = (np.arange(0, top - 1, R - 1)[:, None] + np.arange(R)).ravel()
-    rows = rows[rows < top]
-    half_bend = np.empty(top - 1)
-    for s, u, d in design.blocks(knots[rows], ell._active):
-        k = d.shape[1]
-        np.reciprocal(d, d)
+    half_bend = np.empty(max(top - 1, 0))
+    # the last knot's r - 1/2, carried into the next block; that block's first knot's, padded
+    # with r = 1 past its prefix; and scratch for the gap between them
+    edge = np.empty((3, N))
+    carried = 0
+
+    def visit(s, log1p_u, r, k, log_sum):
+        nonlocal carried
+        m = min(len(r), top - s)  # the knots among the block's rows
+        if m < 1:
+            return
+        d = r[:m]
         np.subtract(d, 0.5, d)  # r - 1/2
-        lo, hi = d[:-1], d[1:]  # r - 1/2 at each gap's two knots
-        p = u[:-1]
-        np.maximum(lo, 0.0, out=p)
-        np.minimum(p, hi, out=p)  # the point of [r(x_g), r(x_g+1)] nearest 1/2, less 1/2
-        np.square(p, p)
-        np.subtract(0.25, p, p)  # max r(1 - r) over the gap
-        lin = p @ sq[:k]
-        np.abs(d, d)
-        np.maximum(lo, hi, out=lo)  # max |2r - 1| / 2 over the gap
-        np.multiply(p, lo, p)
-        half_bend[rows[s:s + len(d) - 1]] = lin + 2.0 * (p @ sq_ny2[:k])
-    S = float(np.max(np.abs(design.log_nk2))) + float(design.log_i[-1]) * (1.0 + 2.0 * knots[-1])
+        if s:  # the gap from the block before
+            edge[1, :k] = d[0]
+            edge[1, k:carried] = 0.5
+            half_bend[s - 1] = _half_bends(edge[:2, :carried], edge[2:, :carried], sq, sq_ny2)[0]
+        edge[0, :k] = d[-1]
+        carried = k
+        half_bend[s:s + m - 1] = _half_bends(d, log1p_u[:m - 1], sq, sq_ny2)
+
+    values = columns((ell,), nodes, visit)[0]
+
+    def spread(a_top):  # S at a_top (step 2)
+        return float(np.max(np.abs(design.log_nk2))) + float(design.log_i[-1]) * (1.0 + 2.0 * a_top)
+
+    knots, knot_values = nodes[:top], values[:top]
+    S = spread(nodes[top - 1])  # with no knots the arrays below are empty, whatever S is
     tau = EPS * (3.1 * S + 13.0)
     bends = (1.0 + (N + 12) * EPS) * (half_bend + (2.0 * tau + 1e-16) * (sq.sum() + sq_ny2.sum()))
-    widths = np.diff(knots)
-    mags = np.abs(values)
+    mags = np.abs(knot_values)
     phi = 2.0 * (mags[:-1] + mags[1:]) + 1.0
     slack = EPS * (2.0 * N + (2.0 * N + 8.0 * S + 52.0) * phi)
-    slack += 16.0 * EPS * (phi + bends * widths**2 + slack)  # the decision's roundings
-    return _Enclosure(knots, values, np.diff(values) / widths, bends, slack)
+    slack += 16.0 * EPS * (phi + bends * np.diff(knots)**2 + slack)  # step 4
+
+    # step 3: interval i runs from scan[i - 1] to scan[i], with 0 and the clamp past the ends
+    B = -2.0 * scan_values - logs
+    ub = -0.5 * (np.append(logs, 0.0) + np.insert(B, 0, 0.0))
+    lb = -0.5 * (np.insert(logs, 0, logs[0] + 2.0 * scan[0] * design.log_i.sum())
+                 + np.append(B, 2.0 * ell.offset))
+    phi = 1.0 - 2.0 * lb
+    S = spread(np.minimum(np.append(scan, clamp), clamp))
+    rise = EPS * (5.0 * N + (3.0 * N + 12.0 * S + 75.0) * phi)
+    rise += 16.0 * EPS * (phi + rise)  # step 4
+    enclosure = _Enclosure(knots, knot_values, np.diff(knot_values) / np.diff(knots), bends, slack,
+                           scan, lb - rise, ub + rise)
+    return values, enclosure
 
 
-def _window(ell: Loglik, hyper: HyperPrior) -> tuple[float, float]:
-    """The interval [lo, hi] outside which log(alpha * pi) is WINDOW below its peak.
+def _half_bends(d: np.ndarray, p: np.ndarray, sq: np.ndarray, sq_ny2: np.ndarray) -> np.ndarray:
+    """Half the curvature bound M_g of `_enclose` over each gap between consecutive rows of d.
+
+    d holds r - 1/2 at consecutive knots over k coordinates, and p is
+    scratch of one row fewer; both are overwritten.
+    """
+    k = d.shape[1]
+    lo, hi = d[:-1], d[1:]  # r - 1/2 at each gap's two knots
+    np.maximum(lo, 0.0, out=p)
+    np.minimum(p, hi, out=p)  # the point of [r(x_g), r(x_g+1)] nearest 1/2, less 1/2
+    np.square(p, p)
+    np.subtract(0.25, p, p)  # max r(1 - r) over the gap
+    lin = p @ sq[:k]
+    np.abs(d, d)
+    np.maximum(lo, hi, out=lo)  # max |2r - 1| / 2 over the gap
+    np.multiply(p, lo, p)
+    return lin + 2.0 * (p @ sq_ny2[:k])
+
+
+def _window(ell: Loglik, hyper: HyperPrior) -> tuple[float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The interval [lo, hi] outside which log(alpha * pi) is WINDOW below its peak, and the scan.
 
     alpha * pi is the density of log alpha, so even a power-law tail like
     the inverse gamma's leaves no mass of note past hi.  The scan starts on
     SCAN_ALPHAS and doubles its right end, 400 points at a time, until its
     last point is out of the window; lo is 0 when its first point is in it.
     A log density still within WINDOW of its peak at ALPHA_MAX is an error.
+    The scan is returned as its alphas, ell's column there and each
+    alpha's row sum of log(1 + u) in that column, which bound ell outside
+    the grid (`_enclose`).
     """
-    def log_alpha_pi(a):
-        return np.log(a) + hyper.log_density(a) + ell.column(a)
+    def scanned(a):
+        logs = np.empty(a.size)
+
+        def keep(start, log1p_u, r, k, log_sum):
+            logs[start:start + log_sum.size] = log_sum
+
+        values = columns((ell,), a, keep)[0]
+        return np.log(a) + hyper.log_density(a) + values, values, logs
 
     scan = SCAN_ALPHAS
-    lp = log_alpha_pi(scan)
+    lp, values, logs = scanned(scan)
     while lp[-1] > lp.max() - WINDOW:
         if 2.0 * scan[-1] > ALPHA_MAX:
             raise NumericalError(f"log posterior of alpha still within {WINDOW:g} of its peak "
                                  f"at alpha = {scan[-1]:.3g}: its tail is too heavy for the grid")
         more = np.linspace(scan[-1], 2.0 * scan[-1], 401)[1:]
-        scan, lp = np.concatenate([scan, more]), np.concatenate([lp, log_alpha_pi(more)])
+        scan = np.concatenate([scan, more])
+        lp, values, logs = (np.concatenate(pair) for pair in zip((lp, values, logs), scanned(more)))
     if not np.all(np.isfinite(lp)):
         raise NumericalError("log posterior of alpha non-finite on the grid scan")
     live = np.nonzero(lp > lp.max() - WINDOW)[0]
-    return (0.0 if live[0] == 0 else float(scan[live[0] - 1])), float(scan[live[-1] + 1])
+    lo = 0.0 if live[0] == 0 else float(scan[live[0] - 1])
+    return lo, float(scan[live[-1] + 1]), (scan, values, logs)
 
 
 def _cell_rule(hyper: HyperPrior, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,13 +494,25 @@ def log_weights(ell: Loglik, hyper: HyperPrior, prop: Proposal, alphas: np.ndarr
     weight is -inf, so such a proposal (an inverse-gamma draw can overflow
     to inf) is never taken.
     """
-    w = np.full(alphas.shape, -math.inf)
+    return _weights(hyper, prop, alphas, lambda a: (ell.column(a),))[0]
+
+
+def _weights(hyper: HyperPrior, prop: Proposal, alphas: np.ndarray, column) -> list[np.ndarray]:
+    """log_weights' w at each alpha, once for each array column(a) gives in place of ell at a.
+
+    a holds the alphas in (0, ALPHA_MAX]; w is -inf at the others.
+    """
     ok = (alphas > 0.0) & (alphas <= ALPHA_MAX)
     a = alphas[ok]
-    target = hyper.log_density(a) + ell.column(a)
-    with np.errstate(invalid="ignore"):  # -inf - -inf where lambda and q vanish together
-        w[ok] = np.where(target == -math.inf, -math.inf, target - prop.log_density(a))
-    return w
+    lam, lq = hyper.log_density(a), prop.log_density(a)
+    out = []
+    for values in column(a):
+        w = np.full(alphas.shape, -math.inf)
+        target = lam + values
+        with np.errstate(invalid="ignore"):  # -inf - -inf where lambda and q vanish together
+            w[ok] = np.where(target == -math.inf, -math.inf, target - lq)
+        out.append(w)
+    return out
 
 
 def effective_sample_size(draws: np.ndarray) -> float:
@@ -483,16 +594,17 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     quadrature of its posterior.  Identical configs reproduce identical
     chains.
 
-    Each candidate carries bounds on its w and on w - log U: a point where
-    log_weights has evaluated it, else the enclosure's (`_chunk_weights`),
-    and the current state keeps the bounds on its w.  A move is taken when
-    the candidate's lower bound exceeds the state's upper one, and refused
-    when its upper bound is at or below the state's lower one.  Else the
-    candidate and the state get their log_weights values, as points, and
-    the test is the exact chain's w - log U > w.  A value log_weights gives
-    depends in its last bits on the alphas that share its column, and the
-    enclosure holds each such value, so a decision can differ from the
-    evaluated chain's only where w - log U lies within that rounding of w.
+    Each candidate carries bounds w_lo <= w <= w_hi on its log weight
+    (`_chunk_weights`), and w_lo == w_hi where they pin it; the current
+    state keeps the bounds it was taken with.  Rounding is monotone, so
+    w_lo - log U and w_hi - log U bound w - log U.  A move is taken when
+    that lower bound exceeds the state's upper one, and refused when the
+    upper bound is at or below the state's lower one.  Else the candidate
+    and the state get their log_weights values, as points, and the test is
+    the exact chain's w - log U > w.  A value log_weights gives depends in
+    its last bits on the alphas that share its column, and the bounds hold
+    each such value, so a decision can differ from the evaluated chain's
+    only where w - log U lies within that rounding of w.
     exact_evaluations counts the alphas log_weights evaluated, the start
     point included.
     """
@@ -509,18 +621,16 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     for s in range(0, cfg.iterations, CHUNK):
         cand = prop.draw(rng, min(CHUNK, cfg.iterations - s))
         log_u = np.log(rng.random(cand.size))
-        w, half, exact = _chunk_weights(ell, hyper, prop, cand, log_u, s)
-        evaluated += exact
+        w_lo, w_hi = _chunk_weights(ell, hyper, prop, cand, s)
         # accept a candidate when log U < w - current, i.e. when w - log U > current
-        t = w - log_u
-        if half is None:
-            t_lo = t_hi = t.tolist()
-            w_lo = w_hi = w.tolist()
+        lows = (w_lo - log_u).tolist(), w_lo.tolist()
+        if prop.enclosure is None:  # every w was evaluated, so its bounds are one value
+            evaluated += cand.size
+            highs = lows
         else:
-            t_lo, t_hi = (t - half).tolist(), (t + half).tolist()
-            w_lo, w_hi = (w - half).tolist(), (w + half).tolist()
+            highs = (w_hi - log_u).tolist(), w_hi.tolist()
         chunk = []
-        for a, lo, hi, wl, wh in zip(cand.tolist(), t_lo, t_hi, w_lo, w_hi):
+        for a, lo, hi, wl, wh in zip(cand.tolist(), lows[0], highs[0], lows[1], highs[1]):
             if not lo > cur_hi and hi > cur_lo:  # the bounds cannot decide: evaluate
                 todo = ([] if lo == hi else [a]) + ([] if cur_lo == cur_hi else [alpha])
                 vals = log_weights(ell, hyper, prop, np.array(todo)).tolist()
@@ -544,28 +654,20 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
 
 
 def _chunk_weights(ell: Loglik, hyper: HyperPrior, prop: Proposal, cand: np.ndarray,
-                   log_u: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """w at a chunk's candidates, a half-width for each, and how many are exact.
+                   start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds w_lo <= w_hi on the log weight log_weights would give each of a chunk's candidates.
 
-    Outside the enclosure w is log_weights', from one column, with
-    half-width 0; inside it, w is formed as log_weights forms it, from the
-    chord's value, and its half-width bounds both w's and w - log U's
-    distance from what log_weights would give.
+    Without an enclosure both are log_weights' values, from one column.
+    Else w is formed as log_weights forms it, once from each of the
+    enclosure's bounds on the column value (`_Enclosure.bounds`): the
+    chord's band inside the nodes' hull, and the window scan's floor and
+    ceiling outside it.  w_lo == w_hi only where the bounds pin w.
     """
-    inside = prop.enclosure.covers(cand)
-    if not inside.any():
-        w, half, exact = log_weights(ell, hyper, prop, cand), None, cand.size
+    if prop.enclosure is None:
+        w_lo = w_hi = log_weights(ell, hyper, prop, cand)
     else:
-        outside = ~inside
-        w, half = np.empty(cand.size), np.zeros(cand.size)
-        w[outside] = log_weights(ell, hyper, prop, cand[outside])
-        a = cand[inside]
-        mid, h = prop.enclosure.at(a)
-        lam, lq = hyper.log_density(a), prop.log_density(a)
-        w[inside] = lam + mid - lq
-        half[inside] = h + 16.0 * EPS * (np.abs(lam) + np.abs(lq) - log_u[inside])
-        exact = int(np.count_nonzero(outside))
-    if np.isnan(w).any():
-        raise NumericalError(f"iteration {start + int(np.argmax(np.isnan(w)))}: "
-                             "non-finite MH acceptance ratio")
-    return w, half, exact
+        w_lo, w_hi = _weights(hyper, prop, cand, prop.enclosure.bounds)
+    bad = np.isnan(w_lo) | np.isnan(w_hi)
+    if bad.any():
+        raise NumericalError(f"iteration {start + int(np.argmax(bad))}: non-finite MH acceptance ratio")
+    return w_lo, w_hi

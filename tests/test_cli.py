@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invseq import ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthSpec
+from invseq import (ExperimentConfig, HbConfig, HyperPrior, ModelSpec, Observation, TruthSpec, run_mwg,
+                    simulate)
 from invseq.cli import main, parse_hyper, parse_model, parse_truth
 from invseq.errors import ConfigError
 from invseq.experiments import run_rate_sweep, write_csv, write_json
@@ -145,10 +146,11 @@ def test_truncation_over_cap_exits_two(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_hb_run_command(tmp_path):
+def test_hb_run_command(tmp_path, capsys):
     obs_path = tmp_path / "obs.json"
     main(["simulate", "--n", "1000", "--N", "10", "--seed", "4", "--out", str(obs_path)])
     out = tmp_path / "hb"
+    capsys.readouterr()
     rc = main(["hb-run", "--obs", str(obs_path), "--iterations", "400",
                "--burn-in", "100", "--seed", "2", "--out", str(out)])
     assert rc == 0
@@ -156,6 +158,28 @@ def test_hb_run_command(tmp_path):
         s = json.load(fh)
     assert 0.0 < s["acceptance_rate"] < 1.0
     assert s["burn_in"] == 100
+    # below ENCLOSE_MIN_N coordinates every candidate and the start point are evaluated
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].split("alpha_mean = ")[1] == f"{s['alpha_mean']:.4f}"
+    assert printed[1:] == ["likelihood evaluations = 401 of 401"]
+
+
+def test_hb_run_prints_the_chains_likelihood_evaluations(tmp_path, capsys):
+    """hb-run reports how many alphas the chain evaluated, on a line of its own,
+    and writes the count into no file."""
+    obs_path = tmp_path / "obs.json"
+    obs = simulate(TruthSpec.paper_example(), ModelSpec.volterra(), 1e11, 4642, 3)
+    obs_path.write_text(obs.to_json())
+    out = tmp_path / "hb"
+    capsys.readouterr()
+    assert main(["hb-run", "--obs", str(obs_path), "--hyper", "inverse_gamma:2:1", "--iterations",
+                 "4000", "--seed", "5", "--out", str(out)]) == 0
+    chain = run_mwg(obs, HyperPrior.inverse_gamma(2.0, 1.0), HbConfig(iterations=4000, seed=5))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"likelihood evaluations = {chain.exact_evaluations} of 4001"
+    assert 0 < chain.exact_evaluations <= 40
+    for path in out.iterdir():
+        assert "evaluations" not in path.read_text()
 
 
 def test_bracket_command(tmp_path):

@@ -456,12 +456,15 @@ CHAIN_CASES = [
     # (truth, n, N, hyperprior, iterations, seed, grid cells)
     (TruthSpec.paper_example(), 10.0, 3, HyperPrior.exponential(1.0), 3000, 1, None),
     (TruthSpec.paper_example(), 1e3, 10, HyperPrior.gamma(0.1, 1.0), 3000, 2, None),
+    (TruthSpec.paper_example(), 1e3, ENCLOSE_MIN_N, HyperPrior.gamma(0.1, 1.0), 3000, 13, None),
     (TruthSpec.paper_example(), 1e7, 215, HyperPrior.exponential(1.0), 4000, 3, None),
     (TruthSpec.paper_example(), 1e7, 215, HyperPrior.gamma(0.1, 1.0), 4000, 4, None),
     (TruthSpec.paper_example(), 1e7, 215, HyperPrior.inverse_gamma(2.0, 1.0), 4000, 5, None),
     (TruthSpec.paper_example(), 1e7, 200, HyperPrior.inverse_gamma(1e-3, 1e-3), 1025, 12, None),
     (TruthSpec.paper_example(), 1e7, 215, HyperPrior.inverse_gamma(1e-3, 1e-3), 3000, 6, None),
     (TruthSpec.paper_example(), 1e11, 4642, HyperPrior.gamma(2.0, 1.5), 4000, 7, None),
+    (TruthSpec.paper_example(), 1e11, 4642, HyperPrior.inverse_gamma(2.0, 1.0), 4000, 10, None),
+    (TruthSpec.paper_example(), 1e11, 4642, HyperPrior.gamma(0.5, 1.0), 4000, 11, None),
     (TruthSpec.power_law(1.0), 1e9, 1000, HyperPrior.exponential(1.0), 3000, 8, 4),
     (TruthSpec.paper_example(), 1e7, 215, HyperPrior.exponential(1.0), 3000, 9, 16),
     (TruthSpec.zero(), 1e15, 2000, HyperPrior.exponential(1.3), 4000, 9, None),
@@ -469,9 +472,10 @@ CHAIN_CASES = [
 
 
 @pytest.mark.parametrize("truth, n, N, hyper, iterations, seed, cells", CHAIN_CASES,
-                         ids=["tiny", "gamma-0.1-1e3", "exponential-1e7", "gamma-0.1-1e7",
+                         ids=["tiny", "gamma-0.1-1e3", "gamma-0.1-window-from-0", "exponential-1e7", "gamma-0.1-1e7",
                               "inverse_gamma-1e7", "last-chunk-one-inf-draw", "vague-inverse_gamma",
-                              "gamma-1e11", "coarse-4-cells", "coarse-16-cells",
+                              "gamma-1e11", "inverse_gamma-1e11", "gamma-0.5-1e11",
+                              "coarse-4-cells", "coarse-16-cells",
                               "past-alpha_full"])
 def test_chain_equals_the_evaluated_chain(monkeypatch, truth, n, N, hyper, iterations, seed, cells):
     """run_mwg, which decides most moves from the enclosure, takes every decision of
@@ -480,7 +484,12 @@ def test_chain_equals_the_evaluated_chain(monkeypatch, truth, n, N, hyper, itera
 
     A coarse grid leaves wide enclosures, so many moves are decided by evaluation.
     The 1025-sweep chain's last chunk is one inverse-gamma draw that overflowed to
-    inf.  Below ENCLOSE_MIN_N coordinates every candidate is evaluated.
+    inf.  Under gamma(0.1) at n = 1e3 the grid window starts at 0, and many
+    proposals fall below the first node, some below the first scan point.  At
+    n = 1e11 the heavy inverse-gamma tail and the gamma(0.5) mass near 0
+    propose many alphas outside the nodes' hull, where only the window scan
+    bounds the likelihood.  Below ENCLOSE_MIN_N coordinates every candidate is
+    evaluated.
     """
     if cells is not None:
         monkeypatch.setattr(hierarchical_bayes, "GRID_CELLS", cells)
@@ -520,16 +529,40 @@ def test_proposal_tables_keep_the_bits_of_each_call():
         np.testing.assert_array_equal(prop.log_density(a), want)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_enclosure_decides_most_moves_at_large_n(seed):
-    """At n = 1e11 (N = 4642) log_weights evaluates at most a tenth of the candidates:
-    those outside the nodes' hull and the few moves whose margin the enclosure cannot
-    decide."""
+@pytest.mark.parametrize("hyper, seed", [
+    (HyperPrior.exponential(1.0), 1), (HyperPrior.exponential(1.0), 2), (HyperPrior.exponential(1.0), 3),
+    (HyperPrior.inverse_gamma(2.0, 1.0), 1), (HyperPrior.inverse_gamma(2.0, 1.0), 2),
+    (HyperPrior.inverse_gamma(2.0, 1.0), 3),
+    (HyperPrior.gamma(0.5, 1.0), 1), (HyperPrior.gamma(0.5, 1.0), 2), (HyperPrior.gamma(0.5, 1.0), 3),
+], ids=["1", "2", "3", "inverse_gamma-1", "inverse_gamma-2", "inverse_gamma-3",
+        "gamma-0.5-1", "gamma-0.5-2", "gamma-0.5-3"])
+def test_enclosure_decides_most_moves_at_large_n(hyper, seed):
+    """At n = 1e11 (N = 4642) log_weights evaluates about 1% of the candidates: only the
+    moves whose margin neither the chord between the nodes nor, outside the nodes' hull,
+    the window scan's bounds can decide.  The bound is set from the counts: 5 to 35
+    over seeds 1-6 under these three hyperpriors."""
     N = default_truncation(1e11, 1.0)
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e11, N, seed)
-    chain = run_mwg(obs, HyperPrior.exponential(1.0), HbConfig(iterations=4000, burn_in=1000, seed=seed))
+    chain = run_mwg(obs, hyper, HbConfig(iterations=4000, burn_in=1000, seed=seed))
     assert N == 4642
-    assert chain.exact_evaluations <= 400
+    assert chain.exact_evaluations <= 40
+
+
+def test_proposal_node_values_are_the_node_column():
+    """The node column that sets the cells' masses, read block by block for the
+    enclosure, has the bits of `Loglik.column` at the nodes."""
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e11, 4642, 3)
+    hyper = HyperPrior.gamma(2.0, 1.5)
+    ell = Loglik(obs)
+    prop = grid_proposal(ell, hyper)
+    values = ell.column(prop.nodes)
+    enc = prop.enclosure
+    assert enc.knots.size == prop.nodes.size
+    assert enc.values.tobytes() == values.tobytes()
+    edges = prop.edges
+    lp = hierarchical_bayes._cell_rule(hyper, edges)[1] + hyper.log_density(prop.nodes) + values
+    masses = np.exp(lp - lp.max())
+    assert (masses / masses.sum()).tobytes() == prop.masses.tobytes()
 
 
 def test_coarse_proposal_chain_matches_quadrature(monkeypatch):

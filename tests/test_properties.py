@@ -10,7 +10,8 @@ writes nothing on a configuration error.  Where the empirical-Bayes fit
 lands on an end of its search interval, the score points outside it.
 Every spec and config reads back what it writes, and the CSV writer gives
 the bytes of its reference encoding.  The sampler's enclosure of the
-likelihood between its grid nodes holds every value a column gives there.
+likelihood between its grid nodes holds every value a column gives there,
+and the bounds its window scan sets hold every value outside them.
 The examples are derandomized, so every run draws the same ones.
 """
 
@@ -35,7 +36,8 @@ from invseq.cli import main
 from invseq.empirical_bayes import Loglik
 from invseq.experiments import write_csv
 from invseq.hierarchical_bayes import ENCLOSE_MIN_N, grid_proposal
-from invseq.sequence_model import TRUNCATION_CAP, default_truncation, fields_dict, read_fields
+from invseq.sequence_model import (LOG_FLOAT_MAX, S_FLOOR, TRUNCATION_CAP, default_truncation,
+                                   fields_dict, read_fields)
 from test_empirical_bayes import _long_double_centred
 
 EPS = np.finfo(float).eps
@@ -202,6 +204,44 @@ def test_enclosure_holds_every_column(truth, hyper, log10_n, N, seed, fractions)
     for values in (ell.column(alphas), np.array([ell(a) for a in alphas]),
                    ell.column(np.concatenate([[x0], alphas, [x1]]))[1:-1]):
         assert np.all(np.abs(values - mid) <= half)
+
+
+@SETTINGS
+@example(truth=TruthSpec.zero(), hyper=HyperPrior.exponential(1.3), log10_n=15.0, N=2000, seed=2,
+         fractions=[0.0, 0.3, 0.5, 0.99, 1.0])
+@given(truth=enclosure_truths, hyper=hyper_kinds, log10_n=st.floats(1.0, 15.0),
+       N=st.integers(ENCLOSE_MIN_N, 2000), seed=st.integers(0, 2**32 - 1),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_window_scan_bounds_every_column_outside_the_hull(truth, hyper, log10_n, N, seed, fractions):
+    """`Loglik.column` lies between the window scan's floor and ceiling anywhere outside the nodes' hull.
+
+    For each fraction f the alphas are: f of the way to the first scan point;
+    f of the way across a scan interval left of the hull and one right of it,
+    both picked by f; f of the way to twice the last scan point past it; and
+    past LOG_FLOAT_MAX - S_FLOOR, where `Design.blocks` clamps alpha.  They are
+    evaluated as one column, alone, and in a column with the hull's ends.
+    """
+    obs = simulate(truth, ModelSpec.volterra(), 10.0 ** log10_n, N, seed)
+    ell = Loglik(obs)
+    enc = grid_proposal(ell, hyper).enclosure
+    x0, x1 = float(enc.knots[0]), float(enc.knots[-1])
+    scan = enc.scan
+    left, right = scan[scan < x0], scan[scan > x1]
+    alphas = []
+    for f in fractions:
+        alphas.append(f * scan[0])
+        for side in (left, right):
+            if side.size >= 2:
+                j = min(int(f * (side.size - 1)), side.size - 2)
+                alphas.append(side[j] + f * (side[j + 1] - side[j]))
+        alphas += [scan[-1] * (1.0 + f), (LOG_FLOAT_MAX - S_FLOOR) * (1.0 + f)]
+    alphas = np.array(alphas)
+    alphas = alphas[~enc.covers(alphas)]
+    floor, ceiling = enc.bounds(alphas)
+    assert np.all(floor < ceiling) and np.all(np.isfinite(floor)) and np.all(np.isfinite(ceiling))
+    for values in (ell.column(alphas), np.array([ell(a) for a in alphas]),
+                   ell.column(np.concatenate([[x0], alphas, [x1]]))[1:-1]):
+        assert np.all((floor <= values) & (values <= ceiling))
 
 
 MISSING = object()

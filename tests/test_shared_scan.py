@@ -51,6 +51,30 @@ def test_columns_equal_each_observations_own_column(n):
         assert alone.tobytes() == _one_observation_column(ell, alphas).tobytes()
 
 
+@pytest.mark.parametrize("n", [1e3, 1e11, 1e15])  # N = 10, 4642, 1e5
+def test_visitor_sees_each_block_and_changes_no_bit(n):
+    """A visitor that overwrites both halves of every block leaves the rows' bits as they
+    are without one, and the blocks it sees are the rows' own: their log sums and r give
+    back each row."""
+    N = default_truncation(n, VOLTERRA.p)
+    ells = [Loglik(simulate(PAPER, VOLTERRA, n, N, seed)) for seed in range(2)]
+    alphas = _grid(n)
+    seen = []
+
+    def visit(start, log1p_u, r, k, log_sum):
+        assert log1p_u.shape == r.shape == (log_sum.size, k)
+        assert log_sum.tobytes() == (log1p_u @ np.ones(k)).tobytes()
+        rows = [-0.5 * (log_sum + r @ ell.ny2[:k] + ell._suffix[k]) for ell in ells]
+        seen.append((start, np.array(rows)))
+        log1p_u.fill(math.nan)
+        r.fill(math.nan)
+
+    visited = columns(ells, alphas, visit)
+    assert visited.tobytes() == columns(ells, alphas).tobytes()
+    assert [start for start, _ in seen] == list(range(0, alphas.size, len(seen[0][1][0])))
+    np.testing.assert_array_equal(np.concatenate([rows for _, rows in seen], axis=1), visited)
+
+
 def test_columns_need_one_model_n_and_N():
     a = Loglik(simulate(PAPER, VOLTERRA, 1e3, 10, 1))
     for other in (Loglik(simulate(PAPER, VOLTERRA, 1e4, 10, 1)),
