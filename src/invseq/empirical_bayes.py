@@ -31,8 +31,9 @@ column, shared by a group of replicates in `scans`, the refined candidate
 and `log_likelihood` columns of one alpha, and the sampler's targets
 columns of proposals.  The sampler's window scan and node column also
 read each block's log(1 + u) row sums and r through a visitor, which
-bound the likelihood between and beyond the nodes.  `Loglik.slope` reads
-one such block for the first and second derivative, which the Newton
+bound the likelihood between and beyond the nodes, and the node column
+its data weights w = u r, from which the moments of mu are joined.
+`Loglik.slope` reads one such block for the first and second derivative, which the Newton
 steps of each observation's `fit` and `score` use.  Reported values (`log_likelihood`, the curve) add
 the term back once.
 
@@ -70,7 +71,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import CoordinatePosterior, posterior
-from .sequence_model import SCAN_GROUP, S_NEGLIGIBLE, Observation, _checked_alpha, _ones, design
+from .sequence_model import (SCAN_GROUP, S_NEGLIGIBLE, Observation, _checked_alpha, _ones, block_rows,
+                             design)
 
 GRID_SIZE = 200  # points of the search grid over [0, log n], both endpoints included
 STEP_TOL = 1e-4  # the Newton refinement stops after a step shorter than this
@@ -204,7 +206,26 @@ def _suffix_sums(ny2: np.ndarray) -> np.ndarray:
     return out
 
 
-def columns(ells: Sequence[Loglik], alphas: np.ndarray, visit=None) -> np.ndarray:
+class Block(NamedTuple):
+    """One block of a `columns` call, as its visitor sees it.
+
+    The block's alphas are alphas[start:start + len(r)], and log1p_u and r
+    its (rows, k) halves, log(1 + u) and 1/(1 + u), over the active prefix
+    of k coordinates.  log_sum holds the row sums of log1p_u and values the
+    block's finished centred values, one row per Loglik.  w is the data
+    weight u r, rows by the same k coordinates, when the call asked for
+    it, else None.
+    """
+
+    start: int
+    log1p_u: np.ndarray
+    r: np.ndarray
+    log_sum: np.ndarray
+    values: np.ndarray
+    w: np.ndarray | None
+
+
+def columns(ells: Sequence[Loglik], alphas: np.ndarray, visit=None, data_weights: bool = False) -> np.ndarray:
     """Row j is the centred value of ells[j] at each alpha >= 0 of a 1-D array.
 
     Every Loglik must be of observations with one model, n and N, so they
@@ -216,27 +237,37 @@ def columns(ells: Sequence[Loglik], alphas: np.ndarray, visit=None) -> np.ndarra
     its n*y^2 and its suffix term, so row j has the bits of the same sum
     taken for ells[j] alone.
 
-    visit, if given, is called once per block after its rows are summed,
-    as visit(start, log1p_u, r, k, log_sum): the block's alphas are
-    alphas[start:start + len(r)], log1p_u and r its (rows, k) halves over
-    the active prefix of k coordinates, and log_sum the row sums of
-    log1p_u.  The halves are spent by then, so the visitor may overwrite
-    both; it changes no bit of the rows.
+    visit, if given, is called once per block with its `Block`, after the
+    block's values are final.  log1p_u, r and w are spent by then, so the
+    visitor may overwrite them; it changes no bit of the rows.  With
+    data_weights, a buffer of half a block's size takes r, the u half the
+    data weight w = u r, as every layer forms it, and the 1 + u half
+    log(1 + u), with the bits of the in-place path; without, no block does
+    that work.
     """
     first = ells[0]
     if any(ell._key != first._key for ell in ells):
         raise ValueError("a shared scan needs observations of one model, n and N")
     out = np.empty((len(ells), alphas.size))
-    for s, log1p_u, r in first.design.blocks(alphas, first._active):
-        k = r.shape[1]
-        np.log(r, log1p_u)
-        np.reciprocal(r, r)
+    spare = np.empty(min(block_rows(first._N), max(alphas.size, 1)) * first._N) if data_weights else None
+    w = None
+    for s, u, u1 in first.design.blocks(alphas, first._active):
+        k = u.shape[1]
+        if spare is None:
+            log1p_u, r = u, u1
+            np.log(u1, log1p_u)
+            np.reciprocal(u1, r)
+        else:
+            log1p_u, r, w = u1, spare[:u.size].reshape(u.shape), u
+            np.reciprocal(u1, r)
+            np.multiply(u, r, w)
+            np.log(u1, log1p_u)
         log_sum = log1p_u @ first._ones[:k]
-        for row, ell in zip(out, ells):
-            row[s:s + len(r)] = log_sum + r @ ell.ny2[:k] + ell._suffix[k]
+        values = out[:, s:s + len(r)]
+        for row, ell in zip(values, ells):
+            row[:] = -0.5 * (log_sum + r @ ell.ny2[:k] + ell._suffix[k])
         if visit is not None:
-            visit(s, log1p_u, r, k, log_sum)
-    out *= -0.5
+            visit(Block(s, log1p_u, r, log_sum, values, w))
     return out
 
 

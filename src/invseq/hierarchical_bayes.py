@@ -33,10 +33,15 @@ evaluated, each chunk in one column.  The states, the acceptance rate and
 the moments are those of the chain that evaluates every candidate.
 
 Given alpha, mu_1..mu_N are conjugate, so the chain never draws mu.  Its
-moments are the grid's quadrature of the exact posterior:
-`gaussian_posterior.mixture` of the conjugate posteriors at the cells'
-nodes, weighted by p_g.  alpha's mean, quantiles and mode are read off
-the same cells (`HbChain.summary`).
+moments are the grid's quadrature of the exact posterior: the mixture of
+the conjugate posteriors at the cells' nodes, weighted by p_g.  A
+`gaussian_posterior.Mixture` joins it inside the node column, one block at
+a time, from the data weights w = u r that `columns` hands the column's
+visitor, each block weighted by exp(log p_g - the block's largest log
+p_g), unnormalised.  Past a block's active prefix r is exactly 1, so w
+there is the u of a `Design.blocks` fill of the rest.  The nodes' prefixes
+are filled once, for the values, the enclosure and the moments.  alpha's
+mean, quantiles and mode are read off the same cells (`HbChain.summary`).
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import numpy as np
 
 from .empirical_bayes import Loglik, columns
 from .errors import ConfigError, NumericalError
-from .gaussian_posterior import mixture
+from .gaussian_posterior import Mixture
 from .sequence_model import LOG_FLOAT_MAX, S_FLOOR, Observation
 
 # where log(alpha * pi) is first scanned for the grid window: 5 points a decade up to 0.1, then 0.1 apart
@@ -211,9 +216,11 @@ class Proposal:
     density is q(a) = (1 - PRIOR_SHARE) * p_g / (cell g's width) +
     PRIOR_SHARE * lambda(a) for a in cell g, and PRIOR_SHARE * lambda(a)
     outside the window.  enclosure bounds ell at every alpha, and is None
-    over fewer than ENCLOSE_MIN_N coordinates.  The masses' CDF and each
-    cell's log grid density are built once, with the bits of forming them
-    at each draw and density call.
+    over fewer than ENCLOSE_MIN_N coordinates.  moments is the mixture of
+    mu's conjugate posteriors at the nodes, weighted by the masses, as the
+    node column joined it.  The masses' CDF and each cell's log grid
+    density are built once, with the bits of forming them at each draw and
+    density call.
     """
 
     hyper: HyperPrior
@@ -221,6 +228,7 @@ class Proposal:
     nodes: np.ndarray
     masses: np.ndarray
     enclosure: _Enclosure | None
+    moments: Mixture = field(repr=False, compare=False)
     cdf: np.ndarray = field(init=False, repr=False)
     log_cells: np.ndarray = field(init=False, repr=False)
 
@@ -252,18 +260,30 @@ def grid_proposal(ell: Loglik, hyper: HyperPrior) -> Proposal:
                                GRID_CELLS + 1)) - CELL_SHIFT
     edges[[0, -1]] = lo, hi
     nodes, log_w = _cell_rule(hyper, edges)
+    log_prior = log_w + hyper.log_density(nodes)
+    moments = Mixture(ell.design.log_i.size)
+    # each node block's w covers its prefix; past it r == 1, so w is u, filled here in step
+    tails = ell.design.blocks(nodes, ell._active, tail=True)
+
+    def weigh(block):
+        lp = log_prior[block.start:block.start + block.r.shape[0]] + block.values[0]
+        top = float(lp.max())
+        moments.add(np.exp(lp - top), top, block.w, next(tails)[1])
+
     if ell.design.log_i.size < ENCLOSE_MIN_N:
-        values, enclosure = ell.column(nodes), None
+        values, enclosure = columns((ell,), nodes, weigh, data_weights=True)[0], None
     else:
-        values, enclosure = _enclose(ell, nodes, *scan)
-    lp = log_w + hyper.log_density(nodes) + values
+        values, enclosure = _enclose(ell, nodes, *scan, weigh)
+    lp = log_prior + values
     masses = np.exp(lp - lp.max())
-    return Proposal(hyper, edges, nodes, masses / masses.sum(), enclosure)
+    return Proposal(hyper, edges, nodes, masses / masses.sum(), enclosure, moments)
 
 
 def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.ndarray,
-             logs: np.ndarray) -> tuple[np.ndarray, _Enclosure]:
+             logs: np.ndarray, weigh) -> tuple[np.ndarray, _Enclosure]:
     """ell's column at the nodes, and the enclosure of ell from that column's blocks and the window scan.
+
+    weigh is handed each of the column's blocks, with its w, first.
 
     With L_i = log i, u_i = exp(s_i(a)) and r_i = 1/(1 + u_i), over the
     stored log i, log(n kappa_i^2) and n y_i^2, ell = -T/2 with
@@ -365,8 +385,11 @@ def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.n
     edge = np.empty((3, N))
     carried = 0
 
-    def visit(s, log1p_u, r, k, log_sum):
+    def visit(block):
         nonlocal carried
+        weigh(block)
+        s, log1p_u, r = block.start, block.log1p_u, block.r
+        k = r.shape[1]
         m = min(len(r), top - s)  # the knots among the block's rows
         if m < 1:
             return
@@ -380,7 +403,7 @@ def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.n
         carried = k
         half_bend[s:s + m - 1] = _half_bends(d, log1p_u[:m - 1], sq, sq_ny2)
 
-    values = columns((ell,), nodes, visit)[0]
+    values = columns((ell,), nodes, visit, data_weights=True)[0]
 
     def spread(a_top):  # S at a_top (step 2)
         return float(np.max(np.abs(design.log_nk2))) + float(design.log_i[-1]) * (1.0 + 2.0 * a_top)
@@ -442,8 +465,8 @@ def _window(ell: Loglik, hyper: HyperPrior) -> tuple[float, float, tuple[np.ndar
     def scanned(a):
         logs = np.empty(a.size)
 
-        def keep(start, log1p_u, r, k, log_sum):
-            logs[start:start + log_sum.size] = log_sum
+        def keep(block):
+            logs[block.start:block.start + block.log_sum.size] = block.log_sum
 
         values = columns((ell,), a, keep)[0]
         return np.log(a) + hyper.log_density(a) + values, values, logs
@@ -548,7 +571,9 @@ class HbChain:
     alphas holds the kept draws of alpha and proposal the grid they were
     proposed from.  mu_mean and mu_var are the posterior moments of mu by
     the grid's quadrature: the mixture of the conjugate posteriors at the
-    cells' nodes, weighted by the cells' masses (`gaussian_posterior.mixture`).
+    cells' nodes, weighted by the cells' masses, which the node column
+    joins as it is evaluated (`Proposal.moments`); they agree with
+    `gaussian_posterior.mixture` at the nodes and masses to rounding.
     exact_evaluations is the number of alphas at which the chain evaluated
     its log weights (see `run_mwg`); it is not part of the summary.
 
@@ -648,7 +673,7 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
             chunk.append(alpha)
         states[s:s + cand.size] = chunk
 
-    mu_mean, mu_var = mixture(obs, ell.design, prop.nodes, prop.masses)
+    mu_mean, mu_var = prop.moments.mu(obs, ell.design)
     return HbChain(states[cfg.resolved_burn_in():], accepted / cfg.iterations, mu_mean, mu_var,
                    cfg, prop, evaluated)
 

@@ -150,14 +150,17 @@ class Design:
     log_i: np.ndarray
     log_nk2: np.ndarray  # log(n * kappa_i^2)
 
-    def blocks(self, alphas: np.ndarray, width=None):
+    def blocks(self, alphas: np.ndarray, width=None, tail=False):
         """Fill an alpha column block by block: yield (start, u, u1) for each.
 
         alphas is a 1-D array.  Each block takes the next block_rows(N)
         alphas or fewer, m of them from alphas[start], and the first
         k = width(smallest alpha of the block) coordinates, or all N without
-        width.  u and u1 are the two contiguous (m, k) halves of one buffer
-        held for the whole column: u = exp(max(s(alpha), S_FLOOR)), one row
+        width; with tail, the N - k coordinates past those instead, so that
+        a column filled both ways covers each block's N coordinates once
+        (width must then not rise with alpha).  u and u1 are the two
+        contiguous halves, m rows each, of one buffer held for the whole
+        column: u = exp(max(s(alpha), S_FLOOR)), one row
         per alpha, and u1 = 1 + u.  A caller may overwrite both before it
         takes the next block.  This is the one place s is exponentiated.
         The clamp leaves 1 + u exactly as it was and puts u*r (r = 1/u1) at
@@ -170,13 +173,17 @@ class Design:
         """
         N = self.log_i.size
         rows = min(block_rows(N), max(alphas.size, 1))
-        buf = np.empty(2 * rows * N)
+        span = N  # the widest block
+        if tail:
+            span = N - width(float(alphas.max())) if alphas.size else 0
+        buf = np.empty(2 * rows * span)
         for start in range(0, alphas.size, rows):
             a = np.minimum(alphas[start:start + rows, None], LOG_FLOAT_MAX - S_FLOOR)
             k = N if width is None else width(float(a.min()))
-            u, u1 = buf[:2 * a.size * k].reshape(2, a.size, k)
-            np.multiply(self.log_i[:k], 1.0 + 2.0 * a, u)
-            np.subtract(self.log_nk2[:k], u, u)
+            lo, hi = (k, N) if tail else (0, k)
+            u, u1 = buf[:2 * a.size * (hi - lo)].reshape(2, a.size, hi - lo)
+            np.multiply(self.log_i[lo:hi], 1.0 + 2.0 * a, u)
+            np.subtract(self.log_nk2[lo:hi], u, u)
             np.maximum(u, S_FLOOR, out=u)
             np.exp(u, u)
             np.add(u, 1.0, u1)

@@ -8,7 +8,6 @@ import numpy as np
 
 from invseq import ModelSpec, synthesize_function
 from invseq.empirical_bayes import Loglik
-from invseq.gaussian_posterior import mixture
 from invseq.hierarchical_bayes import ALPHA_MAX, CHUNK, PRIOR_SHARE, grid_proposal
 
 
@@ -53,7 +52,10 @@ def reference_chain(obs, hyper, cfg):
     masses, a PRIOR_SHARE of them replaced by hyperprior draws, and weighed
     by one `log_weights`-style column of the target less log q, with q
     formed from the cells' masses over their widths.  Returns the kept
-    alphas, the acceptance rate and the moments of mu.
+    alphas, the acceptance rate and the moments of mu, which the grid
+    forms in its node column (`Proposal.moments`) and which
+    `test_chain_moments_are_the_mixture_at_the_nodes` holds to
+    `gaussian_posterior.mixture` at the nodes.
     """
     alpha = 1.0 if cfg.alpha_init is None else cfg.alpha_init
     ell = Loglik(obs)
@@ -92,5 +94,5 @@ def reference_chain(obs, hyper, cfg):
                 alpha, current = a, wa
                 accepted += 1
             states.append(alpha)
-    mu_mean, mu_var = mixture(obs, ell.design, prop.nodes, prop.masses)
+    mu_mean, mu_var = prop.moments.mu(obs, ell.design)
     return np.array(states[cfg.resolved_burn_in():]), accepted / cfg.iterations, mu_mean, mu_var

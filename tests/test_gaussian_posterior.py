@@ -92,6 +92,31 @@ def test_mixture_matches_per_alpha_oracle(n, N, k, rows):
     assert np.all(np.abs(var - v) <= 1e-12 * v)
 
 
+def test_mixture_keeps_its_digits_when_the_heavy_alphas_come_last():
+    """Under zero data at n = 1e15, w_i falls by hundreds of decades over alpha in
+    [4.5, 50], so the light alphas of small index dominate E[w] while the heavy
+    alphas come in later blocks.  Each merge weighs the running mean and the block's
+    by their shares, both >= 0, so no digit cancels: the moments match a long-double
+    sum over the same w and weights to 1e-14 relative.  Updating the running mean by
+    its share of the difference lost 6e-7 here."""
+    n, N = 1e15, 2000
+    obs = simulate(TruthSpec.zero(), VOLTERRA, n, N, 1)
+    d = design(VOLTERRA, n, N)
+    alphas = np.geomspace(4.5, 50.0, 256)
+    weights = np.exp(alphas - 50.0)  # rising over 20 decades
+    mean, var = mixture(obs, d, alphas, weights)
+    w = np.empty((alphas.size, N))
+    for s, u, u1 in d.blocks(alphas):
+        w[s:s + len(u)] = u * (1.0 / u1)
+    w, q, ld = w.astype(np.longdouble), weights.astype(np.longdouble), np.longdouble
+    ew = q @ w / q.sum()
+    y_over_k = obs.y.astype(ld) / d.kappa.astype(ld)
+    m = ew * y_over_k
+    v = ew / (ld(n) * d.kappa.astype(ld) ** 2) + q @ (w - ew) ** 2 / q.sum() * y_over_k**2
+    assert np.all(np.abs(mean - m) <= 1e-14 * np.abs(m))
+    assert np.all(np.abs(var - v) <= 1e-14 * v)
+
+
 def test_mixture_zero_weight_block_contributes_nothing():
     """A block of 16 alphas (the rows at N = 4642) that all have weight 0, as
     the first block or a later one, leaves every bit of the moments as

@@ -27,9 +27,10 @@ from invseq import hierarchical_bayes
 from invseq.cli import main
 from invseq.empirical_bayes import Loglik
 from invseq.errors import ConfigError, NumericalError
+from invseq.gaussian_posterior import mixture
 from invseq.hierarchical_bayes import (ALPHA_MAX, ENCLOSE_MIN_N, PRIOR_SHARE, effective_sample_size,
                                        grid_proposal, log_weights)
-from invseq.sequence_model import default_truncation, fields_dict, read_fields
+from invseq.sequence_model import block_rows, default_truncation, fields_dict, read_fields
 from oracles import grid_log_q, reference_chain
 
 VOLTERRA = ModelSpec.volterra()
@@ -505,6 +506,47 @@ def test_chain_equals_the_evaluated_chain(monkeypatch, truth, n, N, hyper, itera
         assert chain.exact_evaluations == iterations + 1
     else:
         assert chain.exact_evaluations < iterations
+
+
+@pytest.mark.parametrize("truth, n, N, hyper, seed, window", [
+    (TruthSpec.paper_example(), 10.0, 3, HyperPrior.exponential(1.0), 1, None),
+    (TruthSpec.paper_example(), 1e3, 10, HyperPrior.gamma(2.0, 1.5), 1, None),
+    (TruthSpec.paper_example(), 1e7, 215, HyperPrior.exponential(1.0), 1, None),
+    (TruthSpec.paper_example(), 1e11, 4642, HyperPrior.inverse_gamma(2.0, 1.0), 1, None),
+    (TruthSpec.paper_example(), 1e15, 100_000, HyperPrior.exponential(1.0), 1, None),
+    (TruthSpec.zero(), 1e15, 2000, HyperPrior.exponential(1.3), 1, None),
+    (TruthSpec.zero(), 1e15, 2000, HyperPrior.exponential(1.3), 2, None),
+    (TruthSpec.paper_example(), 1e11, 4642, HyperPrior.exponential(1.0), 3, 1000.0),
+], ids=["tiny", "not-enclosed-1e3", "1e7", "1e11", "cap-4-row-blocks", "past-alpha_full-1",
+        "past-alpha_full-2", "zero-masses"])
+def test_chain_moments_are_the_mixture_at_the_nodes(monkeypatch, truth, n, N, hyper, seed, window):
+    """The chain's moments, joined block by block inside the node column from each
+    block's log weights, are `gaussian_posterior.mixture` at the grid's nodes weighted
+    by its masses, to 1e-13 relative.
+
+    Below ENCLOSE_MIN_N coordinates the node column encloses nothing.  At the cap
+    (n = 1e15, N = 1e5) a block holds 4 rows, so the running weights are rescaled
+    many times.  Under zero data at n = 1e15 every node lies past alpha_full, so each
+    block's w covers only a prefix and the rest comes from the tail fill; there w
+    spans hundreds of decades across the nodes, and the light nodes of large w come
+    first.  A window widened to 1000 leaves nodes whose masses underflow to 0, which
+    `mixture` drops and the column weighs by a weight that may not be 0.
+    """
+    if window is not None:
+        monkeypatch.setattr(hierarchical_bayes, "WINDOW", window)
+    obs = simulate(truth, VOLTERRA, n, N, seed)
+    chain = run_mwg(obs, hyper, HbConfig(iterations=10, seed=seed))
+    prop, ell = chain.proposal, Loglik(obs)
+    assert (prop.enclosure is None) == (N < ENCLOSE_MIN_N)
+    if N == 100_000:
+        assert block_rows(N) == 4
+    if truth.kind == "zero":
+        assert prop.nodes.min() > ell.alpha_full
+    if window is not None:
+        assert 0 < np.count_nonzero(prop.masses == 0.0) < prop.masses.size
+    mean, var = mixture(obs, ell.design, prop.nodes, prop.masses)
+    np.testing.assert_allclose(chain.mu_mean, mean, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(chain.mu_var, var, rtol=1e-13, atol=0.0)
 
 
 def test_proposal_tables_keep_the_bits_of_each_call():

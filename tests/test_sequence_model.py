@@ -88,6 +88,32 @@ def test_blocks_cover_the_column(N):
     assert u.shape == (1, N)
 
 
+@pytest.mark.parametrize("N", [3, 215, 4642])
+def test_tail_blocks_complete_the_prefix_blocks(N):
+    """With tail, each block covers the coordinates past its width, in step with the
+    prefix blocks of the same column: together they hold, bit for bit, the block of
+    all N coordinates.  The alphas ascend, so the first block's width is N and its tail
+    empty, and the last block's is not."""
+    d = design(VOLTERRA, 1e11, N)
+    rows = block_rows(N)
+    alphas = np.sort(np.random.default_rng(N).uniform(0.0, 4.0, 3 * rows - 1))
+
+    def width(a):
+        return N if a < 1.0 else max(1, N >> int(a))
+
+    tails = []
+    both = zip(d.blocks(alphas, width), d.blocks(alphas, width, tail=True), d.blocks(alphas))
+    for (start, u, u1), (tail_start, tail, tail1), (full_start, full, full1) in both:
+        assert start == tail_start == full_start
+        k = u.shape[1]
+        assert tail.shape == tail1.shape == (u.shape[0], N - k)
+        assert tail.flags.c_contiguous and tail1.flags.c_contiguous
+        assert np.concatenate([u, tail], axis=1).tobytes() == full.tobytes()
+        assert np.concatenate([u1, tail1], axis=1).tobytes() == full1.tobytes()
+        tails.append(N - k)
+    assert tails[0] == 0 and tails[-1] > 0
+
+
 def test_block_rows_rule():
     """Rows per alpha-column block: 512 up to N = 256, then the largest power
     of two with rows * N <= 2^17, but never below 4.  The bracket scan's

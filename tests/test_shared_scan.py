@@ -53,26 +53,43 @@ def test_columns_equal_each_observations_own_column(n):
 
 @pytest.mark.parametrize("n", [1e3, 1e11, 1e15])  # N = 10, 4642, 1e5
 def test_visitor_sees_each_block_and_changes_no_bit(n):
-    """A visitor that overwrites both halves of every block leaves the rows' bits as they
+    """A visitor that overwrites every array of every block leaves the rows' bits as they
     are without one, and the blocks it sees are the rows' own: their log sums and r give
-    back each row."""
+    back each row, and their values are the rows.  Asked for, w is u * (1/(1 + u)) of the
+    `Design.blocks` fill of the block's alphas over its prefix, bit for bit; not asked
+    for, it is None."""
     N = default_truncation(n, VOLTERRA.p)
     ells = [Loglik(simulate(PAPER, VOLTERRA, n, N, seed)) for seed in range(2)]
     alphas = _grid(n)
-    seen = []
+    plain = columns(ells, alphas)
+    for data_weights in (False, True):
+        seen = []
 
-    def visit(start, log1p_u, r, k, log_sum):
-        assert log1p_u.shape == r.shape == (log_sum.size, k)
-        assert log_sum.tobytes() == (log1p_u @ np.ones(k)).tobytes()
-        rows = [-0.5 * (log_sum + r @ ell.ny2[:k] + ell._suffix[k]) for ell in ells]
-        seen.append((start, np.array(rows)))
-        log1p_u.fill(math.nan)
-        r.fill(math.nan)
+        def visit(block):
+            log1p_u, r = block.log1p_u, block.r
+            k = r.shape[1]
+            assert log1p_u.shape == r.shape == (block.log_sum.size, k)
+            assert block.values.shape == (len(ells), block.log_sum.size)
+            assert block.log_sum.tobytes() == (log1p_u @ np.ones(k)).tobytes()
+            rows = [-0.5 * (block.log_sum + r @ ell.ny2[:k] + ell._suffix[k]) for ell in ells]
+            assert np.array(rows).tobytes() == block.values.tobytes()
+            if data_weights:
+                span = alphas[block.start:block.start + len(r)]
+                [(_, u, u1)] = ells[0].design.blocks(span, lambda _: k)
+                assert block.w.shape == r.shape
+                assert block.w.tobytes() == (u * (1.0 / u1)).tobytes()
+                block.w.fill(math.nan)
+            else:
+                assert block.w is None
+            seen.append((block.start, np.array(rows)))
+            log1p_u.fill(math.nan)
+            r.fill(math.nan)
 
-    visited = columns(ells, alphas, visit)
-    assert visited.tobytes() == columns(ells, alphas).tobytes()
-    assert [start for start, _ in seen] == list(range(0, alphas.size, len(seen[0][1][0])))
-    np.testing.assert_array_equal(np.concatenate([rows for _, rows in seen], axis=1), visited)
+        visited = columns(ells, alphas, visit, data_weights=data_weights)
+        assert visited.tobytes() == plain.tobytes()
+        assert columns(ells, alphas, data_weights=data_weights).tobytes() == plain.tobytes()
+        assert [start for start, _ in seen] == list(range(0, alphas.size, len(seen[0][1][0])))
+        np.testing.assert_array_equal(np.concatenate([rows for _, rows in seen], axis=1), visited)
 
 
 def test_columns_need_one_model_n_and_N():
