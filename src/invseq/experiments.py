@@ -209,15 +209,14 @@ def run_figure2(cfg: ExperimentConfig) -> dict:
         hb_cfg = HbConfig(iterations=cfg.hb_iterations, burn_in=cfg.hb_burn_in,
                           seed=obs.seed, alpha_init=warm)
         chain = run_mwg(obs, cfg.hyper, hb_cfg)
-        summary = chain.summary()
         if r == 0:
             write_csv(ladder.output(f"fig2_{rung.tag}_alpha.csv"), {"alpha": chain.alphas})
-            write_json(ladder.output(f"fig2_{rung.tag}_summary.json"), summary)
+            write_json(ladder.output(f"fig2_{rung.tag}_summary.json"), chain.summary())
             mean_f = synthesize_function(chain.mu_mean, CURVE_GRID)
             write_csv(ladder.output(f"fig2_{rung.tag}_curve.csv"),
                       {"t": CURVE_GRID, "true_f": rung.true_f, "hb_mean_f": mean_f})
-        return {"seed": obs.seed, "acceptance_rate": summary["acceptance_rate"],
-                "alpha_mean": summary["alpha_mean"], "alpha_mode": summary["alpha_mode"]}
+        return {"seed": obs.seed, "acceptance_rate": chain.acceptance_rate,
+                "alpha_mean": chain.proposal.alpha_mean, "alpha_mode": chain.proposal.alpha_mode}
 
     def body(rung, observations):  # each replicate simulated just before its fit and chain
         return [replicate(rung, r, obs) for r, obs in enumerate(observations)]

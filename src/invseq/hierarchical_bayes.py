@@ -15,6 +15,9 @@ mixture (Hesterberg 1995), so q > 0 wherever pi > 0 and the ratio
 pi(a') q(a) / (pi(a) q(a')) keeps the chain exact whatever the grid.
 Proposals do not depend on the state, so CHUNK of them are drawn at a
 time, and the accept loop compares their log weights w = log pi - log q.
+The chain reads one object, the `Proposal`: it draws candidates, gives
+their exact log weights and bounds on them, and holds the grid's moments
+of mu and statistics of alpha.
 
 A move needs only the decision whether w' - log U exceeds the current w,
 not w' itself, and the grid's two scans of ell bound every w.  The column
@@ -26,11 +29,13 @@ alphas share its column.  Outside the nodes' hull the window scan bounds
 ell on both sides, since of its two halves, both of which the scan's
 column forms, one falls and one rises with alpha (`_enclose`).  The loop decides
 each move from the candidate's and the state's bounds where they do not
-straddle the threshold, and evaluates w by `log_weights` only where they
-cannot decide, for the candidate and the current state.  Over fewer than
-ENCLOSE_MIN_N coordinates nothing is enclosed and every candidate is
-evaluated, each chunk in one column.  The states, the acceptance rate and
-the moments are those of the chain that evaluates every candidate.
+straddle the threshold, and evaluates w (`Proposal.log_weights`) only
+where they cannot decide, for the candidate and the current state.  Each
+candidate's cell is looked up once, for its log q and, inside the nodes'
+hull, its gap (`Proposal.bounds`).  Over fewer than ENCLOSE_MIN_N
+coordinates nothing is enclosed and every candidate is evaluated, each
+chunk in one column.  The states, the acceptance rate and the moments are
+those of the chain that evaluates every candidate.
 
 Given alpha, mu_1..mu_N are conjugate, so the chain never draws mu.  Its
 moments are the grid's quadrature of the exact posterior: the mixture of
@@ -40,8 +45,10 @@ a time, from the data weights w = u r that `columns` hands the column's
 visitor, each block weighted by exp(log p_g - the block's largest log
 p_g), unnormalised.  Past a block's active prefix r is exactly 1, so w
 there is the u of a `Design.blocks` fill of the rest.  The nodes' prefixes
-are filled once, for the values, the enclosure and the moments.  alpha's
-mean, quantiles and mode are read off the same cells (`HbChain.summary`).
+are filled once, for the values, the enclosure and the moments, and the
+accumulator is dropped once they are formed.  alpha's mean, quantiles and
+mode are read off the same cells (`Proposal.alpha_mean`, `quantile` and
+`alpha_mode`).
 """
 
 from __future__ import annotations
@@ -66,10 +73,11 @@ CELL_SHIFT = 0.1  # cells are equal in log(alpha + CELL_SHIFT): even near 0, geo
 PRIOR_SHARE = 0.05  # the proposal's share drawn from the hyperprior
 CHUNK = 1024  # proposals drawn, evaluated and accepted at a time
 # The chain encloses ell only over at least this many coordinates; below, every candidate is
-# evaluated.  There a chunk's column costs about as much as the enclosure's vector arithmetic:
-# 4000-sweep chains (paper truth, n = N^3, one BLAS thread on a 2-vCPU x86 VM) broke even near
-# N = 35, 3% slower enclosed at N = 30 and 4% faster at N = 46.
-ENCLOSE_MIN_N = 40
+# evaluated.  There a chunk's column costs about as much as its bounds: 4000-sweep chains (paper
+# truth, n = N^3, seeds 1-5, one BLAS thread on a 2-vCPU x86 VM, medians of 60 interleaved runs)
+# ran 9% slower enclosed at N = 3 and 2.5% slower at N = 20, broke even near N = 22, and ran 3%
+# faster at N = 25 and 15% faster at N = 46.
+ENCLOSE_MIN_N = 25
 EPS = 2.0**-53  # unit roundoff of a float
 
 
@@ -171,7 +179,7 @@ class _Enclosure(NamedTuple):
     holds its alphas, and floors[i] and ceilings[i] bound every column
     value at an alpha in [scan[i - 1], scan[i]), index 0 below scan[0] and
     the last from scan[-1] on (see `_enclose`).  With no knots the hull is
-    empty.
+    empty.  `Proposal.bounds` reads them.
     """
 
     knots: np.ndarray
@@ -183,52 +191,32 @@ class _Enclosure(NamedTuple):
     floors: np.ndarray
     ceilings: np.ndarray
 
-    def covers(self, alphas: np.ndarray) -> np.ndarray:
-        """Where alphas lie in the knots' hull."""
-        if not self.knots.size:
-            return np.zeros(alphas.shape, dtype=bool)
-        return (alphas >= self.knots[0]) & (alphas <= self.knots[-1])
-
-    def at(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The chord's value at alphas in the hull and a half-width, past which no column of ell lies."""
-        g = np.minimum(np.searchsorted(self.knots, alphas, side="right") - 1, self.slopes.size - 1)
-        left = alphas - self.knots[g]
-        right = self.knots[g + 1] - alphas
-        return (self.values[g] + left * self.slopes[g],
-                self.bends[g] * left * right + self.slack[g])
-
-    def bounds(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds on every column value at each alpha: the chord's band in the hull, the scan's outside."""
-        i = np.searchsorted(self.scan, alphas, side="right")
-        lo, hi = self.floors[i], self.ceilings[i]
-        inside = self.covers(alphas)
-        mid, half = self.at(alphas[inside])
-        lo[inside], hi[inside] = mid - half, mid + half
-        return lo, hi
-
 
 @dataclass(frozen=True)
 class Proposal:
-    """The independence proposal: the grid density mixed with the hyperprior.
+    """The grid posterior of alpha and mu, and the independence proposal drawn from it.
 
     edges are the GRID_CELLS + 1 edges of the window's cells, nodes the
-    cells' quadrature nodes and masses their p_g, summing to 1.  The
-    density is q(a) = (1 - PRIOR_SHARE) * p_g / (cell g's width) +
-    PRIOR_SHARE * lambda(a) for a in cell g, and PRIOR_SHARE * lambda(a)
-    outside the window.  enclosure bounds ell at every alpha, and is None
-    over fewer than ENCLOSE_MIN_N coordinates.  moments is the mixture of
-    mu's conjugate posteriors at the nodes, weighted by the masses, as the
-    node column joined it.  The masses' CDF and each cell's log grid
-    density are built once, with the bits of forming them at each draw and
-    density call.
+    cells' quadrature nodes, node g inside cell g, and masses their p_g,
+    summing to 1.  mu_mean and mu_var are the moments of mu under the
+    mixture of its conjugate posteriors at the nodes, weighted by the
+    masses, as the node column joined them.  The proposal density is q(a) =
+    (1 - PRIOR_SHARE) * p_g / (cell g's width) + PRIOR_SHARE * lambda(a)
+    for a in cell g, and PRIOR_SHARE * lambda(a) outside the window.  ell
+    is the likelihood the chain's log weights read, and enclosure bounds it
+    at every alpha; it is None over fewer than ENCLOSE_MIN_N coordinates.
+    The masses' CDF and each cell's log grid density are built once, with
+    the bits of forming them at each draw and weight.
     """
 
     hyper: HyperPrior
     edges: np.ndarray
     nodes: np.ndarray
     masses: np.ndarray
+    mu_mean: np.ndarray
+    mu_var: np.ndarray
+    ell: Loglik = field(repr=False, compare=False)
     enclosure: _Enclosure | None
-    moments: Mixture = field(repr=False, compare=False)
     cdf: np.ndarray = field(init=False, repr=False)
     log_cells: np.ndarray = field(init=False, repr=False)
 
@@ -239,22 +227,98 @@ class Proposal:
             cells = math.log1p(-PRIOR_SHARE) + np.log(self.masses / np.diff(self.edges))
         object.__setattr__(self, "log_cells", np.concatenate([[-math.inf], cells, [-math.inf]]))
 
+    @property
+    def alpha_mean(self) -> float:
+        """alpha's posterior mean: the masses' quadrature of alpha."""
+        return float(self.masses @ self.nodes)
+
+    @property
+    def alpha_mode(self) -> float:
+        """The node of the cell with the most mass per width."""
+        return float(self.nodes[np.argmax(self.masses / np.diff(self.edges))])
+
+    def quantile(self, levels: np.ndarray) -> np.ndarray:
+        """The alpha at each level in [0, 1] of the masses' CDF, linear inside each cell."""
+        return np.interp(levels * self.cdf[-1], self.cdf, self.edges)
+
     def draw(self, rng, size: int) -> np.ndarray:
         """size independent draws from q."""
-        # the grid part's CDF is linear inside each cell, so interpolation inverts it
-        out = np.interp(rng.random(size) * self.cdf[-1], self.cdf, self.edges)
+        out = self.quantile(rng.random(size))
         prior = rng.random(size) < PRIOR_SHARE
         out[prior] = self.hyper.draw(rng, int(np.count_nonzero(prior)))
         return out
 
-    def log_density(self, alphas: np.ndarray) -> np.ndarray:
-        """log q elementwise."""
-        grid = self.log_cells[np.searchsorted(self.edges, alphas, side="right")]
-        return np.logaddexp(grid, math.log(PRIOR_SHARE) + self.hyper.log_density(alphas))
+    def log_weights(self, alphas: np.ndarray) -> np.ndarray:
+        """log pi - log q at each alpha, with pi taken as lambda * exp(ell's centred value).
+
+        The log acceptance probability of a move a -> a' is w(a') - w(a), that
+        is log [pi(a') q(a) / (pi(a) q(a'))]; the dropped term of ell cancels.
+        The target is pi on (0, ALPHA_MAX]: elsewhere, as where pi is 0, the
+        weight is -inf, so such a proposal (an inverse-gamma draw can overflow
+        to inf) is never taken.
+        """
+        ok, a, _, lam, lq = self._cells(alphas)
+        return _weighed(ok, lam, lq, self.ell.column(a))
+
+    def bounds(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds w_lo <= w_hi on the log weight `log_weights` would give each alpha.
+
+        Without an enclosure both are one array, log_weights' values from
+        one column.  Else w is formed as log_weights forms it, once from each
+        of the enclosure's bounds on the column value: the chord's band in
+        the knots' hull, and the window scan's floor and ceiling outside it.
+        An alpha's cell c gives its log q and, in the hull, its gap: node
+        c - 1 lies in cell c - 1, so the gap starts at knot c - 1 or c - 2 by
+        which side of that node the alpha falls (at the last knot, the last
+        gap).  Only the alphas outside the hull look up their scan interval.
+        w_lo == w_hi only where the bounds pin w.
+        """
+        enc = self.enclosure
+        if enc is None:
+            w = self.log_weights(alphas)
+            return w, w
+        ok, a, c, lam, lq = self._cells(alphas)
+        knots = enc.knots
+        hull = (a >= knots[0]) & (a <= knots[-1]) if knots.size else np.zeros(a.size, dtype=bool)
+        lo, hi = np.empty(a.size), np.empty(a.size)
+        out = ~hull
+        i = np.searchsorted(enc.scan, a[out], side="right")
+        lo[out], hi[out] = enc.floors[i], enc.ceilings[i]
+        x = a[hull]
+        g = np.minimum(c[hull], knots.size - 1) - 1
+        g -= x < knots[g]
+        left = x - knots[g]
+        right = knots[g + 1] - x
+        mid = enc.values[g] + left * enc.slopes[g]
+        half = enc.bends[g] * left * right + enc.slack[g]
+        lo[hull], hi[hull] = mid - half, mid + half
+        return _weighed(ok, lam, lq, lo), _weighed(ok, lam, lq, hi)
+
+    def _cells(self, alphas: np.ndarray):
+        """Which alphas lie in (0, ALPHA_MAX], those alphas, their cells and their log lambda and log q.
+
+        An alpha's cell c has edges[c - 1] <= alpha < edges[c]: 0 left of the
+        window and GRID_CELLS + 1 right of it, where log_cells is -inf.
+        """
+        ok = (alphas > 0.0) & (alphas <= ALPHA_MAX)
+        a = alphas[ok]
+        c = np.searchsorted(self.edges, a, side="right")
+        lam = self.hyper.log_density(a)
+        return ok, a, c, lam, np.logaddexp(self.log_cells[c], math.log(PRIOR_SHARE) + lam)
 
 
-def grid_proposal(ell: Loglik, hyper: HyperPrior) -> Proposal:
-    """The proposal for the target lambda * exp(ell) (see the module docstring)."""
+def _weighed(ok: np.ndarray, lam: np.ndarray, lq: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The log weight lambda + values - log q at the alphas ok marks, -inf at the others."""
+    w = np.full(ok.shape, -math.inf)
+    target = lam + values
+    with np.errstate(invalid="ignore"):  # -inf - -inf where lambda and q vanish together
+        w[ok] = np.where(target == -math.inf, -math.inf, target - lq)
+    return w
+
+
+def grid_proposal(obs: Observation, hyper: HyperPrior) -> Proposal:
+    """The grid posterior and proposal for the target lambda * exp(ell) (see the module docstring)."""
+    ell = Loglik(obs)
     lo, hi, scan = _window(ell, hyper)
     edges = np.exp(np.linspace(math.log(lo + CELL_SHIFT), math.log(hi + CELL_SHIFT),
                                GRID_CELLS + 1)) - CELL_SHIFT
@@ -276,7 +340,7 @@ def grid_proposal(ell: Loglik, hyper: HyperPrior) -> Proposal:
         values, enclosure = _enclose(ell, nodes, *scan, weigh)
     lp = log_prior + values
     masses = np.exp(lp - lp.max())
-    return Proposal(hyper, edges, nodes, masses / masses.sum(), enclosure, moments)
+    return Proposal(hyper, edges, nodes, masses / masses.sum(), *moments.mu(obs, ell.design), ell, enclosure)
 
 
 def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.ndarray,
@@ -299,7 +363,7 @@ def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.n
         |column(a) - chord(a)| <= bends[g] (a - x_g)(x_g+1 - a) + slack[g],
 
     where column(a) is what any `Loglik.column` call gives at a and chord
-    the line through the knots' values v_g, as `_Enclosure.at` forms it:
+    the line through the knots' values v_g, as `Proposal.bounds` forms it:
 
     1. Curvature.  ell'' = -2 sum_i L_i^2 r_i (1 - r_i)(1 - n y_i^2 (2 r_i - 1))
        (`Loglik.slope`, with 1 - 2w = 2r - 1), and over the gap each r_i
@@ -341,7 +405,7 @@ def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.n
        T's two halves are monotone, so T(a) <= T(x_g) + T(x_g+1) and, with
        rho at the knots, |ell(a)| <= Phi_g = 2 (|v_g| + |v_g+1|) + 1.  The
        chord through the v_g is within max(rho(x_g), rho(x_g+1)) of ell's
-       chord, and `_Enclosure.at` forms it within 6.2 eps (|v_g| + |v_g+1|).
+       chord, and `Proposal.bounds` forms it within 6.2 eps (|v_g| + |v_g+1|).
        With rho(a) itself that is at most eps [2N + (2N + 8 S + 51) Phi_g].
     3. Outside the hull.  The window scan x_0 < ... < x_L gives each
        point's column value v_j and log_sum A_j, so B_j = -2 v_j - A_j.
@@ -360,14 +424,14 @@ def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.n
        or at c: rho(a) and rho at a scan point, the errors of the two A's
        and of a B, halved, and at most three roundings of the bound, each
        within eps Phi.
-    4. The bounds.  `_Enclosure.bounds` rounds the chord's value less and
+    4. The bounds.  `Proposal.bounds` rounds the chord's value less and
        plus the half-width, within eps (Phi_g + bends[g] width^2 + slack[g]),
        and a floor or ceiling is rounded once from its bound and slack.
        Each slack adds 16 eps (Phi + bends width^2 + slack) for these and
        for the rounding of the slack itself.  Rounding to nearest is monotone, so the
        log weight w = (log lambda + c) - log q and w - log U, formed from
-       the bounds on c as `log_weights` and the accept test form them from
-       c, bound every value those give.
+       the bounds on c as `Proposal.log_weights` and the accept test form
+       them from c, bound every value those give.
 
     The knots stop where `Design.blocks` clamps alpha, at c: past it the
     scan's bounds alone hold ell.
@@ -508,36 +572,6 @@ def _cell_rule(hyper: HyperPrior, edges: np.ndarray) -> tuple[np.ndarray, np.nda
     return nodes, t * np.log(e1) + np.log(p) - math.log(t) - (t - 1.0) * np.log(nodes)
 
 
-def log_weights(ell: Loglik, hyper: HyperPrior, prop: Proposal, alphas: np.ndarray) -> np.ndarray:
-    """log pi - log q at each alpha, with pi taken as lambda * exp(ell's centred value).
-
-    The log acceptance probability of a move a -> a' is w(a') - w(a), that
-    is log [pi(a') q(a) / (pi(a) q(a'))]; the dropped term of ell cancels.
-    The target is pi on (0, ALPHA_MAX]: elsewhere, as where pi is 0, the
-    weight is -inf, so such a proposal (an inverse-gamma draw can overflow
-    to inf) is never taken.
-    """
-    return _weights(hyper, prop, alphas, lambda a: (ell.column(a),))[0]
-
-
-def _weights(hyper: HyperPrior, prop: Proposal, alphas: np.ndarray, column) -> list[np.ndarray]:
-    """log_weights' w at each alpha, once for each array column(a) gives in place of ell at a.
-
-    a holds the alphas in (0, ALPHA_MAX]; w is -inf at the others.
-    """
-    ok = (alphas > 0.0) & (alphas <= ALPHA_MAX)
-    a = alphas[ok]
-    lam, lq = hyper.log_density(a), prop.log_density(a)
-    out = []
-    for values in column(a):
-        w = np.full(alphas.shape, -math.inf)
-        target = lam + values
-        with np.errstate(invalid="ignore"):  # -inf - -inf where lambda and q vanish together
-            w[ok] = np.where(target == -math.inf, -math.inf, target - lq)
-        out.append(w)
-    return out
-
-
 def effective_sample_size(draws: np.ndarray) -> float:
     """Draws over their integrated autocorrelation time, Geyer's (1992) initial monotone estimate.
 
@@ -569,19 +603,17 @@ class HbChain:
     """Post-burn-in output of one sampler run.
 
     alphas holds the kept draws of alpha and proposal the grid they were
-    proposed from.  mu_mean and mu_var are the posterior moments of mu by
-    the grid's quadrature: the mixture of the conjugate posteriors at the
-    cells' nodes, weighted by the cells' masses, which the node column
-    joins as it is evaluated (`Proposal.moments`); they agree with
+    proposed from.  mu_mean and mu_var are the grid's posterior moments of
+    mu (`Proposal`): the mixture of the conjugate posteriors at the cells'
+    nodes, weighted by the cells' masses; they agree with
     `gaussian_posterior.mixture` at the nodes and masses to rounding.
     exact_evaluations is the number of alphas at which the chain evaluated
     its log weights (see `run_mwg`); it is not part of the summary.
 
-    The summary reads alpha's posterior off the grid too: alpha_mean is the
-    masses' quadrature of alpha, the quantiles invert the masses' CDF,
-    linear inside each cell, and alpha_mode is the node of the cell with
-    the most mass per width.  Only alpha_ess and acceptance_rate come from
-    the chain, which checks the grid rather than supplying its numbers.
+    The summary reads alpha's posterior off the grid too (`Proposal`'s
+    alpha_mean, quantile and alpha_mode).  Only alpha_ess and
+    acceptance_rate come from the chain, which checks the grid rather than
+    supplying its numbers.
     """
 
     alphas: np.ndarray
@@ -594,13 +626,11 @@ class HbChain:
 
     def summary(self) -> dict:
         prop = self.proposal
-        # the grid's CDF is linear inside each cell, so interpolation inverts it, as in Proposal.draw
-        q = np.interp(np.array([0.025, 0.5, 0.975]) * prop.cdf[-1], prop.cdf, prop.edges)
         return {
             "acceptance_rate": self.acceptance_rate,
-            "alpha_mean": float(prop.masses @ prop.nodes),
-            "alpha_quantiles": [float(v) for v in q],
-            "alpha_mode": float(prop.nodes[np.argmax(prop.masses / np.diff(prop.edges))]),
+            "alpha_mean": prop.alpha_mean,
+            "alpha_quantiles": prop.quantile(np.array([0.025, 0.5, 0.975])).tolist(),
+            "alpha_mode": prop.alpha_mode,
             "alpha_ess": effective_sample_size(self.alphas),
             "mu_mean": self.mu_mean.tolist(),
             "mu_var": self.mu_var.tolist(),
@@ -620,45 +650,44 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
     chains.
 
     Each candidate carries bounds w_lo <= w <= w_hi on its log weight
-    (`_chunk_weights`), and w_lo == w_hi where they pin it; the current
+    (`Proposal.bounds`), and w_lo == w_hi where they pin it; the current
     state keeps the bounds it was taken with.  Rounding is monotone, so
     w_lo - log U and w_hi - log U bound w - log U.  A move is taken when
     that lower bound exceeds the state's upper one, and refused when the
     upper bound is at or below the state's lower one.  Else the candidate
-    and the state get their log_weights values, as points, and the test is
-    the exact chain's w - log U > w.  A value log_weights gives depends in
-    its last bits on the alphas that share its column, and the bounds hold
-    each such value, so a decision can differ from the evaluated chain's
-    only where w - log U lies within that rounding of w.
+    and the state get their `Proposal.log_weights` values, as points, and
+    the test is the exact chain's w - log U > w.  A value log_weights gives
+    depends in its last bits on the alphas that share its column, and the
+    bounds hold each such value, so a decision can differ from the
+    evaluated chain's only where w - log U lies within that rounding of w.
+    A nan bound decides nothing, and a nan value is a NumericalError.
     exact_evaluations counts the alphas log_weights evaluated, the start
     point included.
     """
     alpha = 1.0 if cfg.alpha_init is None else cfg.alpha_init
-    ell = Loglik(obs)
-    prop = grid_proposal(ell, hyper)
-    current = float(log_weights(ell, hyper, prop, np.array([alpha]))[0])
-    if not math.isfinite(current):
+    prop = grid_proposal(obs, hyper)
+    cur_lo = cur_hi = float(prop.log_weights(np.array([alpha]))[0])
+    if not math.isfinite(cur_lo):
         raise NumericalError(f"log posterior of alpha non-finite at the start point alpha={alpha}")
-    cur_lo = cur_hi = current
     rng = np.random.default_rng(cfg.seed)
     accepted, evaluated = 0, 1
     states = np.empty(cfg.iterations)
     for s in range(0, cfg.iterations, CHUNK):
         cand = prop.draw(rng, min(CHUNK, cfg.iterations - s))
         log_u = np.log(rng.random(cand.size))
-        w_lo, w_hi = _chunk_weights(ell, hyper, prop, cand, s)
+        w_lo, w_hi = prop.bounds(cand)
         # accept a candidate when log U < w - current, i.e. when w - log U > current
         lows = (w_lo - log_u).tolist(), w_lo.tolist()
-        if prop.enclosure is None:  # every w was evaluated, so its bounds are one value
+        if w_lo is w_hi:  # the bounds are the evaluated weights
             evaluated += cand.size
             highs = lows
         else:
             highs = (w_hi - log_u).tolist(), w_hi.tolist()
         chunk = []
         for a, lo, hi, wl, wh in zip(cand.tolist(), lows[0], highs[0], lows[1], highs[1]):
-            if not lo > cur_hi and hi > cur_lo:  # the bounds cannot decide: evaluate
+            if not (lo > cur_hi or hi <= cur_lo):  # the bounds cannot decide, or are nan: evaluate
                 todo = ([] if lo == hi else [a]) + ([] if cur_lo == cur_hi else [alpha])
-                vals = log_weights(ell, hyper, prop, np.array(todo)).tolist()
+                vals = prop.log_weights(np.array(todo)).tolist()
                 evaluated += len(todo)
                 if lo != hi:
                     wl = wh = vals[0]
@@ -673,26 +702,5 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
             chunk.append(alpha)
         states[s:s + cand.size] = chunk
 
-    mu_mean, mu_var = prop.moments.mu(obs, ell.design)
-    return HbChain(states[cfg.resolved_burn_in():], accepted / cfg.iterations, mu_mean, mu_var,
+    return HbChain(states[cfg.resolved_burn_in():], accepted / cfg.iterations, prop.mu_mean, prop.mu_var,
                    cfg, prop, evaluated)
-
-
-def _chunk_weights(ell: Loglik, hyper: HyperPrior, prop: Proposal, cand: np.ndarray,
-                   start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds w_lo <= w_hi on the log weight log_weights would give each of a chunk's candidates.
-
-    Without an enclosure both are log_weights' values, from one column.
-    Else w is formed as log_weights forms it, once from each of the
-    enclosure's bounds on the column value (`_Enclosure.bounds`): the
-    chord's band inside the nodes' hull, and the window scan's floor and
-    ceiling outside it.  w_lo == w_hi only where the bounds pin w.
-    """
-    if prop.enclosure is None:
-        w_lo = w_hi = log_weights(ell, hyper, prop, cand)
-    else:
-        w_lo, w_hi = _weights(hyper, prop, cand, prop.enclosure.bounds)
-    bad = np.isnan(w_lo) | np.isnan(w_hi)
-    if bad.any():
-        raise NumericalError(f"iteration {start + int(np.argmax(bad))}: non-finite MH acceptance ratio")
-    return w_lo, w_hi

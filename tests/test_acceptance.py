@@ -31,8 +31,7 @@ from invseq import (
     simulate,
     synthesize_function,
 )
-from invseq.empirical_bayes import Loglik
-from invseq.hierarchical_bayes import grid_proposal, log_weights
+from invseq.hierarchical_bayes import grid_proposal
 from oracles import grid_log_q, volterra_forward
 
 VOLTERRA = ModelSpec.volterra()
@@ -187,9 +186,8 @@ def test_mh_acceptance_matches_oracle_and_balances():
         hyper, dist = hypers[k % 3], dists[k % 3]
 
         # what run_mwg evaluates: log weights log pi - log q, whose difference is the ratio
-        ell = Loglik(obs)
-        prop = grid_proposal(ell, hyper)
-        w = log_weights(ell, hyper, prop, np.array([a1, a2]))
+        prop = grid_proposal(obs, hyper)
+        w = prop.log_weights(np.array([a1, a2]))
         impl = w[1] - w[0]
         j = np.arange(1, J + 1, dtype=float)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -29,9 +30,9 @@ from invseq.empirical_bayes import Loglik
 from invseq.errors import ConfigError, NumericalError
 from invseq.gaussian_posterior import mixture
 from invseq.hierarchical_bayes import (ALPHA_MAX, ENCLOSE_MIN_N, PRIOR_SHARE, effective_sample_size,
-                                       grid_proposal, log_weights)
+                                       grid_proposal)
 from invseq.sequence_model import block_rows, default_truncation, fields_dict, read_fields
-from oracles import grid_log_q, reference_chain
+from oracles import fresh_log_weights, grid_log_q, reference_chain
 
 VOLTERRA = ModelSpec.volterra()
 
@@ -129,11 +130,10 @@ def test_mh_acceptance_no_move_is_unit():
     that stays put has log acceptance exactly 0."""
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e11, 4642, 3)
     hyper = HyperPrior.gamma(2.0, 1.5)
-    ell = Loglik(obs)
-    prop = grid_proposal(ell, hyper)
+    prop = grid_proposal(obs, hyper)
     alphas = np.random.default_rng(0).uniform(0.5, 1.5, 40)
     alphas[[1, 6, 15, 22, 39]] = 1.1
-    w = log_weights(ell, hyper, prop, alphas)
+    w = prop.log_weights(alphas)
     assert np.all(w[[6, 15, 22, 39]] - w[1] == 0.0)
 
 
@@ -142,13 +142,12 @@ def test_mh_acceptance_hand_value():
     so the prior cancels and the ratio is the likelihood ratio."""
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e7, 215, 2)
     hyper = HyperPrior.exponential(1.0)
-    ell = Loglik(obs)
-    prop = grid_proposal(ell, hyper)
+    prop = grid_proposal(obs, hyper)
     a1, a2 = prop.edges[-1] + 0.5, prop.edges[-1] + 2.0
-    w = log_weights(ell, hyper, prop, np.array([a1, a2]))
+    w = prop.log_weights(np.array([a1, a2]))
     want = log_likelihood(a2, obs) - log_likelihood(a1, obs)
     assert math.isclose(w[1] - w[0], want, rel_tol=1e-12)
-    assert math.isclose(w[0], ell(a1) - math.log(PRIOR_SHARE), rel_tol=1e-12)
+    assert math.isclose(w[0], Loglik(obs)(a1) - math.log(PRIOR_SHARE), rel_tol=1e-12)
 
 
 def test_acceptance_ratio_matches_oracle_at_large_n():
@@ -175,9 +174,8 @@ def test_acceptance_ratio_matches_oracle_at_large_n():
         y = kap * TruthSpec.paper_example().coefficients(J) + z / math.sqrt(n)
         obs = Observation(n=n, N=J, y=y, seed=k, model=VOLTERRA)
         hyper, dist = hypers[k % 3], dists[k % 3]
-        ell = Loglik(obs)
-        prop = grid_proposal(ell, hyper)
-        w = log_weights(ell, hyper, prop, np.array([a1, a2]))
+        prop = grid_proposal(obs, hyper)
+        w = prop.log_weights(np.array([a1, a2]))
         impl = w[1] - w[0]
         j = np.arange(1, J + 1, dtype=float)
 
@@ -201,6 +199,28 @@ def test_run_mwg_validation():
             run_mwg(obs, hyper, HbConfig(iterations=10, alpha_init=start))
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         run_mwg(obs, hyper, HbConfig(iterations=10, seed=-1))
+
+
+@pytest.mark.parametrize("n, N", [(1e3, 10), (1e7, 215)], ids=["evaluated", "enclosed"])
+def test_chain_stops_at_the_first_nan_weight(monkeypatch, n, N):
+    """A candidate whose log weight is nan stops the chain with a NumericalError naming its
+    iteration, whether its weight was evaluated or bounded: nan bounds decide nothing, so
+    the candidate is evaluated and its nan value refused."""
+    class Holed(HyperPrior):
+        def log_density(self, alpha):  # nan past alpha = 2
+            v = super().log_density(alpha)
+            return np.where(np.asarray(alpha) > 2.0, math.nan, v) if np.ndim(v) else v
+
+    build = hierarchical_bayes.grid_proposal
+    monkeypatch.setattr(hierarchical_bayes, "grid_proposal",
+                        lambda obs, hyper: dataclasses.replace(build(obs, hyper), hyper=Holed("exponential")))
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, n, N, 1)
+    prop = hierarchical_bayes.grid_proposal(obs, HyperPrior.exponential(1.0))
+    assert (prop.enclosure is None) == (N < ENCLOSE_MIN_N)
+    first = int(np.argmax(prop.draw(np.random.default_rng(4), 1000) > 2.0))
+    assert first > 0
+    with pytest.raises(NumericalError, match=f"^iteration {first}: non-finite MH acceptance ratio$"):
+        run_mwg(obs, HyperPrior.exponential(1.0), HbConfig(iterations=1000, seed=4))
 
 
 def test_run_mwg_deterministic():
@@ -435,8 +455,7 @@ def test_vague_inverse_gamma_chain_is_finite():
     assert np.all(np.isfinite(chain.mu_mean)) and np.all(chain.mu_var > 0.0)
     assert np.isinf(chain.proposal.draw(np.random.default_rng(3), 10_000)).any()
 
-    w = log_weights(Loglik(obs), hyper, chain.proposal,
-                    np.array([-1.0, 0.0, math.inf, 2.0 * ALPHA_MAX, 1.0]))
+    w = chain.proposal.log_weights(np.array([-1.0, 0.0, math.inf, 2.0 * ALPHA_MAX, 1.0]))
     assert np.all(w[:4] == -math.inf) and math.isfinite(w[4])
 
     weak = simulate(TruthSpec.paper_example(), VOLTERRA, 10.0, 3, 2)
@@ -550,25 +569,22 @@ def test_chain_moments_are_the_mixture_at_the_nodes(monkeypatch, truth, n, N, hy
 
 
 def test_proposal_tables_keep_the_bits_of_each_call():
-    """The proposal's CDF and log grid density, built once, give each draw and each
-    log q the bits of forming them afresh at each call."""
+    """The proposal's CDF and log grid density, built once, give each draw, each quantile
+    and each log weight the bits of forming them afresh at each call."""
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e7, 215, 2)
     hyper, dist = KINDS[1]
-    prop = grid_proposal(Loglik(obs), hyper)
+    prop = grid_proposal(obs, hyper)
     cdf = np.concatenate([[0.0], np.cumsum(prop.masses)])
     u = np.random.default_rng(4).random(5000)
-    np.testing.assert_array_equal(np.interp(u * cdf[-1], cdf, prop.edges),
-                                  np.interp(u * prop.cdf[-1], prop.cdf, prop.edges))
+    np.testing.assert_array_equal(np.interp(u * cdf[-1], cdf, prop.edges), prop.quantile(u))
+    rng, again = np.random.default_rng(6), np.random.default_rng(6)
+    draws = np.interp(rng.random(5000) * cdf[-1], cdf, prop.edges)
+    prior = rng.random(5000) < PRIOR_SHARE
+    draws[prior] = hyper.draw(rng, int(np.count_nonzero(prior)))
+    np.testing.assert_array_equal(prop.draw(again, 5000), draws)
     a = np.concatenate([prop.edges, prop.nodes, [0.0, -1.0, 1e3, math.inf, math.nan],
                         np.random.default_rng(5).uniform(0.0, 2.0 * prop.edges[-1], 2000)])
-    g = np.searchsorted(prop.edges, a, side="right") - 1
-    inside = (g >= 0) & (g < prop.masses.size)
-    dens = np.zeros(a.shape)
-    dens[inside] = prop.masses[g[inside]] / np.diff(prop.edges)[g[inside]]
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 outside the window; nan
-        want = np.logaddexp(math.log1p(-PRIOR_SHARE) + np.log(dens),
-                            math.log(PRIOR_SHARE) + hyper.log_density(a))
-        np.testing.assert_array_equal(prop.log_density(a), want)
+    np.testing.assert_array_equal(prop.log_weights(a), fresh_log_weights(prop, a))
 
 
 @pytest.mark.parametrize("hyper, seed", [
@@ -595,9 +611,8 @@ def test_proposal_node_values_are_the_node_column():
     enclosure, has the bits of `Loglik.column` at the nodes."""
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e11, 4642, 3)
     hyper = HyperPrior.gamma(2.0, 1.5)
-    ell = Loglik(obs)
-    prop = grid_proposal(ell, hyper)
-    values = ell.column(prop.nodes)
+    prop = grid_proposal(obs, hyper)
+    values = Loglik(obs).column(prop.nodes)
     enc = prop.enclosure
     assert enc.knots.size == prop.nodes.size
     assert enc.values.tobytes() == values.tobytes()
@@ -605,6 +620,29 @@ def test_proposal_node_values_are_the_node_column():
     lp = hierarchical_bayes._cell_rule(hyper, edges)[1] + hyper.log_density(prop.nodes) + values
     masses = np.exp(lp - lp.max())
     assert (masses / masses.sum()).tobytes() == prop.masses.tobytes()
+
+
+@pytest.mark.parametrize("truth, n, N, hyper, seed, cells", [
+    (TruthSpec.paper_example(), 1e7, 215, HyperPrior.exponential(1.0), 3, None),
+    (TruthSpec.paper_example(), 1e7, 215, HyperPrior.gamma(2.0, 1.5), 3, None),
+    (TruthSpec.paper_example(), 1e7, 215, HyperPrior.inverse_gamma(2.0, 1.0), 3, None),
+    (TruthSpec.paper_example(), 1e3, 40, HyperPrior.gamma(0.1, 1.0), 13, None),
+    (TruthSpec.paper_example(), 1e7, 215, HyperPrior.inverse_gamma(1e-3, 1e-3), 6, None),
+    (TruthSpec.zero(), 1e15, 2000, HyperPrior.exponential(1.3), 9, None),
+    (TruthSpec.power_law(1.0), 1e9, 1000, HyperPrior.exponential(1.0), 8, 4),
+    (TruthSpec.paper_example(), 1e7, 215, HyperPrior.exponential(1.0), 9, 16),
+], ids=["exponential", "gamma", "inverse_gamma", "gamma-0.1-window-from-0", "vague-inverse_gamma",
+        "past-alpha_full", "coarse-4-cells", "coarse-16-cells"])
+def test_every_node_lies_in_its_own_cell(monkeypatch, truth, n, N, hyper, seed, cells):
+    """edges[g] <= nodes[g] <= edges[g + 1], which `Proposal.bounds` relies on to find an
+    alpha's gap between the knots from its cell alone."""
+    if cells is not None:
+        monkeypatch.setattr(hierarchical_bayes, "GRID_CELLS", cells)
+    prop = grid_proposal(simulate(truth, VOLTERRA, n, N, seed), hyper)
+    assert prop.nodes.size == (cells or 256)
+    if n == 1e3:  # gamma(0.1, 1): the window starts at 0
+        assert prop.edges[0] == 0.0
+    assert np.all(prop.edges[:-1] <= prop.nodes) and np.all(prop.nodes <= prop.edges[1:])
 
 
 def test_coarse_proposal_chain_matches_quadrature(monkeypatch):

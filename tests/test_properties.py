@@ -11,7 +11,9 @@ lands on an end of its search interval, the score points outside it.
 Every spec and config reads back what it writes, and the CSV writer gives
 the bytes of its reference encoding.  The sampler's enclosure of the
 likelihood between its grid nodes holds every value a column gives there,
-and the bounds its window scan sets hold every value outside them.
+and the bounds its window scan sets hold every value outside them; the
+bounds on the log weights it reads off both, one cell lookup per alpha,
+are those of three searches.
 The examples are derandomized, so every run draws the same ones.
 """
 
@@ -30,14 +32,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invseq import (ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthSpec, fit, posterior,
-                    score, simulate)
+from invseq import (ExperimentConfig, HyperPrior, ModelSpec, Observation, TruthSpec, fit,
+                    hierarchical_bayes, posterior, score, simulate)
 from invseq.cli import main
 from invseq.empirical_bayes import Loglik
 from invseq.experiments import write_csv
-from invseq.hierarchical_bayes import ENCLOSE_MIN_N, grid_proposal
+from invseq.hierarchical_bayes import ALPHA_MAX, ENCLOSE_MIN_N, grid_proposal
 from invseq.sequence_model import (LOG_FLOAT_MAX, S_FLOOR, TRUNCATION_CAP, default_truncation,
                                    fields_dict, read_fields)
+from oracles import enclosure_bounds, reference_bounds, weights_at
 from test_empirical_bayes import _long_double_centred
 
 EPS = np.finfo(float).eps
@@ -195,15 +198,17 @@ def test_enclosure_holds_every_column(truth, hyper, log10_n, N, seed, fractions)
     """
     obs = simulate(truth, ModelSpec.volterra(), 10.0 ** log10_n, N, seed)
     ell = Loglik(obs)
-    enc = grid_proposal(ell, hyper).enclosure
+    prop = grid_proposal(obs, hyper)
+    enc = prop.enclosure
     assert enc.knots.size >= 2
     x0, x1 = float(enc.knots[0]), float(enc.knots[-1])
     alphas = np.clip(x0 + np.array(fractions) * (x1 - x0), x0, x1)
-    mid, half = enc.at(alphas)
-    assert np.all(half > 0.0)
+    w_lo, w_hi = prop.bounds(alphas)
+    assert np.all(w_lo < w_hi)
     for values in (ell.column(alphas), np.array([ell(a) for a in alphas]),
                    ell.column(np.concatenate([[x0], alphas, [x1]]))[1:-1]):
-        assert np.all(np.abs(values - mid) <= half)
+        w = weights_at(prop, alphas, values)
+        assert np.all((w_lo <= w) & (w <= w_hi))
 
 
 @SETTINGS
@@ -223,7 +228,8 @@ def test_window_scan_bounds_every_column_outside_the_hull(truth, hyper, log10_n,
     """
     obs = simulate(truth, ModelSpec.volterra(), 10.0 ** log10_n, N, seed)
     ell = Loglik(obs)
-    enc = grid_proposal(ell, hyper).enclosure
+    prop = grid_proposal(obs, hyper)
+    enc = prop.enclosure
     x0, x1 = float(enc.knots[0]), float(enc.knots[-1])
     scan = enc.scan
     left, right = scan[scan < x0], scan[scan > x1]
@@ -236,12 +242,57 @@ def test_window_scan_bounds_every_column_outside_the_hull(truth, hyper, log10_n,
                 alphas.append(side[j] + f * (side[j + 1] - side[j]))
         alphas += [scan[-1] * (1.0 + f), (LOG_FLOAT_MAX - S_FLOOR) * (1.0 + f)]
     alphas = np.array(alphas)
-    alphas = alphas[~enc.covers(alphas)]
-    floor, ceiling = enc.bounds(alphas)
+    alphas = alphas[(alphas < x0) | (alphas > x1)]
+    floor, ceiling = enclosure_bounds(enc, alphas)
     assert np.all(floor < ceiling) and np.all(np.isfinite(floor)) and np.all(np.isfinite(ceiling))
+    w_lo, w_hi = prop.bounds(alphas)
     for values in (ell.column(alphas), np.array([ell(a) for a in alphas]),
                    ell.column(np.concatenate([[x0], alphas, [x1]]))[1:-1]):
         assert np.all((floor <= values) & (values <= ceiling))
+        w = weights_at(prop, alphas, values)
+        assert np.all((w_lo <= w) & (w <= w_hi))
+
+
+
+@SETTINGS
+@example(truth=TruthSpec.paper_example(), hyper=HyperPrior.gamma(0.1, 1.0), log10_n=3.0, N=ENCLOSE_MIN_N,
+         seed=13, cells=256, fractions=[0.0, 0.5, 1.0])
+@example(truth=TruthSpec.paper_example(), hyper=HyperPrior.inverse_gamma(1e-3, 1e-3), log10_n=7.0, N=215,
+         seed=6, cells=256, fractions=[0.0, 0.5, 1.0])
+@example(truth=TruthSpec.zero(), hyper=HyperPrior.exponential(1.3), log10_n=15.0, N=2000, seed=2,
+         cells=256, fractions=[0.0, 0.5, 1.0])
+@example(truth=TruthSpec.zero(), hyper=HyperPrior.inverse_gamma(2.0, 1e6), log10_n=3.0, N=50, seed=1,
+         cells=256, fractions=[0.0, 0.5, 1.0])
+@given(truth=enclosure_truths,
+       hyper=st.sampled_from([HyperPrior.exponential(1.3), HyperPrior.gamma(2.0, 1.5), HyperPrior.gamma(0.5, 1.0),
+                              HyperPrior.inverse_gamma(2.0, 1.0)]),
+       log10_n=st.floats(1.0, 15.0), N=st.integers(ENCLOSE_MIN_N, 2000), seed=st.integers(0, 2**32 - 1),
+       cells=st.sampled_from([4, 16, 256]), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=32))
+def test_bounds_are_the_three_lookup_bounds(truth, hyper, log10_n, N, seed, cells, fractions):
+    """`Proposal.bounds`, which looks up each alpha's cell once, gives the bits of
+    `oracles.reference_bounds`, which searches the edges, the window scan and the knots.
+
+    The alphas are every edge and node and the floats next to them on both sides,
+    the last knot, every scan point, 0, ALPHA_MAX, inf, and fractions of the window
+    and of twice the scan's reach.  The explicit examples are a window from 0
+    (gamma(0.1, 1) at n = 1e3), the vague inverse gamma's tail, a window past
+    alpha_full, and one wholly past the clamp of `Design.blocks`, where there are
+    no knots and the scan bounds every alpha.
+    """
+    obs = simulate(truth, ModelSpec.volterra(), 10.0 ** log10_n, N, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hierarchical_bayes, "GRID_CELLS", cells)
+        prop = grid_proposal(obs, hyper)
+    enc = prop.enclosure
+    if truth.kind == "zero" and hyper.scale == 1e6:
+        assert enc.knots.size == 0
+    f = np.array(fractions)
+    points = np.concatenate([prop.edges, prop.nodes])
+    alphas = np.concatenate([points, np.nextafter(points, -math.inf), np.nextafter(points, math.inf),
+                             enc.knots[-1:], enc.scan, [0.0, ALPHA_MAX, math.inf],
+                             prop.edges[0] + f * (prop.edges[-1] - prop.edges[0]), 2.0 * f * enc.scan[-1]])
+    got, want = prop.bounds(alphas), reference_bounds(prop, alphas)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 MISSING = object()
