@@ -75,9 +75,11 @@ CHUNK = 1024  # proposals drawn, evaluated and accepted at a time
 # The chain encloses ell only over at least this many coordinates; below, every candidate is
 # evaluated.  There a chunk's column costs about as much as its bounds: 4000-sweep chains (paper
 # truth, n = N^3, seeds 1-5, one BLAS thread on a 2-vCPU x86 VM, medians of 60 interleaved runs)
-# ran 9% slower enclosed at N = 3 and 2.5% slower at N = 20, broke even near N = 22, and ran 3%
-# faster at N = 25 and 15% faster at N = 46.
-ENCLOSE_MIN_N = 25
+# ran 9% slower enclosed at N = 3 and 2.5% slower at N = 20, 3-5% faster at N = 25 and 30, and
+# 11-15% faster at N = 35 to 46.  The gains below 40 are small and noisy (N = 40 read slower
+# than 35), and no benchmark workload runs an N in [25, 40) to confirm them, so enclosing
+# still starts at 40.
+ENCLOSE_MIN_N = 40
 EPS = 2.0**-53  # unit roundoff of a float
 
 
@@ -263,8 +265,9 @@ class Proposal:
     def bounds(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bounds w_lo <= w_hi on the log weight `log_weights` would give each alpha.
 
-        Without an enclosure both are one array, log_weights' values from
-        one column.  Else w is formed as log_weights forms it, once from each
+        Without an enclosure it returns one array twice, log_weights' values
+        from one column, so that `w_lo is w_hi` tells a caller the bounds are
+        the evaluated weights.  Else w is formed as log_weights forms it, once from each
         of the enclosure's bounds on the column value: the chord's band in
         the knots' hull, and the window scan's floor and ceiling outside it.
         An alpha's cell c gives its log q and, in the hull, its gap: node
@@ -678,22 +681,21 @@ def run_mwg(obs: Observation, hyper: HyperPrior, cfg: HbConfig) -> HbChain:
         w_lo, w_hi = prop.bounds(cand)
         # accept a candidate when log U < w - current, i.e. when w - log U > current
         lows = (w_lo - log_u).tolist(), w_lo.tolist()
-        if w_lo is w_hi:  # the bounds are the evaluated weights
-            evaluated += cand.size
-            highs = lows
-        else:
-            highs = (w_hi - log_u).tolist(), w_hi.tolist()
+        exact = w_lo is w_hi  # the bounds are the evaluated weights
+        evaluated += cand.size if exact else 0
+        highs = lows if exact else ((w_hi - log_u).tolist(), w_hi.tolist())
         chunk = []
         for a, lo, hi, wl, wh in zip(cand.tolist(), lows[0], highs[0], lows[1], highs[1]):
-            if not (lo > cur_hi or hi <= cur_lo):  # the bounds cannot decide, or are nan: evaluate
-                todo = ([] if lo == hi else [a]) + ([] if cur_lo == cur_hi else [alpha])
-                vals = prop.log_weights(np.array(todo)).tolist()
-                evaluated += len(todo)
-                if lo != hi:
-                    wl = wh = vals[0]
-                    lo = hi = wl - float(log_u[len(chunk)])
-                if cur_lo != cur_hi:
-                    cur_lo = cur_hi = vals[-1]
+            if not (lo > cur_hi or hi <= cur_lo):  # the bounds cannot decide, or are nan
+                if not exact:  # evaluate what they leave open
+                    todo = ([] if lo == hi else [a]) + ([] if cur_lo == cur_hi else [alpha])
+                    vals = prop.log_weights(np.array(todo)).tolist()
+                    evaluated += len(todo)
+                    if lo != hi:
+                        wl = wh = vals[0]
+                        lo = hi = wl - float(log_u[len(chunk)])
+                    if cur_lo != cur_hi:
+                        cur_lo = cur_hi = vals[-1]
                 if math.isnan(lo) or math.isnan(cur_lo):
                     raise NumericalError(f"iteration {s + len(chunk)}: non-finite MH acceptance ratio")
             if lo > cur_hi:

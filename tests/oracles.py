@@ -43,6 +43,21 @@ def grid_log_q(prop, dist, a: float) -> float:
     return math.log((1.0 - PRIOR_SHARE) * grid + PRIOR_SHARE * dist.pdf(a))
 
 
+def _weights(prop, alphas, values, log_q):
+    """lambda + ell - log q at each alpha in (0, ALPHA_MAX], -inf at the others and where pi is 0.
+
+    values(ok) gives ell at the alphas the mask ok marks, and log_q(a) log q
+    at those alphas a.
+    """
+    ok = (alphas > 0.0) & (alphas <= ALPHA_MAX)
+    a = alphas[ok]
+    w = np.full(alphas.shape, -math.inf)
+    target = prop.hyper.log_density(a) + values(ok)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where lambda and q vanish together
+        w[ok] = np.where(target == -math.inf, -math.inf, target - log_q(a))
+    return w
+
+
 def fresh_log_weights(prop, alphas):
     """log pi - log q at each alpha, with q formed afresh from the cells' masses over their widths.
 
@@ -58,12 +73,7 @@ def fresh_log_weights(prop, alphas):
             return np.logaddexp(math.log1p(-PRIOR_SHARE) + np.log(dens),
                                 math.log(PRIOR_SHARE) + prop.hyper.log_density(a))
 
-    w = np.full(alphas.shape, -math.inf)
-    ok = (alphas > 0.0) & (alphas <= ALPHA_MAX)
-    target = prop.hyper.log_density(alphas[ok]) + prop.ell.column(alphas[ok])
-    with np.errstate(invalid="ignore"):
-        w[ok] = np.where(target == -math.inf, -math.inf, target - log_q(alphas[ok]))
-    return w
+    return _weights(prop, alphas, lambda ok: prop.ell.column(alphas[ok]), log_q)
 
 
 def weights_at(prop, alphas, values):
@@ -72,16 +82,11 @@ def weights_at(prop, alphas, values):
     log q is looked up by its own search of the cells' edges; the weight is
     -inf outside (0, ALPHA_MAX] and wherever pi is 0.
     """
-    ok = (alphas > 0.0) & (alphas <= ALPHA_MAX)
-    a = alphas[ok]
-    lam = prop.hyper.log_density(a)
-    lq = np.logaddexp(prop.log_cells[np.searchsorted(prop.edges, a, side="right")],
-                      math.log(PRIOR_SHARE) + prop.hyper.log_density(a))
-    w = np.full(alphas.shape, -math.inf)
-    target = lam + values[ok]
-    with np.errstate(invalid="ignore"):
-        w[ok] = np.where(target == -math.inf, -math.inf, target - lq)
-    return w
+    def log_q(a):
+        return np.logaddexp(prop.log_cells[np.searchsorted(prop.edges, a, side="right")],
+                            math.log(PRIOR_SHARE) + prop.hyper.log_density(a))
+
+    return _weights(prop, alphas, values.__getitem__, log_q)
 
 
 def enclosure_bounds(enc, alphas):

@@ -204,8 +204,9 @@ def test_run_mwg_validation():
 @pytest.mark.parametrize("n, N", [(1e3, 10), (1e7, 215)], ids=["evaluated", "enclosed"])
 def test_chain_stops_at_the_first_nan_weight(monkeypatch, n, N):
     """A candidate whose log weight is nan stops the chain with a NumericalError naming its
-    iteration, whether its weight was evaluated or bounded: nan bounds decide nothing, so
-    the candidate is evaluated and its nan value refused."""
+    iteration, whether its weight was evaluated or bounded: an evaluated nan weight is
+    refused as it is, with no second evaluation, and nan bounds decide nothing, so the
+    candidate is evaluated and its nan value refused."""
     class Holed(HyperPrior):
         def log_density(self, alpha):  # nan past alpha = 2
             v = super().log_density(alpha)
@@ -219,8 +220,14 @@ def test_chain_stops_at_the_first_nan_weight(monkeypatch, n, N):
     assert (prop.enclosure is None) == (N < ENCLOSE_MIN_N)
     first = int(np.argmax(prop.draw(np.random.default_rng(4), 1000) > 2.0))
     assert first > 0
+    sizes = []
+    weigh = hierarchical_bayes.Proposal.log_weights
+    monkeypatch.setattr(hierarchical_bayes.Proposal, "log_weights",
+                        lambda self, alphas: sizes.append(alphas.size) or weigh(self, alphas))
     with pytest.raises(NumericalError, match=f"^iteration {first}: non-finite MH acceptance ratio$"):
         run_mwg(obs, HyperPrior.exponential(1.0), HbConfig(iterations=1000, seed=4))
+    if N < ENCLOSE_MIN_N:  # the start point, then the chunk's one column
+        assert sizes == [1, 1000]
 
 
 def test_run_mwg_deterministic():

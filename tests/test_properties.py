@@ -192,9 +192,10 @@ def test_enclosure_holds_every_column(truth, hyper, log10_n, N, seed, fractions)
 
     The alphas are evaluated as one column, alone, and in a column with the
     hull's ends, so their blocks' prefixes and BLAS's grouping of rows
-    differ; each value must lie within the half-width of the chord.  The
-    explicit example is a window past alpha_full: zero truth at n = 1e15,
-    N = 2000, where every node's block reads a prefix.
+    differ; each value must lie within the half-width of the chord, and
+    its log weight within `Proposal.bounds`.  The explicit example is a
+    window past alpha_full: zero truth at n = 1e15, N = 2000, where every
+    node's block reads a prefix.
     """
     obs = simulate(truth, ModelSpec.volterra(), 10.0 ** log10_n, N, seed)
     ell = Loglik(obs)
@@ -203,10 +204,12 @@ def test_enclosure_holds_every_column(truth, hyper, log10_n, N, seed, fractions)
     assert enc.knots.size >= 2
     x0, x1 = float(enc.knots[0]), float(enc.knots[-1])
     alphas = np.clip(x0 + np.array(fractions) * (x1 - x0), x0, x1)
+    lo, hi = enclosure_bounds(enc, alphas)
+    assert np.all(lo < hi)
     w_lo, w_hi = prop.bounds(alphas)
-    assert np.all(w_lo < w_hi)
     for values in (ell.column(alphas), np.array([ell(a) for a in alphas]),
                    ell.column(np.concatenate([[x0], alphas, [x1]]))[1:-1]):
+        assert np.all((lo <= values) & (values <= hi))
         w = weights_at(prop, alphas, values)
         assert np.all((w_lo <= w) & (w <= w_hi))
 
@@ -251,7 +254,6 @@ def test_window_scan_bounds_every_column_outside_the_hull(truth, hyper, log10_n,
         assert np.all((floor <= values) & (values <= ceiling))
         w = weights_at(prop, alphas, values)
         assert np.all((w_lo <= w) & (w <= w_hi))
-
 
 
 @SETTINGS
