@@ -119,6 +119,7 @@ def _cmd_bracket(args) -> None:
         fh.write(report.to_json())
     print(f"alpha_lower = {report.alpha_lower:.4f}, alpha_upper = {report.alpha_upper:.4f} "
           f"({report.upper_status})")
+    print(f"diagnostic evaluations = {report.evaluated}")
 
 
 def _cmd_figure1(args) -> None:

@@ -16,13 +16,18 @@ One evaluator, built once per (truth, model, n), computes diag wherever
 it is needed: at a column of alphas for the scan that finds a crossing,
 and at a single alpha, a column of one, for bracket_diagnostic and for
 the bisection that refines it.  The scan runs coarse to fine.  It
-evaluates every STRIDE-th alpha of the grid, COARSE_COLUMN of them to a
-column, and bounds diag between two coarse points by the growth its
-derivative in alpha allows.  Only an interval whose bound reaches a
-threshold is evaluated point by point, and the first grid alpha there
-above the threshold is the crossing.  Every column the scan evaluates
-reproduces, bit for bit, the values of one column over the whole grid,
-so the scan finds what a scan of the whole grid finds.
+evaluates every STRIDE-th alpha of the grid, one row block of
+`Design.blocks` to a column (at most COARSE_COLUMN alphas: 64 up to
+N = 2048, 4 at the cap), and bounds diag between two coarse points by the
+growth its derivative in alpha allows.  Only an interval whose bound
+reaches a threshold is searched.  Up to N = 8192 it is evaluated point by
+point; past it, where a block holds fewer rows than an interval, its
+points every block_rows(N) grid steps are evaluated first, and only the
+sub-intervals whose own bound reaches the threshold are evaluated point
+by point.  The first grid alpha there above the threshold is the
+crossing.  Every column the scan evaluates reproduces, bit for bit, the
+values of one column over the whole grid, so the scan finds what a scan
+of the whole grid finds.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ LOWER_THRESHOLD = 0.01  # l
 UPPER_COEFF = 1.0  # L, of the upper threshold L*(log n)^2
 SCAN_STEP = 1e-3
 REFINE_TOL = 1e-6
-# grid steps from one coarse point of the scan to the next, and coarse points per column it
-# evaluates; both multiples of 4, so BLAS sums every row of those columns four at a time (_Grid)
+# grid steps from one coarse point of the scan to the next, and the most coarse points per column
+# it evaluates; both multiples of 4, so BLAS sums every row of those columns four at a time (_Grid)
 STRIDE = 16
 COARSE_COLUMN = 64
 BOUND_MARGIN = 1e-9  # relative slack of the scan's bound, far above the rounding of a value
@@ -67,10 +72,11 @@ class BracketReport:
     upper_status: str
     curve_alphas: np.ndarray
     curve_values: np.ndarray
+    evaluated: int  # alphas `_Diagnostic.column` evaluated, bisection included; not in to_json
 
     def to_json(self) -> str:
         d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-             if f.name not in ("curve_alphas", "curve_values")}
+             if f.name not in ("curve_alphas", "curve_values", "evaluated")}
         d["alpha_upper"] = None if math.isinf(self.alpha_upper) else self.alpha_upper
         return json.dumps(d, sort_keys=True)
 
@@ -109,6 +115,7 @@ class _Diagnostic:
         # log i of the last non-zero term, not of N: an analytic truth's terms underflow to 0
         # (past i = 372 at gamma = 1)
         self.log_i_max = float(np.max(d.log_i, where=self.terms != 0.0, initial=0.0))
+        self.evaluated = 0  # alphas evaluated so far
 
     def column(self, alphas: np.ndarray) -> np.ndarray:
         """diag at each alpha of a 1-D array.
@@ -118,6 +125,7 @@ class _Diagnostic:
         a block is within 10 eps of a long-double sum, a single alpha within
         70 eps.
         """
+        self.evaluated += alphas.size
         total = np.empty(alphas.size)
         for s, u, r in self.design.blocks(alphas):
             np.reciprocal(r, r)
@@ -159,8 +167,9 @@ class _Grid:
 
     def __init__(self, diag: _Diagnostic, alphas: np.ndarray):
         self.diag, self.alphas = diag, alphas
+        self.rows = block_rows(diag.terms.size)  # alphas per `Design.blocks` block
         M = alphas.size
-        self.body = M - M % min(block_rows(diag.terms.size), M) if M % 4 else M
+        self.body = M - M % min(self.rows, M) if M % 4 else M
         self._tail = None
 
     def at(self, idx: np.ndarray) -> np.ndarray:
@@ -234,6 +243,7 @@ def bracket(mu0: np.ndarray, model: ModelSpec, n: float) -> BracketReport:
         upper_status=status,
         curve_alphas=alphas[::STRIDE][:values.size],
         curve_values=values,
+        evaluated=diag.evaluated,
     )
 
 
@@ -247,8 +257,10 @@ def _scan(diag: _Diagnostic, alphas: np.ndarray, targets) -> tuple[list, np.ndar
     STRIDE grid alphas or fewer.  Where the point's value times the
     interval's `_Diagnostic.growth` stays at or below a threshold, no value
     in the interval is above it; any other interval a search reaches is
-    evaluated whole.  The coarse points are evaluated COARSE_COLUMN at a
-    time until every search has ended.
+    searched by `_first_above`.  The coarse points are evaluated in columns
+    of one row block, at most COARSE_COLUMN of them, until every search has
+    ended: blocks share no work, so a longer column costs as much per alpha
+    and evaluates points past the searches' ends.
     """
     grid = _Grid(diag, alphas)
     starts = np.arange(0, alphas.size, STRIDE)
@@ -257,19 +269,18 @@ def _scan(diag: _Diagnostic, alphas: np.ndarray, targets) -> tuple[list, np.ndar
     firsts = [None] * len(targets)
     searching = list(range(len(targets)))
     columns = []
-    for c in range(0, starts.size, COARSE_COLUMN):
+    size = min(COARSE_COLUMN, grid.rows)
+    for c in range(0, starts.size, size):
         if not searching:
             break
-        columns.append(grid.at(starts[c:c + COARSE_COLUMN]))
+        columns.append(grid.at(starts[c:c + size]))
         j = np.arange(c, c + columns[-1].size)
         bound = columns[-1] * growth[j]
         for t in searching[:]:
             threshold, stop = targets[t]
             for i in j[(bound > threshold) & (starts[j] <= stop)]:
-                fine = grid.at(np.arange(starts[i], ends[i]))
-                above = np.flatnonzero(fine[:stop + 1 - starts[i]] > threshold)
-                if above.size:
-                    firsts[t] = int(starts[i] + above[0])
+                firsts[t] = _first_above(grid, starts[i], ends[i], threshold, stop)
+                if firsts[t] is not None:
                     break
             if firsts[t] is not None or ends[j[-1]] > stop:
                 searching.remove(t)
@@ -279,6 +290,32 @@ def _scan(diag: _Diagnostic, alphas: np.ndarray, targets) -> tuple[list, np.ndar
     if last >= values.size:
         values = np.concatenate([values, grid.at(starts[values.size:last + 1])])
     return firsts, values[:last + 1]
+
+
+def _first_above(grid: _Grid, lo: int, hi: int, threshold: float, stop: int) -> int | None:
+    """The first grid index k in [lo, hi), k <= stop, with diag(alphas[k]) > threshold, or None.
+
+    Where a block holds fewer rows than an interval (N > 8192), the points
+    every `grid.rows` grid steps are evaluated first, in one column, and
+    bound their sub-intervals as the coarse points bound theirs; only a
+    sub-interval whose bound reaches the threshold is evaluated point by
+    point.  At N <= 8192 that level would cost more numpy calls than it
+    saves rows, so the interval is evaluated whole.
+    """
+    if grid.rows < STRIDE:
+        subs = np.arange(lo, hi, grid.rows)
+        sub_ends = np.minimum(subs + grid.rows, hi)
+        alphas = grid.alphas
+        bound = grid.at(subs) * grid.diag.growth(alphas[subs], alphas[sub_ends - 1] - alphas[subs])
+        keep = (bound > threshold) & (subs <= stop)
+        pieces = zip(subs[keep], sub_ends[keep])
+    else:
+        pieces = [(lo, hi)]
+    for a, b in pieces:
+        above = np.flatnonzero(grid.at(np.arange(a, b))[:stop + 1 - a] > threshold)
+        if above.size:
+            return int(a + above[0])
+    return None
 
 
 def _crossing(diag: _Diagnostic, alphas: np.ndarray, k: int, threshold: float) -> float:

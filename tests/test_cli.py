@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invseq import (ExperimentConfig, HbConfig, HyperPrior, ModelSpec, Observation, TruthSpec, run_mwg,
-                    simulate)
+from invseq import (ExperimentConfig, HbConfig, HyperPrior, ModelSpec, Observation, TruthSpec,
+                    default_truncation, run_mwg, simulate)
 from invseq.cli import main, parse_hyper, parse_model, parse_truth
 from invseq.errors import ConfigError
 from invseq.experiments import run_rate_sweep, write_csv, write_json
@@ -191,6 +191,23 @@ def test_bracket_command(tmp_path):
         d = json.load(fh)
     assert d["alpha_upper"] is None
     assert d["upper_status"] == "identically-zero"
+
+
+def test_bracket_prints_the_diagnostic_evaluations(tmp_path, capsys):
+    """bracket reports how many alphas it evaluated, bisection included, on a
+    line of its own after the crossings, and writes the count into no file;
+    a zero truth is not scanned."""
+    for truth, n in (("paper", 1e8), ("zero", 1e6)):
+        out = tmp_path / truth
+        capsys.readouterr()
+        assert main(["bracket", "--truth", truth, "--n", str(n), "--out", str(out)]) == 0
+        report = bracket(parse_truth(truth).coefficients(default_truncation(n, 1.0)), ModelSpec.volterra(), n)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("alpha_lower = ")
+        assert lines[1:] == [f"diagnostic evaluations = {report.evaluated}"]
+        assert (report.evaluated > 0) == (truth == "paper")
+        for path in out.iterdir():
+            assert "evaluated" not in path.read_text()
 
 
 def _write_config(path, **overrides):

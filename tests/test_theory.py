@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from invseq import ModelSpec, TruthSpec, bracket, default_truncation
 from invseq.cli import main
 from invseq.errors import ConfigError, NumericalError
-from invseq.theory import (LOWER_THRESHOLD, REFINE_TOL, SCAN_STEP, STRIDE, _crossing, _Diagnostic,
+from invseq.sequence_model import block_rows
+from invseq.theory import (LOWER_THRESHOLD, REFINE_TOL, SCAN_STEP, STRIDE, _crossing, _Diagnostic, _Grid,
                            bracket_diagnostic, minimax_rate_analytic, minimax_rate_sobolev)
 
 VOLTERRA = ModelSpec.volterra()
@@ -230,6 +231,65 @@ def test_scan_reads_the_whole_grid_bits(monkeypatch, truth, model, n, reads_last
     assert (report.alpha_lower, report.alpha_upper) == (want["alpha_lower"], want["alpha_upper"])
 
 
+def _scan_against_whole_grid(monkeypatch, mu0, model, n):
+    """Run bracket, hold each on-grid read to the whole-grid column's bits and
+    its report to the whole-grid scan's; return the grid indices of each read."""
+    alphas, full, want = _whole_grid_scan(mu0, model, n)
+    reads = []
+    column = _Diagnostic.column
+    monkeypatch.setattr(_Diagnostic, "column", lambda self, a: reads.append((a, column(self, a))) or reads[-1][1])
+    report = bracket(mu0, model, n)
+    monkeypatch.setattr(_Diagnostic, "column", column)
+    got = {k: getattr(report, k) for k in want}
+    got["curve_alphas"], got["curve_values"] = got["curve_alphas"].tobytes(), got["curve_values"].tobytes()
+    assert got == want
+    assert report.evaluated == sum(a.size for a, _ in reads)
+    indices = []
+    for a, values in reads:
+        idx = np.rint(a / SCAN_STEP).astype(int) - 1
+        if np.all((0 <= idx) & (idx < alphas.size)) and np.array_equal(alphas[idx], a):
+            assert values.tobytes() == full[idx].tobytes()
+            indices.append(idx)
+        else:
+            assert a.size == 1
+    return indices
+
+
+@pytest.mark.parametrize("rows", [4, 8])
+@pytest.mark.parametrize("model", [VOLTERRA, FLAT, ModelSpec.exact_power(2.5)])
+@pytest.mark.parametrize("truth", [TruthSpec.paper_example(), TruthSpec.power_law(1.0),
+                                   TruthSpec.analytic_decay(1.0), TruthSpec.explicit([0.0, 1.0])])
+def test_sub_interval_level_finds_what_a_full_scan_finds(monkeypatch, rows, model, truth):
+    """With the scan's columns sized by 4- or 8-row blocks, as past N = 8192,
+    coarse columns hold one block and a flagged interval is searched through
+    the points every `rows` grid steps, on the cases of
+    test_bracket_stops_where_a_full_scan_agrees.  The scan still reports what
+    a whole-grid scan does and reads its bits.  Only the scan's row count is
+    patched: `_Grid`'s tail rule keeps the real block_rows(N)."""
+    init = _Grid.__init__
+
+    def patched(self, diag, alphas):
+        init(self, diag, alphas)
+        self.rows = rows
+
+    monkeypatch.setattr(_Grid, "__init__", patched)
+    sub_columns = 0
+    for n in (3.0, 5.0, 20.0, 1e3, 1e6, 10**6.65, 1e8):
+        mu0 = truth.coefficients(min(default_truncation(n, model.p), 2000))
+        indices = _scan_against_whole_grid(monkeypatch, mu0, model, n)
+        sub_columns += sum(idx.size > 1 and idx[1] - idx[0] == rows for idx in indices)
+    assert sub_columns > 0
+
+
+def test_sub_interval_level_at_eight_row_blocks(monkeypatch):
+    """Unpatched at n = 2e12 (N = 12600, 8-row blocks): coarse columns of 8
+    points, flagged intervals searched 8 grid steps at a time."""
+    mu0 = TruthSpec.paper_example().coefficients(default_truncation(2e12, 1.0))
+    assert block_rows(mu0.size) == 8
+    indices = _scan_against_whole_grid(monkeypatch, mu0, VOLTERRA, 2e12)
+    assert any(idx.size > 1 and idx[1] - idx[0] == 8 for idx in indices)
+
+
 def test_growth_rate_reads_the_last_nonzero_term():
     """The bound's rate takes log i of the last non-zero term, not log N: an
     analytic truth's terms underflow to 0 near i = 372 at gamma = 1."""
@@ -255,31 +315,36 @@ def test_scan_bound_holds_on_the_whole_grid(truth, model, log10_n):
     """Every whole-grid value from a coarse point up to the next lies at or
     below the bound the scan uses there: the point's value times
     `_Diagnostic.growth` over the interval's width.  So no interval the
-    scan skips holds a value above the threshold it skipped it for."""
+    scan skips holds a value above the threshold it skipped it for.  The
+    same holds for the 4- and 8-step sub-intervals of 4- and 8-row blocks."""
     n = 10.0**log10_n
     mu0 = truth.coefficients(min(default_truncation(n, model.p), 2000))
     diag = _Diagnostic(mu0, model, n)
     logn = math.log(n)
     alphas = np.arange(SCAN_STEP, max(logn / (2.0 * math.log(2.0)), math.sqrt(logn)) + SCAN_STEP, SCAN_STEP)
     full = diag.column(alphas)
-    starts = np.arange(0, alphas.size, STRIDE)
-    ends = np.minimum(starts + STRIDE, alphas.size)
-    bound = full[starts] * diag.growth(alphas[starts], alphas[ends - 1] - alphas[starts])
-    peak = np.maximum.reduceat(full, starts)
-    assert np.all(peak <= bound)
+    for width in (STRIDE, 4, 8):
+        starts = np.arange(0, alphas.size, width)
+        ends = np.minimum(starts + width, alphas.size)
+        bound = full[starts] * diag.growth(alphas[starts], alphas[ends - 1] - alphas[starts])
+        peak = np.maximum.reduceat(full, starts)
+        assert np.all(peak <= bound)
 
 
 def test_bracket_cap_call_pinned(monkeypatch):
     """Paper truth at n = 1e15 (N = 1e5, the truncation cap) keeps the
-    crossings of a whole-grid scan, from at most 600 alphas evaluated, bisection
-    included; a scan of 512-alpha chunks evaluated 2560 of the grid's 24 915."""
+    crossings of a whole-grid scan, from at most 200 alphas evaluated,
+    bisection included, as the report counts them (196: coarse columns of
+    one 4-row block, flagged intervals searched 4 grid steps at a time).
+    Coarse columns of 64 points and flagged intervals evaluated whole took
+    308; a scan of 512-alpha chunks evaluated 2560 of the grid's 24 915."""
     evaluated = []
     column = _Diagnostic.column
     monkeypatch.setattr(_Diagnostic, "column", lambda self, a: evaluated.append(a.size) or column(self, a))
     report = bracket(TruthSpec.paper_example().coefficients(default_truncation(1e15, 1.0)), VOLTERRA, 1e15)
     assert report.alpha_lower == 0.750083984375
     assert report.alpha_upper == 2.0622246093749994
-    assert sum(evaluated) <= 600
+    assert report.evaluated == sum(evaluated) <= 200
 
 
 @pytest.mark.parametrize("mu0", [[0.0, 1e200, 1.0], [0.0, math.nan, 1.0], [0.0, math.inf]])
