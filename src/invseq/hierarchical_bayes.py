@@ -23,14 +23,15 @@ A move needs only the decision whether w' - log U exceeds the current w,
 not w' itself, and the grid's two scans of ell bound every w.  The column
 of ell at the grid's nodes, which sets the cells' masses, encloses ell
 between them: the chord between two nodes' values, widened by a bound on
-ell's curvature over the gap, read off that column's own blocks, and on
-every rounding, holds any value `Loglik.column` gives there, whatever
-alphas share its column.  Outside the nodes' hull the window scan bounds
-ell on both sides, since of its two halves, both of which the scan's
-column forms, one falls and one rises with alpha (`_enclose`).  The loop decides
-each move from the candidate's and the state's bounds where they do not
-straddle the threshold, and evaluates w (`Proposal.log_weights`) only
-where they cannot decide, for the candidate and the current state.  Each
+ell's curvature, one per GROUP consecutive gaps and read off that
+column's rows at the group's two ends, and on every rounding, holds any
+value `Loglik.column` gives there, whatever alphas share its column.
+Outside the nodes' hull the window scan bounds ell on both sides, since
+of its two halves, both of which the scan's column forms, one falls and
+one rises with alpha (`_enclose`).  The loop decides each move from the
+candidate's and the state's bounds where they do not straddle the
+threshold, and evaluates w (`Proposal.log_weights`) only where they
+cannot decide, for the candidate and the current state.  Each
 candidate's cell is looked up once, for its log q and, inside the nodes'
 hull, its gap (`Proposal.bounds`).  Over fewer than ENCLOSE_MIN_N
 coordinates nothing is enclosed and every candidate is evaluated, each
@@ -62,7 +63,7 @@ import numpy as np
 from .empirical_bayes import Loglik, columns
 from .errors import ConfigError, NumericalError
 from .gaussian_posterior import Mixture
-from .sequence_model import LOG_FLOAT_MAX, S_FLOOR, Observation
+from .sequence_model import LOG_FLOAT_MAX, S_FLOOR, Observation, block_rows
 
 # where log(alpha * pi) is first scanned for the grid window: 5 points a decade up to 0.1, then 0.1 apart
 SCAN_ALPHAS = np.concatenate([np.geomspace(1e-12, 0.1, 56)[:-1], np.linspace(0.1, 40.0, 400)])
@@ -74,12 +75,22 @@ PRIOR_SHARE = 0.05  # the proposal's share drawn from the hyperprior
 CHUNK = 1024  # proposals drawn, evaluated and accepted at a time
 # The chain encloses ell only over at least this many coordinates; below, every candidate is
 # evaluated.  There a chunk's column costs about as much as its bounds: 4000-sweep chains (paper
-# truth, n = N^3, seeds 1-5, one BLAS thread on a 2-vCPU x86 VM, medians of 60 interleaved runs)
-# ran 9% slower enclosed at N = 3 and 2.5% slower at N = 20, 3-5% faster at N = 25 and 30, and
-# 11-15% faster at N = 35 to 46.  The gains below 40 are small and noisy (N = 40 read slower
-# than 35), and no benchmark workload runs an N in [25, 40) to confirm them, so enclosing
-# still starts at 40.
+# truth, n = N^3, exponential(1), seeds 1-5, one BLAS thread on a 2-vCPU x86 VM, medians of 60
+# interleaved runs, in two sessions) ran 9-11% slower enclosed at N = 3, 1-5% slower at N = 10,
+# 0-8% at N = 20 and 4-7% at N = 25, 4-14% faster at N = 30 and 8-10% faster at N = 35 to 46.
+# The break-even lies near 30, and no benchmark workload runs an N in [25, 40) to confirm a
+# lower start, so enclosing still starts at 40.
 ENCLOSE_MIN_N = 40
+# Consecutive gaps between the nodes that share one curvature bound (see `_enclose`), so the node
+# column reads two rows per group.  Against a bound per gap, 4000-sweep chains (paper truth,
+# exponential(1), n = N^3 or the ladder's n, seeds 1-5, 1-3 from N = 12600; process CPU, one BLAS
+# thread on a 2-vCPU x86 VM; both kinds of chain alternated call by call, 5-20 rounds) took 6%
+# longer at N = 46 and 100 and 1% longer at N = 215, where the extra evaluations a looser bound
+# leaves cost more than the rows it skips, and 9, 17, 22 and 22% less at N = 1000, 4642, 12600
+# and 1e5.  Groups of 8 took 2% longer at N = 46, 100 and 215 and 8, 15, 19 and 16% less at the
+# others.  One group over all 256 nodes raised N = 216's evaluations from 13-29 to 233-347 and
+# doubled its time.
+GROUP = 16
 EPS = 2.0**-53  # unit roundoff of a float
 
 
@@ -176,12 +187,13 @@ class _Enclosure(NamedTuple):
     Between the grid's nodes the bounds are a chord's band: knots are the
     nodes it spans and values ell's column at them; for the gap from
     knots[g] to knots[g + 1], slopes[g] is the slope of the chord between
-    their values, bends[g] bounds |ell''| / 2 over the gap and slack[g] the
-    rounding.  Outside the knots' hull the window scan bounds them: scan
-    holds its alphas, and floors[i] and ceilings[i] bound every column
-    value at an alpha in [scan[i - 1], scan[i]), index 0 below scan[0] and
-    the last from scan[-1] on (see `_enclose`).  With no knots the hull is
-    empty.  `Proposal.bounds` reads them.
+    their values, bends[g] bounds |ell''| / 2 over the group of up to GROUP
+    consecutive gaps that holds it, so a group's gaps share one, and
+    slack[g] bounds the rounding.  Outside the knots' hull the window scan
+    bounds them: scan holds its alphas, and floors[i] and ceilings[i] bound
+    every column value at an alpha in [scan[i - 1], scan[i]), index 0 below
+    scan[0] and the last from scan[-1] on (see `_enclose`).  With no knots
+    the hull is empty.  `Proposal.bounds` reads them.
     """
 
     knots: np.ndarray
@@ -369,25 +381,27 @@ def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.n
     the line through the knots' values v_g, as `Proposal.bounds` forms it:
 
     1. Curvature.  ell'' = -2 sum_i L_i^2 r_i (1 - r_i)(1 - n y_i^2 (2 r_i - 1))
-       (`Loglik.slope`, with 1 - 2w = 2r - 1), and over the gap each r_i
-       lies between its values at the two knots.  So |ell''| <= M_g =
-       2 sum_i L_i^2 P_i (1 + n y_i^2 Q_i), with P_i the largest r(1 - r)
-       and Q_i the largest |2r - 1| over that range, and the chord of
-       ell misses it by at most M_g/2 (a - x_g)(x_g+1 - a).  The r are read
-       off the node column's blocks (`columns`' visitor).  A gap inside a
-       block has both knots on its prefix.  A gap across a block boundary
-       takes its left knot's row from the block before, over that block's
-       prefix, and pads its right knot's shorter row with r = 1: past its
-       own prefix u_i < e^-37 at the right knot, so r_i lies in
-       (1 - e^-37, 1] there, and stretching the range [r(x_g), r(x_g+1)] to
-       reach 1 can only raise P_i and Q_i.  Past the left knot's prefix
-       u_i < e^-37 on the whole gap, so those coordinates add less than
+       (`Loglik.slope`, with 1 - 2w = 2r - 1).  The gaps are taken GROUP
+       at a time from the first knot, the last group holding what is left,
+       and a group runs between its end knots x_a < x_b.  Each r_i is
+       monotone in alpha, so over the group it lies between its values at
+       x_a and x_b.  So |ell''| <= M = 2 sum_i L_i^2 P_i (1 + n y_i^2 Q_i)
+       there, with P_i the largest r(1 - r) and Q_i the largest |2r - 1|
+       over that range, and on each of the group's gaps the chord of ell
+       misses it by at most M/2 (a - x_g)(x_g+1 - a).  The r are read off
+       the node column's blocks (`columns`' visitor), at the end knots
+       only.  The left end's row is taken over its block's prefix, and a
+       right end in a later block has its shorter row padded with r = 1:
+       past its own prefix u_i < e^-37 at x_b, so r_i lies in
+       (1 - e^-37, 1] there, and stretching the range [r(x_a), r(x_b)] to
+       reach 1 can only raise P_i and Q_i.  Past the left end's prefix
+       u_i < e^-37 on the whole group, so those coordinates add less than
        2 e^-37 L_i^2 (1 + n y_i^2) each.  The blocks' r are within tau =
        eps (3.1 S + 13) of the exact ones (step 2), and P and Q move by at
-       most 1 and 2 times a move of r, so half M_g is at most the computed
+       most 1 and 2 times a move of r, so half M is at most the computed
        half plus (2 tau + 1e-16) sum_i L_i^2 (1 + n y_i^2), times
        1 + (N + 12) eps for the rounding of the sums and of the product at
-       a.  That is bends.
+       a.  That is bends, for each gap of the group.
     2. Rounding.  Any column's value at a is within rho(a) =
        eps [N + (N + 4 S + 24) |ell(a)|] of ell(a), where S =
        max |log(n kappa_i^2)| + log N (1 + 2 min(a_top, c)) bounds the
@@ -446,29 +460,28 @@ def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.n
     top = top if top >= 2 else 0
     sq = design.log_i**2
     sq_ny2 = sq * ell.ny2
-    half_bend = np.empty(max(top - 1, 0))
-    # the last knot's r - 1/2, carried into the next block; that block's first knot's, padded
-    # with r = 1 past its prefix; and scratch for the gap between them
-    edge = np.empty((3, N))
-    carried = 0
+    # the groups' end knots, [-1] (held by no block) without knots
+    ends = np.append(np.arange(0, top - 1, GROUP), top - 1)
+    half_bend = np.empty(ends.size)  # for the group ending at each end; the first is spare
+    # r - 1/2 at the last end before a block, over carried coordinates (before the first end, r = 1
+    # over all N); behind it, the block's ends padded with r = 1 past its prefix; and scratch
+    last, (rows, spare) = np.full(N, 0.5), np.empty((2, min(block_rows(N), nodes.size) // GROUP + 3, N))
+    carried = N
 
     def visit(block):
         nonlocal carried
         weigh(block)
-        s, log1p_u, r = block.start, block.log1p_u, block.r
-        k = r.shape[1]
-        m = min(len(r), top - s)  # the knots among the block's rows
-        if m < 1:
+        s, r, k = block.start, block.r, block.r.shape[1]
+        a, b = np.searchsorted(ends, (s, s + len(r)))  # the ends among the block's rows
+        if a == b:
             return
-        d = r[:m]
-        np.subtract(d, 0.5, d)  # r - 1/2
-        if s:  # the gap from the block before
-            edge[1, :k] = d[0]
-            edge[1, k:carried] = 0.5
-            half_bend[s - 1] = _half_bends(edge[:2, :carried], edge[2:, :carried], sq, sq_ny2)[0]
-        edge[0, :k] = d[-1]
+        d = rows[:1 + b - a, :carried]
+        d[0] = last[:carried]
+        np.subtract(r[ends[a:b] - s], 0.5, d[1:, :k])
+        d[1:, k:] = 0.5
+        last[:k] = d[-1, :k]
+        half_bend[a:b] = _half_bends(d, spare[:b - a, :carried], sq, sq_ny2)
         carried = k
-        half_bend[s:s + m - 1] = _half_bends(d, log1p_u[:m - 1], sq, sq_ny2)
 
     values = columns((ell,), nodes, visit, data_weights=True)[0]
 
@@ -478,6 +491,7 @@ def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.n
     knots, knot_values = nodes[:top], values[:top]
     S = spread(nodes[top - 1])  # with no knots the arrays below are empty, whatever S is
     tau = EPS * (3.1 * S + 13.0)
+    half_bend = np.repeat(half_bend[1:], np.diff(ends))  # each gap takes its group's bound
     bends = (1.0 + (N + 12) * EPS) * (half_bend + (2.0 * tau + 1e-16) * (sq.sum() + sq_ny2.sum()))
     mags = np.abs(knot_values)
     phi = 2.0 * (mags[:-1] + mags[1:]) + 1.0
@@ -499,20 +513,20 @@ def _enclose(ell: Loglik, nodes: np.ndarray, scan: np.ndarray, scan_values: np.n
 
 
 def _half_bends(d: np.ndarray, p: np.ndarray, sq: np.ndarray, sq_ny2: np.ndarray) -> np.ndarray:
-    """Half the curvature bound M_g of `_enclose` over each gap between consecutive rows of d.
+    """Half the curvature bound M of `_enclose` over each group between consecutive rows of d.
 
-    d holds r - 1/2 at consecutive knots over k coordinates, and p is
+    d holds r - 1/2 at consecutive group ends over k coordinates, and p is
     scratch of one row fewer; both are overwritten.
     """
     k = d.shape[1]
-    lo, hi = d[:-1], d[1:]  # r - 1/2 at each gap's two knots
+    lo, hi = d[:-1], d[1:]  # r - 1/2 at each group's two ends
     np.maximum(lo, 0.0, out=p)
-    np.minimum(p, hi, out=p)  # the point of [r(x_g), r(x_g+1)] nearest 1/2, less 1/2
+    np.minimum(p, hi, out=p)  # the point of [r(x_a), r(x_b)] nearest 1/2, less 1/2
     np.square(p, p)
-    np.subtract(0.25, p, p)  # max r(1 - r) over the gap
+    np.subtract(0.25, p, p)  # max r(1 - r) over the group
     lin = p @ sq[:k]
     np.abs(d, d)
-    np.maximum(lo, hi, out=lo)  # max |2r - 1| / 2 over the gap
+    np.maximum(lo, hi, out=lo)  # max |2r - 1| / 2 over the group
     np.multiply(p, lo, p)
     return lin + 2.0 * (p @ sq_ny2[:k])
 

@@ -495,6 +495,7 @@ CHAIN_CASES = [
     (TruthSpec.power_law(1.0), 1e9, 1000, HyperPrior.exponential(1.0), 3000, 8, 4),
     (TruthSpec.paper_example(), 1e7, 215, HyperPrior.exponential(1.0), 3000, 9, 16),
     (TruthSpec.zero(), 1e15, 2000, HyperPrior.exponential(1.3), 4000, 9, None),
+    (TruthSpec.paper_example(), 2e12, 12600, HyperPrior.exponential(1.0), 4000, 14, None),
 ]
 
 
@@ -503,7 +504,7 @@ CHAIN_CASES = [
                               "inverse_gamma-1e7", "last-chunk-one-inf-draw", "vague-inverse_gamma",
                               "gamma-1e11", "inverse_gamma-1e11", "gamma-0.5-1e11",
                               "coarse-4-cells", "coarse-16-cells",
-                              "past-alpha_full"])
+                              "past-alpha_full", "groups-across-8-row-blocks"])
 def test_chain_equals_the_evaluated_chain(monkeypatch, truth, n, N, hyper, iterations, seed, cells):
     """run_mwg, which decides most moves from the enclosure, takes every decision of
     the reference chain (`oracles.reference_chain`), which evaluates every candidate
@@ -515,8 +516,9 @@ def test_chain_equals_the_evaluated_chain(monkeypatch, truth, n, N, hyper, itera
     proposals fall below the first node, some below the first scan point.  At
     n = 1e11 the heavy inverse-gamma tail and the gamma(0.5) mass near 0
     propose many alphas outside the nodes' hull, where only the window scan
-    bounds the likelihood.  Below ENCLOSE_MIN_N coordinates every candidate is
-    evaluated.
+    bounds the likelihood.  At n = 2e12 (N = 12600) a node block holds 8 rows,
+    so every group of gaps that shares a curvature bound spans blocks.  Below
+    ENCLOSE_MIN_N coordinates every candidate is evaluated.
     """
     if cells is not None:
         monkeypatch.setattr(hierarchical_bayes, "GRID_CELLS", cells)
@@ -604,13 +606,49 @@ def test_proposal_tables_keep_the_bits_of_each_call():
 def test_enclosure_decides_most_moves_at_large_n(hyper, seed):
     """At n = 1e11 (N = 4642) log_weights evaluates about 1% of the candidates: only the
     moves whose margin neither the chord between the nodes nor, outside the nodes' hull,
-    the window scan's bounds can decide.  The bound is set from the counts: 5 to 35
-    over seeds 1-6 under these three hyperpriors."""
+    the window scan's bounds can decide.  The bound is set from the counts: 7 to 37
+    over seeds 1-6 under these three hyperpriors (5 to 35 when each gap had its own
+    curvature bound)."""
     N = default_truncation(1e11, 1.0)
     obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e11, N, seed)
     chain = run_mwg(obs, hyper, HbConfig(iterations=4000, burn_in=1000, seed=seed))
     assert N == 4642
     assert chain.exact_evaluations <= 40
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_enclosure_decides_most_moves_at_the_cap(seed):
+    """At the truncation cap (n = 1e15, N = 1e5) a node block holds 4 rows, so each group
+    of gaps that shares a curvature bound spans several blocks of falling prefixes; still
+    about 2% of the candidates are evaluated, so the enclosure has not slid into
+    one-alpha columns.  The bound is set from the counts, 59 to 63 over seeds 1-3 (55 to
+    63 when each gap had its own curvature bound), with a quarter of room: the chain
+    seed alone moves them, 55 to 83 over seeds 0-7 on seed 1's data."""
+    obs = simulate(TruthSpec.paper_example(), VOLTERRA, 1e15, 100_000, seed)
+    chain = run_mwg(obs, HyperPrior.exponential(1.0), HbConfig(iterations=4000, seed=seed))
+    assert block_rows(100_000) == 4
+    assert chain.exact_evaluations <= 80
+
+
+@pytest.mark.parametrize("truth, n, N, hyper", [
+    (TruthSpec.zero(), 1e15, 5000, HyperPrior.inverse_gamma(2.0, 1.0)),
+    (TruthSpec.paper_example(), 2e12, 12600, HyperPrior.exponential(1.3)),
+], ids=["falling-prefixes", "8-row-blocks"])
+def test_bends_bound_the_curvature_on_every_gap(truth, n, N, hyper):
+    """Each gap's bends is at least |ell''| / 2 (`Loglik.slope`) at its ends and inside it,
+    though a group of gaps shares one bound read off two rows of the node column.
+
+    Under zero truth and inverse_gamma(2, 1) at n = 1e15, N = 5000 the window runs far
+    past alpha_full, so a node block's 16 rows read a prefix that falls from block to
+    block, and a group's left end holds coordinates its right end's block drops.  The
+    largest ratio there is 0.65; a bound that drops those coordinates reads 1.02.  At
+    n = 2e12, N = 12600 a block holds 8 rows, so every group spans blocks."""
+    obs = simulate(truth, VOLTERRA, n, N, 1)
+    enc = grid_proposal(obs, hyper).enclosure
+    ell, knots = Loglik(obs), enc.knots
+    for g in range(knots.size - 1):
+        for a in np.linspace(knots[g], knots[g + 1], 5):
+            assert abs(ell.slope(float(a))[1]) / 2.0 <= enc.bends[g]
 
 
 def test_proposal_node_values_are_the_node_column():

@@ -184,6 +184,11 @@ enclosure_truths = st.sampled_from([TruthSpec.paper_example(), TruthSpec.power_l
 @SETTINGS
 @example(truth=TruthSpec.zero(), hyper=HyperPrior.exponential(1.3), log10_n=15.0, N=2000, seed=2,
          fractions=[0.0, 0.3, 0.5, 0.99, 1.0])
+@example(truth=TruthSpec.paper_example(), hyper=HyperPrior.exponential(1.3), log10_n=12.301029995663981,
+         N=12600, seed=1, fractions=[0.053375861776247195, 0.024880754336570998, 0.06859173193403076,
+                                     0.9314472573886895, 0.9792928349250538])
+@example(truth=TruthSpec.zero(), hyper=HyperPrior.inverse_gamma(2.0, 1.0), log10_n=1.0, N=100, seed=1,
+         fractions=[0.4155712152801787, 0.6175603611674062, 0.8389433062090198, 0.957969417112104])
 @given(truth=enclosure_truths, hyper=hyper_kinds, log10_n=st.floats(1.0, 15.0),
        N=st.integers(ENCLOSE_MIN_N, 2000), seed=st.integers(0, 2**32 - 1),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
@@ -193,9 +198,19 @@ def test_enclosure_holds_every_column(truth, hyper, log10_n, N, seed, fractions)
     The alphas are evaluated as one column, alone, and in a column with the
     hull's ends, so their blocks' prefixes and BLAS's grouping of rows
     differ; each value must lie within the half-width of the chord, and
-    its log weight within `Proposal.bounds`.  The explicit example is a
-    window past alpha_full: zero truth at n = 1e15, N = 2000, where every
-    node's block reads a prefix.
+    its log weight within `Proposal.bounds`.  The explicit examples are:
+    - a window past alpha_full: zero truth at n = 1e15, N = 2000, where
+      every node's block reads a prefix;
+    - n = 2e12, N = 12600, where a node block holds 8 rows, so a group of
+      16 gaps spans three blocks.  The fractions hit
+      knots 16 and 240 (group ends) and the middles of gaps 7 (across a
+      block boundary inside a group), 20 and 250 (in the last group);
+    - zero truth at n = 10, N = 100 under inverse_gamma(2, 1), whose window
+      runs past where `Design.blocks` clamps alpha, so 107 of the 256 nodes
+      are knots and the last group, from knot 96, holds 10 gaps.  The
+      fractions hit knot 96, knot 104 inside that group and the middles of
+      gaps 100 and 105, the last.
+    Hypothesis draws N <= 2000, where a block holds 64 rows or more.
     """
     obs = simulate(truth, ModelSpec.volterra(), 10.0 ** log10_n, N, seed)
     ell = Loglik(obs)
